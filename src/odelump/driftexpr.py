@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DivisionByZero
-from .poly import Polynomial, as_fraction
+from .poly import Polynomial
 
 _BIN_OPS = ("add", "sub", "mul", "div", "min", "max")
 
@@ -45,14 +45,6 @@ class Abs:
 
 
 DriftExpr = Union[Const, Var, Bin, Abs]
-
-
-def const(value) -> Const:
-    return Const(as_fraction(value))
-
-
-def var(index: int) -> Var:
-    return Var(index)
 
 
 def drift_eval(expr: DriftExpr, values) -> Fraction:

@@ -15,11 +15,23 @@ Two equivalences over variable partitions are decided syntactically:
   only through the block sums exactly when its gradient is constant on each
   block, and for polynomials that is an identity of derivative polynomials.
 
-Coarsest partitions are computed by signature refinement: split every block
-by a canonical per-variable signature until nothing splits.  Any equivalence
-refining the seed assigns equal signatures to its merged variables at every
-iteration, so the fixpoint is the unique coarsest partition refining the
-seed.  A brute-force enumeration oracle cross-checks this on small systems.
+Coarsest partitions are computed by signature refinement: each pass splits
+every block by a canonical per-variable signature taken under the current
+partition, until a pass splits nothing.  Any equivalence refining the seed
+assigns equal signatures to its merged variables at every pass, so the
+fixpoint is the unique coarsest partition refining the seed.
+
+The refinement is splitter-driven.  A variable's bde signature sees the
+partition only through the blocks of the variables its drift mentions, and
+its fde signature only through the partials of the block sums with respect
+to it.  After a split, therefore, only the users of a moved variable (bde)
+and the variables a moved variable's drift mentions (fde) can change
+signature.  Each pass re-signs just those, in non-singleton blocks, and
+compares them with the signature their block was formed with.  It yields the
+same partition as re-signing every variable, so the fixpoint is the same,
+at a cost that follows the variables a split can affect rather than the
+system size.  A brute-force enumeration oracle cross-checks this on small
+systems.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional
 
 from .driftexpr import Bin, Const, Var, substitute_exprs, rename_vars
@@ -85,67 +98,168 @@ def _require_cover(system: OdeSystem, part: Partition):
 
 
 def _raw_drifts(system: OdeSystem):
-    return [tuple((m.exps, m.coeff) for m in d.terms) for d in system.drifts]
+    """Drift terms as ``(exponents, coefficient)`` pairs, with every
+    coefficient multiplied by the common denominator of all of them.
+
+    Signatures are only ever compared for equality, which one positive
+    scale factor preserves, and integer sums are far cheaper than rational
+    ones."""
+    scale = 1
+    for d in system.drifts:
+        for m in d.terms:
+            if scale % m.coeff.denominator:
+                scale = lcm(scale, m.coeff.denominator)
+    return [tuple((m.exps, m.coeff.numerator * (scale // m.coeff.denominator))
+                  for m in d.terms) for d in system.drifts]
 
 
 # -- per-variable signatures ----------------------------------------------------
 
 
-def _bde_signatures(raw, labels):
-    """Canonical form of each drift with variables renamed to block ordinals."""
-    sigs = []
-    for terms in raw:
-        acc: dict = {}
-        for exps, c in terms:
-            if not exps:
-                key = ()
-            elif len(exps) == 1:
-                v, e = exps[0]
-                key = ((labels[v], e),)
+def _bde_signature(terms, labels):
+    """Canonical form of one drift with every variable renamed to its block label."""
+    acc: dict = {}
+    for exps, c in terms:
+        if not exps:
+            key = ()
+        elif len(exps) == 1:
+            v, e = exps[0]
+            key = ((labels[v], e),)
+        else:
+            folded: dict = {}
+            for v, e in exps:
+                b = labels[v]
+                folded[b] = folded.get(b, 0) + e
+            key = tuple(sorted(folded.items()))
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
+    return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+
+
+def _fde_signature(per_block):
+    """Canonical form of one variable's partials of the block-sum drifts,
+    given as block label -> {exponents: nonzero coefficient}."""
+    return tuple(sorted((b, tuple(sorted(partial.items())))
+                        for b, partial in per_block.items()))
+
+
+def _block_sum(raw, block):
+    """Nonzero terms of the sum of the drifts of ``block``."""
+    if len(block) == 1:
+        return raw[block[0]]
+    acc: dict = {}
+    for v in block:
+        for exps, c in raw[v]:
+            prev = acc.get(exps)
+            acc[exps] = c if prev is None else prev + c
+    return [(exps, c) for exps, c in acc.items() if c != 0]
+
+
+def _add_partials(partials, b, terms, negate=False, touched=None):
+    """Add (or, with ``negate``, subtract) the partials of ``terms``, a part of
+    block ``b``'s drift sum, to ``partials[v][b]`` for every variable v whose
+    entry is not None, and collect those variables in ``touched``.  Zero
+    coefficients and empty blocks are dropped, so the entries stay canonical."""
+    for exps, c in terms:
+        if negate:
+            c = -c
+        for pos in range(len(exps)):
+            v, e = exps[pos]
+            per_block = partials[v]
+            if per_block is None:
+                continue
+            if e == 1:
+                dexps = exps[:pos] + exps[pos + 1:]
+                dc = c
             else:
-                folded: dict = {}
-                for v, e in exps:
-                    b = labels[v]
-                    folded[b] = folded.get(b, 0) + e
-                key = tuple(sorted(folded.items()))
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-        sigs.append(tuple(sorted((k, c) for k, c in acc.items() if c != 0)))
-    return sigs
+                dexps = exps[:pos] + ((v, e - 1),) + exps[pos + 1:]
+                dc = c * e
+            partial = per_block.get(b)
+            if partial is None:
+                partial = per_block[b] = {}
+            prev = partial.get(dexps)
+            if prev is not None:
+                dc += prev
+            if dc:
+                partial[dexps] = dc
+            else:
+                del partial[dexps]
+                if not partial:
+                    del per_block[b]
+            if touched is not None:
+                touched.add(v)
+
+
+class _BdeSigner:
+    """bde signatures under the labelling ``labels``, which the caller updates.
+
+    A variable's signature reads the labels of the variables its drift
+    mentions, so a label change affects exactly the users of the variable."""
+
+    def __init__(self, raw, blocks, labels):
+        self.raw = raw
+        self.labels = labels
+        self.users = None
+
+    def sign(self, v):
+        return _bde_signature(self.raw[v], self.labels)
+
+    def drop(self, v):
+        pass
+
+    def affected(self, moves):
+        if self.users is None:
+            self.users = [[] for _ in self.raw]
+            for v, terms in enumerate(self.raw):
+                for w in {w for exps, _ in terms for w, _ in exps}:
+                    self.users[w].append(v)
+        users = self.users
+        return {u for w, _, _ in moves for u in users[w]}
+
+
+class _FdeSigner:
+    """fde signatures from partials of the block-sum drifts, kept per variable
+    of a non-singleton block and keyed by block label.
+
+    Moving w from block a to block b subtracts the partials of w's drift from
+    a's entries and adds them to b's; only the variables that drift mentions
+    see a change."""
+
+    def __init__(self, raw, blocks, labels=None):
+        self.raw = raw
+        self.partials = [None] * len(raw)
+        for block in blocks:
+            if len(block) > 1:
+                for v in block:
+                    self.partials[v] = {}
+        for b, block in enumerate(blocks):
+            _add_partials(self.partials, b, _block_sum(raw, block))
+
+    def sign(self, v):
+        return _fde_signature(self.partials[v])
+
+    def drop(self, v):
+        self.partials[v] = None
+
+    def affected(self, moves):
+        touched: set = set()
+        for w, a, b in moves:
+            terms = self.raw[w]
+            _add_partials(self.partials, a, terms, True, touched)
+            _add_partials(self.partials, b, terms, False, touched)
+        return touched
+
+
+def _bde_signatures(raw, labels):
+    """Per variable, its drift with variables renamed to block labels."""
+    return [_bde_signature(terms, labels) for terms in raw]
 
 
 def _fde_signatures(raw, blocks):
-    """Per variable, the tuple of nonzero partials of every block-sum drift."""
-    n = len(raw)
-    per_var: list = [{} for _ in range(n)]
-    for b, block in enumerate(blocks):
-        block_sum: dict = {}
-        for v in block:
-            for exps, c in raw[v]:
-                prev = block_sum.get(exps)
-                block_sum[exps] = c if prev is None else prev + c
-        for exps, c in block_sum.items():
-            if c == 0:
-                continue
-            for pos in range(len(exps)):
-                v, e = exps[pos]
-                if e == 1:
-                    dexps = exps[:pos] + exps[pos + 1:]
-                else:
-                    dexps = exps[:pos] + ((v, e - 1),) + exps[pos + 1:]
-                target = per_var[v].setdefault(b, {})
-                dc = c * e
-                prev = target.get(dexps)
-                target[dexps] = dc if prev is None else prev + dc
-    sigs = []
-    for v in range(n):
-        items = []
-        for b in sorted(per_var[v]):
-            canon = tuple(sorted((e2, c2) for e2, c2 in per_var[v][b].items() if c2 != 0))
-            if canon:
-                items.append((b, canon))
-        sigs.append(tuple(items))
-    return sigs
+    """Per variable, the nonzero partials of every block-sum drift.  Variables
+    of singleton blocks get ``()``: nothing is compared with them."""
+    partials = _FdeSigner(raw, blocks).partials
+    return [() if p is None else _fde_signature(p) for p in partials]
 
 
 def _stable(sigs, part: Partition) -> Optional[tuple]:
@@ -190,9 +304,7 @@ def check_fde(system: OdeSystem, part: Partition) -> CheckResult:
         return CheckResult(True)
     b, i, j = offending
     for block in part.blocks:
-        block_sum = Polynomial.zero()
-        for v in block:
-            block_sum = block_sum + system.drifts[v]
+        block_sum = Polynomial.sum(system.drifts[v] for v in block)
         witness = block_sum.partial(i) - block_sum.partial(j)
         if witness:
             point = _nonzero_point(witness)
@@ -206,31 +318,89 @@ def check_fde(system: OdeSystem, part: Partition) -> CheckResult:
 # -- coarsest partitions ----------------------------------------------------------
 
 
-def _refine(raw, seed: Partition, signature_of):
-    part = seed
+def _refine(raw, seed: Partition, signer_type):
+    """Splitter-driven refinement; returns the partition and the block count
+    at the start of every pass.
+
+    Each pass splits every block by the signatures its members have under the
+    current partition, exactly as re-signing every variable would.  Blocks
+    carry stable labels: when a block splits, the part holding its members
+    that were not re-signed keeps the label (the largest part, if every
+    member was), and only the members of the other parts move.  The next
+    pass re-signs only the variables whose signature a move can change, in
+    non-singleton blocks; every other member still has the signature its
+    block was formed with, kept in ``shared``.
+
+    ``signer_type(raw, seed.blocks, labels)`` gives the mode's signer, which
+    reads the live ``labels``: ``sign(v)`` is v's signature, ``drop(v)``
+    tells it v is alone in its block for good, and ``affected(moves)`` takes
+    the ``(variable, old label, new label)`` moves of a pass and returns the
+    variables whose signature they can change.
+    """
+    labels = list(seed.labels)
+    members = [set(block) for block in seed.blocks]
+    shared: list = [None] * len(members)
+    signer = signer_type(raw, seed.blocks, labels)
+    wide = sum(1 for block in seed.blocks if len(block) > 1)
+    pending = [v for block in seed.blocks if len(block) > 1 for v in block]
     trace = []
     while True:
-        sigs = signature_of(part)
-        groups: dict = {}
-        for b, block in enumerate(part.blocks):
-            for v in block:
-                groups.setdefault((b, sigs[v]), []).append(v)
-        trace.append(part.block_count)
-        if len(groups) == part.block_count:
-            return part, trace
-        part = Partition(groups.values())
+        trace.append(len(members))
+        by_block: dict = {}
+        for v in pending:
+            by_block.setdefault(labels[v], []).append(v)
+        moves = []
+        for b, resigned in by_block.items():
+            block = members[b]
+            groups: dict = {}
+            for v in resigned:
+                groups.setdefault(signer.sign(v), []).append(v)
+            if len(resigned) < len(block):
+                groups.pop(shared[b], None)
+            else:
+                keep = max(groups, key=lambda sig: len(groups[sig]))
+                shared[b] = keep
+                del groups[keep]
+            if not groups:
+                continue
+            wide -= 1
+            for sig, part in groups.items():
+                new = len(members)
+                members.append(set(part))
+                shared.append(sig)
+                block.difference_update(part)
+                moves.extend((v, b, new) for v in part)
+                if len(part) > 1:
+                    wide += 1
+                else:
+                    signer.drop(part[0])
+            if len(block) > 1:
+                wide += 1
+            else:
+                signer.drop(next(iter(block)))
+        if not moves:
+            return Partition(members), trace
+        for v, _, new in moves:
+            labels[v] = new
+        if not wide:  # only singletons left: the next pass just confirms
+            pending = ()
+            continue
+        pending = [v for v in signer.affected(moves) if len(members[labels[v]]) > 1]
 
 
 def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
-    """Refinement with per-iteration block counts (for reports and tests)."""
+    """Coarsest ``mode`` partition refining ``seed``, with the refinement trace.
+
+    The trace holds one entry per refinement pass: the number of blocks the
+    pass started from.  It increases strictly, and its last entry, from the
+    pass that split nothing, is the block count of the result.
+    """
     if mode not in ("fde", "bde"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_polynomial(system)
     _require_cover(system, seed)
     raw = _raw_drifts(system)
-    if mode == "bde":
-        return _refine(raw, seed, lambda p: _bde_signatures(raw, p.labels))
-    return _refine(raw, seed, lambda p: _fde_signatures(raw, p.blocks))
+    return _refine(raw, seed, _BdeSigner if mode == "bde" else _FdeSigner)
 
 
 def coarsest_bde(system: OdeSystem, seed: Partition) -> Partition:
@@ -284,12 +454,8 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     if system.is_polynomial:
         sigma = {v: Polynomial.variable(labels[v]).scale(
             Fraction(1, len(part.blocks[labels[v]]))) for v in range(system.n)}
-        drifts = []
-        for block in part.blocks:
-            block_sum = Polynomial.zero()
-            for v in block:
-                block_sum = block_sum + system.drifts[v]
-            drifts.append(block_sum.substitute(sigma))
+        drifts = [Polynomial.sum(system.drifts[v] for v in block).substitute(sigma)
+                  for block in part.blocks]
     else:
         sigma = {v: Bin("mul",
                         Const(Fraction(1, len(part.blocks[labels[v]]))),

@@ -72,9 +72,6 @@ class Partition:
             self._labels = lab
         return self._labels
 
-    def block_of(self, index: int) -> int:
-        return self.labels[index]
-
     def representatives(self) -> list:
         """Minimum element of each block, in block order."""
         return [b[0] for b in self.blocks]

@@ -99,10 +99,17 @@ class Polynomial:
         return Polynomial((Monomial(_ONE, ((index, 1),)),))
 
     @staticmethod
-    def from_dict(coeffs: Mapping) -> "Polynomial":
-        """Build from a mapping of exponent maps to coefficients."""
-        return poly_normalize(monomial(c, dict(e) if not isinstance(e, Mapping) else e)
-                              for e, c in coeffs.items())
+    def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """Sum of ``polys`` in one accumulator; a lone summand is returned as is."""
+        polys = list(polys)
+        if len(polys) == 1:
+            return polys[0]
+        acc: dict = {}
+        for p in polys:
+            for m in p.terms:
+                prev = acc.get(m.exps)
+                acc[m.exps] = m.coeff if prev is None else prev + m.coeff
+        return _from_accumulator(acc)
 
     # -- structure ---------------------------------------------------------
 
@@ -157,14 +164,6 @@ class Polynomial:
         if c == 0:
             return _POLY_ZERO
         return Polynomial(tuple(Monomial(m.coeff * c, m.exps) for m in self.terms))
-
-    def pow(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     # -- calculus and evaluation --------------------------------------------
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,138 @@ def test_oracle_agreement_sample():
         seed = Partition.one_block(system.n)
         assert coarsest_bde(system, seed) == brute_force_coarsest(system, seed, "bde")
         assert coarsest_fde(system, seed) == brute_force_coarsest(system, seed, "fde")
+
+
+# -- deep refinement ---------------------------------------------------------------
+
+
+def interleaved_chains(rates, init):
+    """Two copies x, y of the chain x0' = -2 a0 x0, x_i' = a_i x_{i-1} - a_i x_i,
+    declared x0, y0, x1, y1, ...  Each copy peels off one position per
+    refinement pass, so the result is the pairs {x_i, y_i} after about as
+    many passes as there are positions."""
+    drifts = []
+    for i, a in enumerate(rates):
+        for v in (2 * i, 2 * i + 1):
+            terms = [monomial(-2 * a, {v: 1})] if i == 0 else \
+                [monomial(a, {v - 2: 1}), monomial(-a, {v: 1})]
+            drifts.append(poly_normalize(terms))
+    names = tuple(f"{c}{i}" for i in range(len(rates)) for c in "xy")
+    return OdeSystem.make(names, tuple(drifts), [x for x in init for _ in "xy"])
+
+
+def _seeds(rng, system, groups):
+    """One-block, from-init and random-label seeds; ``groups`` lists the
+    variables that share a random label."""
+    labels = [0] * system.n
+    for group in groups:
+        label = rng.randrange(3)
+        for v in group:
+            labels[v] = label
+    one = Partition.one_block(system.n)
+    return (one, prepartition_from_inits(system, one), Partition.from_labels(labels))
+
+
+def _full_passes(system, seed, mode):
+    """Reference refinement from public polynomial operations: every pass
+    re-signs every variable under the current partition."""
+    part, trace = seed, []
+    while True:
+        trace.append(part.block_count)
+        if mode == "bde":
+            reps = {v: block[0] for block in part.blocks for v in block}
+            drifts = [d.rename(reps) for d in system.drifts]
+
+            def signature(v):
+                return drifts[v]
+        else:
+            sums = [Polynomial.sum(system.drifts[v] for v in block)
+                    for block in part.blocks]
+
+            def signature(v):
+                return tuple(s.partial(v) for s in sums)
+        groups: dict = {}
+        for b, block in enumerate(part.blocks):
+            for v in block:
+                groups.setdefault((b, signature(v)), []).append(v)
+        if len(groups) == part.block_count:
+            return part, trace
+        part = Partition(groups.values())
+
+
+def _check_refinement(system, seed, mode, known=None):
+    part, trace = coarsest_with_trace(system, seed, mode)
+    assert (part, trace) == _full_passes(system, seed, mode)
+    assert all(a < b for a, b in zip(trace, trace[1:]))
+    assert trace[-1] == part.block_count
+    assert partition_refines(part, seed)
+    # The oracle enumerates every partition refining the seed; a one-block
+    # seed on 9 or 10 variables takes seconds per call (Bell numbers), so
+    # only split seeds go to the oracle there.
+    if system.n <= 8 or (system.n <= 10 and seed.block_count > 1):
+        assert part == brute_force_coarsest(system, seed, mode)
+    else:
+        check = check_bde if mode == "bde" else check_fde
+        assert check(system, part).ok
+        if known is not None:
+            assert part == known
+    return trace
+
+
+def test_deep_refinement_on_interleaved_chains():
+    rng = random.Random(2024)
+    deepest = 0
+    for _ in range(40):
+        length = rng.choice((2, 3, 4, 5, rng.randint(6, 40)))
+        rates = [Fraction(rng.choice((2, 3, 5, 7)), 4) for _ in range(length)]
+        system = interleaved_chains(rates, [rng.randint(0, 1) for _ in range(length)])
+        pairs = Partition([[2 * i, 2 * i + 1] for i in range(length)])
+        for seed in _seeds(rng, system, pairs.blocks):
+            for mode in ("bde", "fde"):
+                trace = _check_refinement(system, seed, mode, known=pairs)
+                deepest = max(deepest, len(trace))
+    assert deepest > 20
+
+
+def test_deep_refinement_on_random_systems():
+    rng = random.Random(77)
+    for _ in range(120):
+        n = rng.randint(2, 12)
+        system = random_poly_system(rng, n, max_degree=3,
+                                    coeff_range=rng.choice(((-3, 3), (0, 2), (-1, 1))))
+        for seed in _seeds(rng, system, [[v] for v in range(n)]):
+            for mode in ("bde", "fde"):
+                _check_refinement(system, seed, mode)
+
+
+def test_resigned_variable_with_unchanged_signature_stays():
+    # Seed {w, w', z1, z2, z3}, {u1, u2}.  Pass 1 moves w and w' out of the
+    # first block; u2 is re-signed in pass 2 because it meets them, but its
+    # terms in w and w' cancel, so it must stay with u1.
+    names = ("w", "w2", "z1", "z2", "z3", "u1", "u2")
+    seed = Partition([[0, 1, 2, 3, 4], [5, 6]])
+    expected = Partition([[0, 1], [2, 3, 4], [5, 6]])
+    bde = ("-w", "-w2", "0", "0", "0", "0", "w - w2")
+    fde = ("u2", "-u2", "0", "0", "0", "w + w2", "0")
+    for mode, texts in (("bde", bde), ("fde", fde)):
+        system = OdeSystem.make(names, tuple(parse_polynomial(t, names) for t in texts),
+                                (0,) * len(names))
+        assert coarsest_with_trace(system, seed, mode) == (expected, [2, 3])
+        assert brute_force_coarsest(system, seed, mode) == expected
+
+
+def test_refinement_scales_to_long_chains():
+    n = 2000
+    drifts = [poly_normalize([monomial(-2, {0: 1})])]
+    drifts += [poly_normalize([monomial(1, {i - 1: 1}), monomial(-1, {i: 1})])
+               for i in range(1, n)]
+    system = OdeSystem.make(tuple(f"x{i}" for i in range(n)), tuple(drifts), (0,) * n)
+    seed = Partition.one_block(n)
+    for coarsest in (coarsest_bde, coarsest_fde):
+        started = time.perf_counter()
+        part = coarsest(system, seed)
+        assert time.perf_counter() - started < 2.0
+        assert part == Partition.singletons(n)
 
 
 def test_permutation_equivariance():

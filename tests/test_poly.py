@@ -93,6 +93,19 @@ def _random_poly(rng, n=4, degree=3, terms=4):
     return poly_normalize(out)
 
 
+def test_sum_matches_repeated_addition():
+    rng = random.Random(12)
+    for _ in range(50):
+        polys = [_random_poly(rng) for _ in range(rng.randint(0, 6))]
+        total = Polynomial.zero()
+        for p in polys:
+            total = total + p
+        assert Polynomial.sum(polys) == total
+    lone = P("x1 - x2")
+    assert Polynomial.sum([lone]) is lone
+    assert Polynomial.sum([lone, lone.scale(-1)]).is_zero()
+
+
 def test_ring_laws_random():
     rng = random.Random(42)
     for _ in range(200):
