@@ -23,9 +23,8 @@ from .lump import (CheckResult, brute_force_coarsest, check_bde, check_fde,
                    prepartition_from_inits, reduce_backward, reduce_forward)
 from .parsing import (ModelDocument, parse_expression, parse_model,
                       parse_polynomial, serialize_model)
-from .partition import Partition, partition_refines
-from .poly import (Monomial, Polynomial, monomial, poly_add, poly_eval,
-                   poly_normalize, poly_partial, poly_substitute)
+from .partition import Partition
+from .poly import Monomial, Polynomial, monomial, poly_normalize
 from .sim import Trajectory, compare_reduction, integrate, read_csv, write_csv
 from .smt import (SolverVerdict, build_phi_bde, build_phi_fde,
                   phi_variable_names, resolve_solver_cmd, smt_emit,
@@ -40,13 +39,12 @@ __all__ = [
     # expressions and polynomials
     "Abs", "Bin", "Const", "DriftExpr", "Var", "drift_eval", "expr_variables",
     "format_expr", "poly_to_expr", "to_polynomial",
-    "Monomial", "Polynomial", "monomial", "poly_add", "poly_eval",
-    "poly_normalize", "poly_partial", "poly_substitute",
+    "Monomial", "Polynomial", "monomial", "poly_normalize",
     # systems and networks
     "OdeSystem", "Reaction", "ReactionNetwork", "multiset", "ode_to_rn",
     "rn_to_ode",
     # partitions and lumping
-    "Partition", "partition_refines", "CheckResult", "check_bde", "check_fde",
+    "Partition", "CheckResult", "check_bde", "check_fde",
     "coarsest_bde", "coarsest_fde", "coarsest_with_trace",
     "brute_force_coarsest", "prepartition_from_inits", "reduce_backward",
     "reduce_forward",

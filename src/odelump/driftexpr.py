@@ -154,12 +154,18 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
     return lhs.scale(1 / rhs.terms[0].coeff)
 
 
+def sum_exprs(exprs) -> DriftExpr:
+    """Left-nested sum of ``exprs``; the constant 0 when there are none."""
+    total = None
+    for e in exprs:
+        total = e if total is None else Bin("add", total, e)
+    return Const(Fraction(0)) if total is None else total
+
+
 def poly_to_expr(p: Polynomial) -> DriftExpr:
     """Embed a polynomial into the expression language (sum of products)."""
-    if p.is_zero():
-        return Const(Fraction(0))
-    total = None
-    for m in p.terms:
+
+    def product(m):
         factors: list = []
         if m.coeff != 1 or not m.exps:
             factors.append(Const(m.coeff))
@@ -168,8 +174,9 @@ def poly_to_expr(p: Polynomial) -> DriftExpr:
         term = factors[0]
         for f in factors[1:]:
             term = Bin("mul", term, f)
-        total = term if total is None else Bin("add", total, term)
-    return total
+        return term
+
+    return sum_exprs(product(m) for m in p.terms)
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2}
@@ -184,7 +191,7 @@ def format_expr(expr: DriftExpr, names=None) -> str:
     def go(e, parent_prec):
         if isinstance(e, Const):
             v = e.value
-            s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+            s = str(v)
             if v < 0 and parent_prec > 0:
                 return f"({s})"
             return s

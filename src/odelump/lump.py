@@ -43,9 +43,9 @@ from itertools import product
 from math import lcm
 from typing import Optional
 
-from .driftexpr import Bin, Const, Var, substitute_exprs, rename_vars
+from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
-                     NotABde, NotAnFde, PartitionMismatch, TooLarge)
+                     NotABde, NotAnFde, TooLarge)
 from .partition import Partition
 from .poly import Polynomial
 from .system import OdeSystem
@@ -89,12 +89,6 @@ def _require_polynomial(system: OdeSystem):
     if not system.is_polynomial:
         raise NonPolynomialDrift(
             "syntactic checks need polynomial drifts; use the solver backend")
-
-
-def _require_cover(system: OdeSystem, part: Partition):
-    if part.size != system.n:
-        raise PartitionMismatch(
-            f"partition covers {part.size} variables, system has {system.n}")
 
 
 def _raw_drifts(system: OdeSystem):
@@ -225,7 +219,7 @@ class _FdeSigner:
     a's entries and adds them to b's; only the variables that drift mentions
     see a change."""
 
-    def __init__(self, raw, blocks, labels=None):
+    def __init__(self, raw, blocks, labels):
         self.raw = raw
         self.partials = [None] * len(raw)
         for block in blocks:
@@ -250,69 +244,76 @@ class _FdeSigner:
         return touched
 
 
-def _bde_signatures(raw, labels):
-    """Per variable, its drift with variables renamed to block labels."""
-    return [_bde_signature(terms, labels) for terms in raw]
+_SIGNERS = {"bde": _BdeSigner, "fde": _FdeSigner}
 
 
-def _fde_signatures(raw, blocks):
-    """Per variable, the nonzero partials of every block-sum drift.  Variables
-    of singleton blocks get ``()``: nothing is compared with them."""
-    partials = _FdeSigner(raw, blocks).partials
-    return [() if p is None else _fde_signature(p) for p in partials]
+def _signer_type(mode: str):
+    """The signer class of ``mode``; raises ValueError for any other mode."""
+    try:
+        return _SIGNERS[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}") from None
 
 
-def _stable(sigs, part: Partition) -> Optional[tuple]:
-    """First same-block pair with differing signatures, or None if stable."""
+def _unstable(raw, part: Partition, signer_type) -> Optional[tuple]:
+    """First same-block pair ``(block, i, j)`` whose signatures differ under
+    ``part``, or None if ``part`` is stable.  Only members of non-singleton
+    blocks are signed."""
+    signer = signer_type(raw, part.blocks, part.labels)
     for b, block in enumerate(part.blocks):
-        rep = block[0]
-        for j in block[1:]:
-            if sigs[j] != sigs[rep]:
-                return b, rep, j
+        if len(block) > 1:
+            first = signer.sign(block[0])
+            for j in block[1:]:
+                if signer.sign(j) != first:
+                    return b, block[0], j
     return None
 
 
 # -- checks ---------------------------------------------------------------------
 
 
-def check_bde(system: OdeSystem, part: Partition) -> CheckResult:
-    """Backward check: drifts must coincide after substituting every variable
-    by its block representative (minimum index)."""
+def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckResult:
+    """Stable partitions pass.  Otherwise ``witness(system, part, i, j)`` gives
+    the difference polynomial for the first differing pair and, per original
+    variable, the variable of that polynomial whose value it takes."""
     _require_polynomial(system)
-    _require_cover(system, part)
-    raw = _raw_drifts(system)
-    offending = _stable(_bde_signatures(raw, part.labels), part)
+    system.require_cover(part)
+    offending = _unstable(_raw_drifts(system), part, signer_type)
     if offending is None:
         return CheckResult(True)
     b, i, j = offending
-    rep_map = {v: part.blocks[part.labels[v]][0] for v in range(system.n)}
-    witness = system.drifts[i].rename(rep_map) - system.drifts[j].rename(rep_map)
-    point = _nonzero_point(witness)
+    difference, source = witness(system, part, i, j)
+    point = _nonzero_point(difference)
     assignment = None
     if point is not None:
-        assignment = tuple(point.get(rep_map[v], Fraction(1)) for v in range(system.n))
-    return CheckResult(False, b, (i, j), witness, assignment)
+        assignment = tuple(point.get(w, Fraction(1)) for w in source)
+    return CheckResult(False, b, (i, j), difference, assignment)
+
+
+def _bde_witness(system: OdeSystem, part: Partition, i: int, j: int):
+    reps = [part.blocks[b][0] for b in part.labels]
+    rep_map = dict(enumerate(reps))
+    return system.drifts[i].rename(rep_map) - system.drifts[j].rename(rep_map), reps
+
+
+def _fde_witness(system: OdeSystem, part: Partition, i: int, j: int):
+    for block in part.blocks:
+        block_sum = Polynomial.sum(system.drifts[v] for v in block)
+        difference = block_sum.partial(i) - block_sum.partial(j)
+        if difference:
+            return difference, range(system.n)
+    raise AssertionError("signature mismatch without differing partials")
+
+
+def check_bde(system: OdeSystem, part: Partition) -> CheckResult:
+    """Backward check: drifts must coincide after substituting every variable
+    by its block representative (minimum index)."""
+    return _check(system, part, _BdeSigner, _bde_witness)
 
 
 def check_fde(system: OdeSystem, part: Partition) -> CheckResult:
     """Forward check via the gradient identity on block-sum drifts."""
-    _require_polynomial(system)
-    _require_cover(system, part)
-    raw = _raw_drifts(system)
-    offending = _stable(_fde_signatures(raw, part.blocks), part)
-    if offending is None:
-        return CheckResult(True)
-    b, i, j = offending
-    for block in part.blocks:
-        block_sum = Polynomial.sum(system.drifts[v] for v in block)
-        witness = block_sum.partial(i) - block_sum.partial(j)
-        if witness:
-            point = _nonzero_point(witness)
-            assignment = None
-            if point is not None:
-                assignment = tuple(point.get(v, Fraction(1)) for v in range(system.n))
-            return CheckResult(False, b, (i, j), witness, assignment)
-    raise AssertionError("signature mismatch without differing partials")
+    return _check(system, part, _FdeSigner, _fde_witness)
 
 
 # -- coarsest partitions ----------------------------------------------------------
@@ -395,12 +396,10 @@ def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
     pass started from.  It increases strictly, and its last entry, from the
     pass that split nothing, is the block count of the result.
     """
-    if mode not in ("fde", "bde"):
-        raise ValueError(f"unknown mode {mode!r}")
+    signer_type = _signer_type(mode)
     _require_polynomial(system)
-    _require_cover(system, seed)
-    raw = _raw_drifts(system)
-    return _refine(raw, seed, _BdeSigner if mode == "bde" else _FdeSigner)
+    system.require_cover(seed)
+    return _refine(_raw_drifts(system), seed, signer_type)
 
 
 def coarsest_bde(system: OdeSystem, seed: Partition) -> Partition:
@@ -439,7 +438,7 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     drifts the caller is responsible for having verified the partition
     (normally through the solver loop).
     """
-    _require_cover(system, part)
+    system.require_cover(part)
     if system.is_polynomial:
         result = check_fde(system, part)
         if not result.ok:
@@ -461,13 +460,8 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
                         Const(Fraction(1, len(part.blocks[labels[v]]))),
                         Var(labels[v]))
                  for v in range(system.n)}
-        drifts = []
-        for block in part.blocks:
-            total = None
-            for v in block:
-                term = substitute_exprs(system.drifts[v], sigma)
-                total = term if total is None else Bin("add", total, term)
-            drifts.append(total)
+        drifts = [sum_exprs(substitute_exprs(system.drifts[v], sigma) for v in block)
+                  for block in part.blocks]
     return OdeSystem(_macro_names(system, part), tuple(drifts), init, obs)
 
 
@@ -478,7 +472,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     Warns with :class:`InitMismatchWarning` when a block has unequal initial
     values, in which case the reduced dynamics do not reproduce the original.
     """
-    _require_cover(system, part)
+    system.require_cover(part)
     if system.is_polynomial:
         result = check_bde(system, part)
         if not result.ok:
@@ -510,12 +504,9 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
 def prepartition_from_inits(system: OdeSystem, seed: Partition) -> Partition:
     """Refine ``seed`` by exact equality of initial values; observables are
     additionally isolated into singleton blocks."""
-    _require_cover(system, seed)
+    system.require_cover(seed)
     obs = system.observables or frozenset()
-    labels = seed.labels
-    keys = [(labels[v], system.init[v], v if v in obs else -1)
-            for v in range(system.n)]
-    return Partition.from_labels(keys)
+    return seed.split_by(lambda v: (system.init[v], v if v in obs else -1))
 
 
 # -- brute-force oracle ---------------------------------------------------------------
@@ -539,26 +530,18 @@ def brute_force_coarsest(system: OdeSystem, seed: Partition, mode: str) -> Parti
     Guarded to n <= 10 (Bell-number growth).  Raises
     :class:`NoUniqueCoarsest` if the survivors have no maximum element.
     """
-    if mode not in ("fde", "bde"):
-        raise ValueError(f"unknown mode {mode!r}")
+    signer_type = _signer_type(mode)
     _require_polynomial(system)
-    _require_cover(system, seed)
+    system.require_cover(seed)
     if system.n > _BRUTE_FORCE_LIMIT:
         raise TooLarge(system.n, _BRUTE_FORCE_LIMIT)
 
     raw = _raw_drifts(system)
-    if mode == "bde":
-        def passes(p):
-            return _stable(_bde_signatures(raw, p.labels), p) is None
-    else:
-        def passes(p):
-            return _stable(_fde_signatures(raw, p.blocks), p) is None
-
     per_block = [list(_set_partitions(list(block))) for block in seed.blocks]
     passing = []
     for combo in product(*per_block):
         candidate = Partition(b for sub in combo for b in sub)
-        if passes(candidate):
+        if _unstable(raw, candidate, signer_type) is None:
             passing.append(candidate)
 
     fewest = min(p.block_count for p in passing)

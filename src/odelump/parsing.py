@@ -422,12 +422,6 @@ def parse_polynomial(text: str, names) -> Polynomial:
 # -- serialization -------------------------------------------------------------
 
 
-def _rat(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _mset_str(ms, names) -> str:
     if not ms:
         return "0"
@@ -457,14 +451,14 @@ def serialize_model(m, form: str = "ode") -> str:
 
     names = system.names
     out = ["begin model", "begin init"]
-    out.extend(f"  {nm} = {_rat(v)}" for nm, v in zip(names, system.init))
+    out.extend(f"  {nm} = {str(v)}" for nm, v in zip(names, system.init))
     out.append("end init")
 
     if isinstance(system, ReactionNetwork):
         out.append("begin reactions")
         for r in system.reactions:
             out.append(f"  {_mset_str(r.reagents, names)} -> "
-                       f"{_mset_str(r.products, names)}, {_rat(r.rate)}")
+                       f"{_mset_str(r.products, names)}, {str(r.rate)}")
         out.append("end reactions")
     else:
         out.append("begin ode")

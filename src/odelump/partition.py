@@ -88,6 +88,19 @@ class Partition:
                 return False
         return True
 
+    def split_by(self, key) -> "Partition":
+        """Split every block by the value of ``key(v)`` on its members.
+
+        Returns ``self`` itself when no block splits, so callers can tell a
+        split from no progress by identity."""
+        groups: dict = {}
+        for b, block in enumerate(self.blocks):
+            for v in block:
+                groups.setdefault((b, key(v)), []).append(v)
+        if len(groups) == len(self.blocks):
+            return self
+        return Partition(groups.values())
+
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -104,7 +117,3 @@ class Partition:
             return names[i] if names is not None else str(i)
 
         return ", ".join("{" + ", ".join(nm(i) for i in b) + "}" for b in self.blocks)
-
-
-def partition_refines(p: Partition, q: Partition) -> bool:
-    return p.refines(q)

@@ -243,7 +243,7 @@ class Polynomial:
                 factors.extend([name] * e)
             mag = abs(m.coeff)
             if not factors or mag != 1:
-                factors.insert(0, _format_fraction(mag))
+                factors.insert(0, str(mag))
             body = "*".join(factors)
             if not parts:
                 parts.append(body if m.coeff > 0 else f"-{body}")
@@ -253,10 +253,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def _format_fraction(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -311,18 +307,3 @@ def poly_normalize(terms: Iterable[Monomial]) -> Polynomial:
         acc[e] = acc.get(e, _ZERO) + m.coeff
     return _from_accumulator(acc)
 
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def poly_substitute(p: Polynomial, sigma: Mapping[int, Polynomial]) -> Polynomial:
-    return p.substitute(sigma)
-
-
-def poly_partial(p: Polynomial, index: int) -> Polynomial:
-    return p.partial(index)
-
-
-def poly_eval(p: Polynomial, values) -> Fraction:
-    return p.eval(values)

@@ -24,9 +24,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .driftexpr import (Abs, Bin, Const, DriftExpr, Var, denominators,
-                        poly_to_expr, rename_vars)
-from .errors import (DivisionByZero, PartitionMismatch, ProtocolError,
-                     SolverNotFound, SolverTimeout, SolverUnknown)
+                        poly_to_expr, rename_vars, sum_exprs)
+from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
+                     SolverTimeout, SolverUnknown)
 from .partition import Partition
 from .system import OdeSystem
 
@@ -60,17 +60,12 @@ class And:
 
 
 @dataclass(frozen=True)
-class Or:
-    parts: tuple
-
-
-@dataclass(frozen=True)
 class Implies:
     antecedent: "Formula"
     consequent: "Formula"
 
 
-Formula = Union[Eq, Not, And, Or, Implies]
+Formula = Union[Eq, Not, And, Implies]
 
 TRUE = And(())
 
@@ -88,18 +83,10 @@ def _expr_drifts(system: OdeSystem) -> list:
     return list(system.drifts)
 
 
-def _sum_exprs(exprs) -> DriftExpr:
-    total = None
-    for e in exprs:
-        total = e if total is None else Bin("add", total, e)
-    return Const(Fraction(0)) if total is None else total
-
-
 def build_phi_bde(system: OdeSystem, part: Partition) -> Formula:
     """(same-block variables equal) implies (same-block drifts equal),
     with pairs chained through each block representative."""
-    if part.size != system.n:
-        raise PartitionMismatch("partition does not cover the system")
+    system.require_cover(part)
     drifts = _expr_drifts(system)
     antecedent = []
     consequent = []
@@ -119,8 +106,7 @@ def build_phi_fde(system: OdeSystem, part: Partition) -> Formula:
     The primed copy of variable i is variable n + i in the formula's index
     space; :func:`phi_variable_names` supplies matching names.
     """
-    if part.size != system.n:
-        raise PartitionMismatch("partition does not cover the system")
+    system.require_cover(part)
     n = system.n
     drifts = _expr_drifts(system)
     shift = {i: n + i for i in range(n)}
@@ -128,15 +114,17 @@ def build_phi_fde(system: OdeSystem, part: Partition) -> Formula:
     antecedent = []
     consequent = []
     for block in part.blocks:
-        antecedent.append(Eq(_sum_exprs(Var(v) for v in block),
-                             _sum_exprs(Var(n + v) for v in block)))
-        consequent.append(Eq(_sum_exprs(drifts[v] for v in block),
-                             _sum_exprs(primed[v] for v in block)))
+        antecedent.append(Eq(sum_exprs(Var(v) for v in block),
+                             sum_exprs(Var(n + v) for v in block)))
+        consequent.append(Eq(sum_exprs(drifts[v] for v in block),
+                             sum_exprs(primed[v] for v in block)))
     return Implies(And(tuple(antecedent)), And(tuple(consequent)))
 
 
 def phi_variable_names(system: OdeSystem, mode: str) -> tuple:
     """Names for the formula's variable indices (adds primed copies for fde)."""
+    if mode not in ("fde", "bde"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "bde":
         return tuple(system.names)
     taken = set(system.names)
@@ -200,12 +188,6 @@ def _emit_formula(f: Formula, names: Sequence[str]) -> str:
         if len(f.parts) == 1:
             return _emit_formula(f.parts[0], names)
         return "(and " + " ".join(_emit_formula(p, names) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        if not f.parts:
-            return "false"
-        if len(f.parts) == 1:
-            return _emit_formula(f.parts[0], names)
-        return "(or " + " ".join(_emit_formula(p, names) for p in f.parts) + ")"
     if isinstance(f, Implies):
         return (f"(=> {_emit_formula(f.antecedent, names)} "
                 f"{_emit_formula(f.consequent, names)})")
@@ -222,7 +204,7 @@ def _formula_denominators(f: Formula) -> list:
                         found.append(d)
         elif isinstance(g, Not):
             walk(g.arg)
-        elif isinstance(g, (And, Or)):
+        elif isinstance(g, And):
             for p in g.parts:
                 walk(p)
         elif isinstance(g, Implies):
@@ -258,6 +240,14 @@ def smt_emit(formula: Formula, names: Sequence[str]) -> str:
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
+
+
+def phi_script(system: OdeSystem, part: Partition, mode: str):
+    """``(script, names)``: the SMT-LIB script asserting that ``part`` is not
+    a ``mode`` equivalence of ``system``, and the names of its variables."""
+    names = phi_variable_names(system, mode)
+    build = build_phi_bde if mode == "bde" else build_phi_fde
+    return smt_emit(build(system, part), names), names
 
 
 # -- solver process ------------------------------------------------------------------
@@ -391,16 +381,6 @@ def _model_values(model: dict, names: Sequence[str]) -> list:
         raise ProtocolError(f"model is missing variable {exc}") from None
 
 
-def _split_blocks(part: Partition, key_of) -> Partition:
-    groups: dict = {}
-    for b, block in enumerate(part.blocks):
-        for v in block:
-            groups.setdefault((b, key_of(v)), []).append(v)
-    if len(groups) == part.block_count:
-        return part
-    return Partition(groups.values())
-
-
 def _exact_drift(system: OdeSystem, i: int, values):
     try:
         return system.drift_value(i, values)
@@ -414,7 +394,7 @@ def _split_bde_by_witness(system: OdeSystem, part: Partition, values) -> Partiti
         first = values[block[0]]
         if any(values[v] != first for v in block[1:]):
             raise ProtocolError("model violates the block-equality antecedent")
-    split = _split_blocks(part, lambda v: _exact_drift(system, v, values))
+    split = part.split_by(lambda v: _exact_drift(system, v, values))
     if split is part:
         raise ProtocolError("model does not falsify the current formula")
     return split
@@ -428,8 +408,8 @@ def _pair_swap_formula(system: OdeSystem, part: Partition, i: int, j: int) -> Fo
     primed = [rename_vars(d, {v: n + v for v in range(n)}) for d in drifts]
     antecedent = [Eq(Bin("add", Var(i), Var(j)), Bin("add", Var(n + i), Var(n + j)))]
     antecedent.extend(Eq(Var(w), Var(n + w)) for w in range(n) if w not in (i, j))
-    consequent = [Eq(_sum_exprs(drifts[v] for v in block),
-                     _sum_exprs(primed[v] for v in block))
+    consequent = [Eq(sum_exprs(drifts[v] for v in block),
+                     sum_exprs(primed[v] for v in block))
                   for block in part.blocks]
     return Implies(And(tuple(antecedent)), And(tuple(consequent)))
 
@@ -495,21 +475,13 @@ def symbolic_coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str,
     greedily (ascending index); the final full-formula unsat guarantees the
     result is a valid equivalence regardless of the grouping order.
     """
-    if mode not in ("fde", "bde"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed.size != system.n:
-        raise PartitionMismatch("partition does not cover the system")
     cmd = resolve_solver_cmd(cmd)
     part = seed
     iterations = 0
     while True:
         iterations += 1
-        if mode == "bde":
-            formula = build_phi_bde(system, part)
-        else:
-            formula = build_phi_fde(system, part)
-        names = phi_variable_names(system, mode)
-        verdict = solver_invoke(smt_emit(formula, names), cmd, timeout_ms)
+        script, names = phi_script(system, part, mode)
+        verdict = solver_invoke(script, cmd, timeout_ms)
         if verdict.kind == "unsat":
             return part, iterations
         if verdict.kind == "unknown":

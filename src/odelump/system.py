@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 
 from . import driftexpr
 from .driftexpr import drift_eval
+from .errors import PartitionMismatch
 from .poly import Polynomial, as_fraction
 
 
@@ -61,6 +62,13 @@ class OdeSystem:
     @property
     def is_polynomial(self) -> bool:
         return isinstance(self.drifts[0], Polynomial)
+
+    def require_cover(self, part) -> None:
+        """Raise :class:`PartitionMismatch` unless ``part`` partitions
+        exactly this system's variables."""
+        if part.size != self.n:
+            raise PartitionMismatch(
+                f"partition covers {part.size} variables, system has {self.n}")
 
     def drift_value(self, index: int, values) -> Fraction:
         """Exact value of one drift at an assignment (sequence or mapping)."""

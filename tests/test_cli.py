@@ -156,9 +156,11 @@ def test_simulate_compare_needs_partition_and_mode(eq1, tmp_path):
     csv = tmp_path / "t.csv"
     assert main(["simulate", "--in", str(eq1), "--t-end", "1", "--dt", "0.01",
                  "--out", str(csv), "--compare", str(red)]) == 2
+    assert not csv.exists()
     assert main(["simulate", "--in", str(eq1), "--t-end", "1", "--dt", "0.01",
                  "--out", str(csv), "--compare", str(red),
                  "--map-mode", "fde"]) == 2
+    assert not csv.exists()
 
 
 def test_convert_round_trip(eq1, tmp_path):

@@ -8,9 +8,11 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      NotAnFde, OdeSystem, Partition, PartitionMismatch,
                      Polynomial, TooLarge, brute_force_coarsest, check_bde,
                      check_fde, coarsest_bde, coarsest_fde,
-                     coarsest_with_trace, monomial, parse_polynomial,
-                     partition_refines, poly_normalize,
-                     prepartition_from_inits, reduce_backward, reduce_forward)
+                     coarsest_with_trace, compare_reduction, integrate,
+                     monomial, parse_polynomial, phi_variable_names,
+                     poly_normalize, prepartition_from_inits,
+                     reduce_backward, reduce_forward,
+                     symbolic_coarsest_with_trace)
 from conftest import (cascade, permute_partition, permute_system,
                       random_poly_system)
 
@@ -115,8 +117,8 @@ def test_coarsest_results_are_sound_and_refine_seed():
         fde = coarsest_fde(system, seed)
         assert check_bde(system, bde).ok
         assert check_fde(system, fde).ok
-        assert partition_refines(bde, seed)
-        assert partition_refines(fde, seed)
+        assert bde.refines(seed)
+        assert fde.refines(seed)
 
 
 def test_oracle_agreement_sample():
@@ -190,7 +192,7 @@ def _check_refinement(system, seed, mode, known=None):
     assert (part, trace) == _full_passes(system, seed, mode)
     assert all(a < b for a, b in zip(trace, trace[1:]))
     assert trace[-1] == part.block_count
-    assert partition_refines(part, seed)
+    assert part.refines(seed)
     # The oracle enumerates every partition refining the seed; a one-block
     # seed on 9 or 10 variables takes seconds per call (Bell numbers), so
     # only split seeds go to the oracle there.
@@ -394,7 +396,7 @@ def test_brute_force_respects_seed():
     system = cascade(k1=1, k2=1)
     seed = Partition([[0, 1], [2]])  # pins x3 apart even though {x2,x3} would merge
     result = brute_force_coarsest(system, seed, "bde")
-    assert partition_refines(result, seed)
+    assert result.refines(seed)
     assert result == Partition.singletons(3)
 
 
@@ -416,6 +418,20 @@ def test_expression_drifts_rejected_by_syntactic_path():
         check_bde(doc.system, Partition.one_block(2))
 
 
-def test_mode_validated():
-    with pytest.raises(ValueError):
-        brute_force_coarsest(cascade(), H_ONE, "sideways")
+_TRAJ = integrate(cascade(), 0.1, 0.05)
+_MODE_ENTRY_POINTS = {
+    "coarsest_with_trace": lambda mode, tmp: coarsest_with_trace(cascade(), H_ONE, mode),
+    "brute_force_coarsest": lambda mode, tmp: brute_force_coarsest(cascade(), H_ONE, mode),
+    "phi_variable_names": lambda mode, tmp: phi_variable_names(cascade(), mode),
+    "compare_reduction": lambda mode, tmp: compare_reduction(
+        _TRAJ, _TRAJ, Partition.singletons(3), mode),
+    # a solver command that cannot start: the mode must be rejected first
+    "symbolic_coarsest_with_trace": lambda mode, tmp: symbolic_coarsest_with_trace(
+        cascade(), H_ONE, mode, str(tmp / "no-such-solver")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MODE_ENTRY_POINTS))
+def test_mode_validated(entry, tmp_path):
+    with pytest.raises(ValueError, match="sideways"):
+        _MODE_ENTRY_POINTS[entry]("sideways", tmp_path)

@@ -1,6 +1,6 @@
 import pytest
 
-from odelump import GroundSetMismatch, Partition, partition_refines
+from odelump import GroundSetMismatch, Partition
 
 
 def test_blocks_canonicalized():
@@ -25,9 +25,9 @@ def test_from_labels_groups_by_value():
 def test_refines_examples():
     fine = Partition.singletons(3)
     coarse = Partition([[0], [1, 2]])
-    assert partition_refines(fine, coarse)
-    assert not partition_refines(Partition([[0, 1], [2]]), coarse)
-    assert partition_refines(coarse, coarse)
+    assert fine.refines(coarse)
+    assert not Partition([[0, 1], [2]]).refines(coarse)
+    assert coarse.refines(coarse)
 
 
 def test_refines_requires_same_ground_set():
@@ -58,3 +58,27 @@ def test_value_semantics():
 def test_format_with_names():
     p = Partition([[0], [1, 2]])
     assert p.format(("x1", "x2", "x3")) == "{x1}, {x2, x3}"
+
+
+def test_split_by_splits_only_within_blocks():
+    p = Partition([[0, 1], [2, 3]])
+    # 0 and 2 share a key but lie in different blocks
+    assert p.split_by(lambda v: v in (0, 2)).blocks == ((0,), (1,), (2,), (3,))
+    # keys that differ only across blocks split nothing
+    assert p.split_by(lambda v: v < 2) is p
+
+
+def test_split_by_result_is_canonical():
+    p = Partition([[3, 0, 4], [1, 2]])
+    split = p.split_by(lambda v: -v if v in (3, 2) else 0)
+    assert split.blocks == ((0, 4), (1,), (2,), (3,))
+    assert split == Partition([[4, 0], [3], [2], [1]])
+
+
+def test_split_by_returns_self_when_nothing_splits():
+    p = Partition([[0, 1], [2]])
+    assert p.split_by(lambda v: 0) is p
+    one = Partition.one_block(4)
+    assert one.split_by(lambda v: "same") is one
+    singletons = Partition.singletons(3)
+    assert singletons.split_by(lambda v: v) is singletons
