@@ -224,7 +224,10 @@ def _cmd_simulate(args) -> int:
             raise _InputError("--compare needs a partition section in the "
                               "original model file")
         reduced = _as_ode(_load(args.compare))
-    trajectory = integrate(system, args.t_end, args.dt, args.sample)
+    try:
+        trajectory = integrate(system, args.t_end, args.dt, args.sample)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     write_csv(trajectory, args.out)
     print(f"wrote {args.out} ({len(trajectory.times)} samples, {system.n} variables)")
     if args.compare:

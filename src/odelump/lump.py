@@ -448,8 +448,7 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
                  for block in part.blocks)
     obs = None
     if system.observables is not None:
-        obs = frozenset(b for b, block in enumerate(part.blocks)
-                        if any(v in system.observables for v in block))
+        obs = frozenset(labels[v] for v in system.observables)
     if system.is_polynomial:
         sigma = {v: Polynomial.variable(labels[v]).scale(
             Fraction(1, len(part.blocks[labels[v]]))) for v in range(system.n)}
@@ -479,8 +478,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
             raise NotABde(result)
     labels = part.labels
     reps = part.representatives()
-    new_index = {rep: k for k, rep in enumerate(reps)}
-    mapping = {v: new_index[part.blocks[labels[v]][0]] for v in range(system.n)}
+    mapping = dict(enumerate(labels))
     for block in part.blocks:
         inits = {system.init[v] for v in block}
         if len(inits) > 1:
@@ -496,8 +494,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     names = tuple(system.names[rep] for rep in reps)
     obs = None
     if system.observables is not None:
-        obs = frozenset(new_index[part.blocks[labels[v]][0]]
-                        for v in system.observables)
+        obs = frozenset(labels[v] for v in system.observables)
     return OdeSystem(names, drifts, init, obs)
 
 

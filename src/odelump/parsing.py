@@ -24,7 +24,7 @@ drift; a zero reaction rate is rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -88,7 +88,6 @@ class ModelDocument:
 
     system: Union[OdeSystem, ReactionNetwork]
     user_partition: Optional[Partition] = None
-    source_span: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.user_partition is not None and self.user_partition.size != self.system.n:
@@ -103,7 +102,6 @@ class _Parser:
         self.i = 0
         self.names: list = []
         self.index: dict = {}
-        self.spans: dict = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -190,7 +188,6 @@ class _Parser:
             reactions = self.parse_reactions()
         else:
             self.fail("'ode' or 'reactions'", shape)
-        self.spans[f"section:{system_kind}"] = (shape.line, shape.col)
 
         user_blocks = None
         partition_tok = None
@@ -225,13 +222,11 @@ class _Parser:
                 raise PartitionCoverageError(
                     "partition must cover every declared variable",
                     partition_tok.line, partition_tok.col)
-        return ModelDocument(system, user_partition, self.spans)
+        return ModelDocument(system, user_partition)
 
     def parse_init(self):
         self.expect_word("begin")
-        init_tok = self.peek()
         self.expect_word("init")
-        self.spans["section:init"] = (init_tok.line, init_tok.col)
         self.inits: list = []
         while not self.at_section_end():
             name_tok = self.parse_ident("variable declaration")
@@ -242,7 +237,6 @@ class _Parser:
             self.index[name_tok.text] = len(self.names)
             self.names.append(name_tok.text)
             self.inits.append(value)
-            self.spans[name_tok.text] = (name_tok.line, name_tok.col)
         self.expect_word("end")
         if not self.names:
             self.fail("at least one variable declaration")

@@ -8,6 +8,7 @@ by the lumping checks, never here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -87,8 +88,9 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
               sample_every: int = 1) -> Trajectory:
     """RK4 from the system's initial values; rows recorded every
     ``sample_every`` steps, first row at t = 0."""
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0 < t_end < math.inf and 0 < dt < math.inf and t_end / dt < math.inf):
+        raise ValueError("t_end and dt must be positive and finite, "
+                         "and so must t_end / dt")
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
     f = _compile_system(system)

@@ -21,7 +21,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .driftexpr import (Abs, Bin, Const, DriftExpr, Var, denominators,
                         poly_to_expr, rename_vars, sum_exprs)
@@ -44,30 +44,15 @@ def resolve_solver_cmd(cmd: Optional[str] = None) -> str:
 
 
 @dataclass(frozen=True)
-class Eq:
-    lhs: DriftExpr
-    rhs: DriftExpr
+class Phi:
+    """The formula ``antecedent => consequent``.
 
+    Each side is a tuple of ``(lhs, rhs)`` drift-expression equations, read
+    as their conjunction.  An empty consequent makes the formula ``true``.
+    """
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
-
-
-@dataclass(frozen=True)
-class And:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Implies:
-    antecedent: "Formula"
-    consequent: "Formula"
-
-
-Formula = Union[Eq, Not, And, Implies]
-
-TRUE = And(())
+    antecedent: tuple
+    consequent: tuple
 
 
 @dataclass(frozen=True)
@@ -83,24 +68,28 @@ def _expr_drifts(system: OdeSystem) -> list:
     return list(system.drifts)
 
 
-def build_phi_bde(system: OdeSystem, part: Partition) -> Formula:
+def build_phi_bde(system: OdeSystem, part: Partition) -> Phi:
     """(same-block variables equal) implies (same-block drifts equal),
     with pairs chained through each block representative."""
     system.require_cover(part)
     drifts = _expr_drifts(system)
-    antecedent = []
-    consequent = []
-    for block in part.blocks:
-        rep = block[0]
-        for other in block[1:]:
-            antecedent.append(Eq(Var(rep), Var(other)))
-            consequent.append(Eq(drifts[rep], drifts[other]))
-    if not antecedent:
-        return TRUE
-    return Implies(And(tuple(antecedent)), And(tuple(consequent)))
+    pairs = [(block[0], other) for block in part.blocks for other in block[1:]]
+    return Phi(tuple((Var(rep), Var(other)) for rep, other in pairs),
+               tuple((drifts[rep], drifts[other]) for rep, other in pairs))
 
 
-def build_phi_fde(system: OdeSystem, part: Partition) -> Formula:
+def _block_drift_sums_across_copies(system: OdeSystem, part: Partition) -> tuple:
+    """The two-copy consequent: each block's drift sum equals its primed
+    copy's, where the primed copy of variable i is variable n + i."""
+    n = system.n
+    drifts = _expr_drifts(system)
+    shift = {i: n + i for i in range(n)}
+    primed = [rename_vars(d, shift) for d in drifts]
+    return tuple((sum_exprs(drifts[v] for v in block), sum_exprs(primed[v] for v in block))
+                 for block in part.blocks)
+
+
+def build_phi_fde(system: OdeSystem, part: Partition) -> Phi:
     """Two-copy encoding: equal block sums must force equal block drift sums.
 
     The primed copy of variable i is variable n + i in the formula's index
@@ -108,17 +97,9 @@ def build_phi_fde(system: OdeSystem, part: Partition) -> Formula:
     """
     system.require_cover(part)
     n = system.n
-    drifts = _expr_drifts(system)
-    shift = {i: n + i for i in range(n)}
-    primed = [rename_vars(d, shift) for d in drifts]
-    antecedent = []
-    consequent = []
-    for block in part.blocks:
-        antecedent.append(Eq(sum_exprs(Var(v) for v in block),
-                             sum_exprs(Var(n + v) for v in block)))
-        consequent.append(Eq(sum_exprs(drifts[v] for v in block),
-                             sum_exprs(primed[v] for v in block)))
-    return Implies(And(tuple(antecedent)), And(tuple(consequent)))
+    return Phi(tuple((sum_exprs(Var(v) for v in block), sum_exprs(Var(n + v) for v in block))
+                     for block in part.blocks),
+               _block_drift_sums_across_copies(system, part))
 
 
 def phi_variable_names(system: OdeSystem, mode: str) -> tuple:
@@ -177,65 +158,33 @@ def _emit_expr(e: DriftExpr, names: Sequence[str]) -> str:
     return f"({sym} {a} {b})"
 
 
-def _emit_formula(f: Formula, names: Sequence[str]) -> str:
-    if isinstance(f, Eq):
-        return f"(= {_emit_expr(f.lhs, names)} {_emit_expr(f.rhs, names)})"
-    if isinstance(f, Not):
-        return f"(not {_emit_formula(f.arg, names)})"
-    if isinstance(f, And):
-        if not f.parts:
-            return "true"
-        if len(f.parts) == 1:
-            return _emit_formula(f.parts[0], names)
-        return "(and " + " ".join(_emit_formula(p, names) for p in f.parts) + ")"
-    if isinstance(f, Implies):
-        return (f"(=> {_emit_formula(f.antecedent, names)} "
-                f"{_emit_formula(f.consequent, names)})")
-    raise TypeError(f"not a formula: {f!r}")
+def _emit_conjunction(parts: list) -> str:
+    if len(parts) == 1:
+        return parts[0]
+    return "(and " + " ".join(parts) + ")" if parts else "true"
 
 
-def _formula_denominators(f: Formula) -> list:
-    found: list = []
-    def walk(g):
-        if isinstance(g, Eq):
-            for side in (g.lhs, g.rhs):
-                for d in denominators(side):
-                    if d not in found:
-                        found.append(d)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, And):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, Implies):
-            walk(g.antecedent)
-            walk(g.consequent)
-    walk(f)
-    return found
+def smt_emit(phi: Phi, names: Sequence[str]) -> str:
+    """SMT-LIB 2 script asserting the negation of ``phi``.
 
-
-def _inject_guards(f: Formula) -> Formula:
-    guards = tuple(Not(Eq(d, Const(Fraction(0)))) for d in _formula_denominators(f))
-    if not guards:
-        return f
-    if isinstance(f, Implies):
-        antecedent = f.antecedent
-        parts = antecedent.parts if isinstance(antecedent, And) else (antecedent,)
-        return Implies(And(parts + guards), f.consequent)
-    return Implies(And(guards), f)
-
-
-def smt_emit(formula: Formula, names: Sequence[str]) -> str:
-    """SMT-LIB 2 script asserting the negation of ``formula``.
-
-    Declares one Real constant per name in ``names``; denominators are
-    guarded in the antecedent; ends with (check-sat)(get-model), so unsat
-    answers may be followed by a model-unavailable error, which the reply
-    parser tolerates.
+    Declares one Real constant per name in ``names``; every denominator of
+    an equation side is guarded in the antecedent; ends with
+    (check-sat)(get-model), so unsat answers may be followed by a
+    model-unavailable error, which the reply parser tolerates.
     """
+    def equation(lhs, rhs):
+        return f"(= {_emit_expr(lhs, names)} {_emit_expr(rhs, names)})"
+
+    body = "true"
+    if phi.consequent:
+        guards = dict.fromkeys(d for eq in phi.antecedent + phi.consequent
+                               for side in eq for d in denominators(side))
+        antecedent = [equation(*eq) for eq in phi.antecedent]
+        antecedent.extend(f"(not {equation(d, Const(Fraction(0)))})" for d in guards)
+        consequent = [equation(*eq) for eq in phi.consequent]
+        body = f"(=> {_emit_conjunction(antecedent)} {_emit_conjunction(consequent)})"
     lines = ["(set-logic QF_NRA)"]
     lines.extend(f"(declare-const {_symbol(nm)} Real)" for nm in names)
-    body = _emit_formula(_inject_guards(formula), names)
     lines.append(f"(assert (not {body}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
@@ -400,18 +349,17 @@ def _split_bde_by_witness(system: OdeSystem, part: Partition, values) -> Partiti
     return split
 
 
-def _pair_swap_formula(system: OdeSystem, part: Partition, i: int, j: int) -> Formula:
+def _pair_swap_formula(system: OdeSystem, part: Partition, i: int, j: int,
+                       sums: Optional[tuple] = None) -> Phi:
     """Two-copy check that i and j are interchangeable: redistributing
-    amounts between i and j alone must preserve every block drift sum."""
+    amounts between i and j alone must preserve every block drift sum.
+    ``sums`` passes those sums in, built once for all pairs of a split."""
     n = system.n
-    drifts = _expr_drifts(system)
-    primed = [rename_vars(d, {v: n + v for v in range(n)}) for d in drifts]
-    antecedent = [Eq(Bin("add", Var(i), Var(j)), Bin("add", Var(n + i), Var(n + j)))]
-    antecedent.extend(Eq(Var(w), Var(n + w)) for w in range(n) if w not in (i, j))
-    consequent = [Eq(sum_exprs(drifts[v] for v in block),
-                     sum_exprs(primed[v] for v in block))
-                  for block in part.blocks]
-    return Implies(And(tuple(antecedent)), And(tuple(consequent)))
+    antecedent = [(Bin("add", Var(i), Var(j)), Bin("add", Var(n + i), Var(n + j)))]
+    antecedent.extend((Var(w), Var(n + w)) for w in range(n) if w not in (i, j))
+    if sums is None:
+        sums = _block_drift_sums_across_copies(system, part)
+    return Phi(tuple(antecedent), sums)
 
 
 def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
@@ -424,12 +372,13 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
             raise ProtocolError("model violates the block-sum antecedent")
 
     names = phi_variable_names(system, "fde")
+    sums = _block_drift_sums_across_copies(system, part)
     compatible_cache: dict = {}
 
     def compatible(i, j):
         key = (i, j) if i < j else (j, i)
         if key not in compatible_cache:
-            script = smt_emit(_pair_swap_formula(system, part, *key), names)
+            script = smt_emit(_pair_swap_formula(system, part, *key, sums), names)
             verdict = solver_invoke(script, cmd, timeout_ms)
             if verdict.kind == "unknown":
                 raise SolverUnknown(verdict.reason, part)

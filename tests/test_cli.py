@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from odelump.cli import main
 from conftest import cascade_text
 from test_smt import MIN_PAIR_TEXT, SAT_111, fake, seq_cmd
 
+GOLDEN = Path(__file__).parent / "golden"
 PARTITION_BLOCK = "begin partition\n  {x1}, {x2, x3}\nend partition\n"
 
 
@@ -160,6 +162,21 @@ def test_simulate_compare_needs_partition_and_mode(eq1, tmp_path):
     assert main(["simulate", "--in", str(eq1), "--t-end", "1", "--dt", "0.01",
                  "--out", str(csv), "--compare", str(red),
                  "--map-mode", "fde"]) == 2
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("bad", [["--t-end", "-1"], ["--dt", "0"], ["--sample", "0"],
+                                 ["--t-end", "nan"], ["--t-end", "inf"]])
+def test_simulate_bad_arguments_are_input_errors(bad, tmp_path, capsys):
+    args = {"--t-end": "1", "--dt": "0.01", "--sample": "1"}
+    args.update([bad])
+    csv = tmp_path / "t.csv"
+    argv = ["simulate", "--in", str(GOLDEN / "t02_cascade.ode"), "--out", str(csv)]
+    rc = main(argv + [item for pair in args.items() for item in pair])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not csv.exists()
 
 

@@ -20,7 +20,6 @@ def test_cascade_document():
     assert system.is_polynomial
     assert system == cascade(k1=1, k2=1, init=(1, Fraction(1, 2), Fraction(1, 2)))
     assert doc.user_partition is None
-    assert "x2" in doc.source_span
 
 
 def test_minimal_document():

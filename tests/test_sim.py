@@ -182,3 +182,10 @@ def test_integrate_argument_validation():
         integrate(decay_system(), t_end=1.0, dt=-0.1)
     with pytest.raises(ValueError):
         integrate(decay_system(), t_end=1.0, dt=0.1, sample_every=0)
+
+
+@pytest.mark.parametrize("t_end, dt", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                       (1e308, 1e-308)])
+def test_integrate_rejects_non_finite_times(t_end, dt):
+    with pytest.raises(ValueError):
+        integrate(decay_system(), t_end=t_end, dt=dt)

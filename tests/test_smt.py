@@ -11,7 +11,7 @@ from odelump import (OdeSystem, Partition, Polynomial, ProtocolError,
                      build_phi_fde, coarsest_bde, parse_model,
                      phi_variable_names, poly_to_expr, smt_emit, solver_invoke,
                      symbolic_coarsest, symbolic_coarsest_with_trace)
-from odelump.smt import And, Eq, Implies, TRUE
+from odelump.smt import Phi
 from conftest import cascade, random_poly_system, solver_available
 
 FAKESOLVER = Path(__file__).parent / "fakesolver.py"
@@ -62,23 +62,22 @@ def test_phi_bde_structure():
     system = cascade(k1=1, k2=1)
     formula = build_phi_bde(system, H_SPLIT)
     d = [poly_to_expr(p) for p in system.drifts]
-    assert formula == Implies(And((Eq(Var(1), Var(2)),)),
-                              And((Eq(d[1], d[2]),)))
+    assert formula == Phi(((Var(1), Var(2)),), ((d[1], d[2]),))
 
 
 def test_phi_bde_singletons_is_true():
-    assert build_phi_bde(cascade(), Partition.singletons(3)) == TRUE
+    assert build_phi_bde(cascade(), Partition.singletons(3)) == Phi((), ())
 
 
 def test_phi_bde_one_block_chains_through_representative():
     formula = build_phi_bde(cascade(), H_ONE)
-    assert formula.antecedent == And((Eq(Var(0), Var(1)), Eq(Var(0), Var(2))))
+    assert formula.antecedent == ((Var(0), Var(1)), (Var(0), Var(2)))
 
 
 def test_phi_fde_uses_primed_copies():
     system = cascade(k1=1, k2=1)
     formula = build_phi_fde(system, H_SPLIT)
-    assert len(formula.antecedent.parts) == 2  # one sum equality per block
+    assert len(formula.antecedent) == 2  # one sum equality per block
     names = phi_variable_names(system, "fde")
     assert names == ("x1", "x2", "x3", "x1_p", "x2_p", "x3_p")
     text = smt_emit(formula, names)
@@ -107,7 +106,7 @@ def test_emit_script_shape():
 
 def test_emit_constant_true_formula():
     # singleton partitions produce the empty conjunction
-    text = smt_emit(TRUE, ("x",))
+    text = smt_emit(Phi((), ()), ("x",))
     assert "(assert (not true))" in text
 
 
