@@ -84,13 +84,19 @@ def _compile_system(system: OdeSystem):
     return f
 
 
+# Ten million RK4 steps take minutes even on a two-variable system; a longer
+# run is almost surely a mistyped --t-end or --dt.
+MAX_STEPS = 10**7
+
+
 def integrate(system: OdeSystem, t_end: float, dt: float,
               sample_every: int = 1) -> Trajectory:
     """RK4 from the system's initial values; rows recorded every
     ``sample_every`` steps, first row at t = 0."""
-    if not (0 < t_end < math.inf and 0 < dt < math.inf and t_end / dt < math.inf):
-        raise ValueError("t_end and dt must be positive and finite, "
-                         "and so must t_end / dt")
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError("t_end and dt must be positive and finite")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end / dt must be at most {MAX_STEPS} steps")
     if sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
     f = _compile_system(system)

@@ -349,16 +349,13 @@ def _split_bde_by_witness(system: OdeSystem, part: Partition, values) -> Partiti
     return split
 
 
-def _pair_swap_formula(system: OdeSystem, part: Partition, i: int, j: int,
-                       sums: Optional[tuple] = None) -> Phi:
+def _pair_swap_formula(system: OdeSystem, i: int, j: int, sums: tuple) -> Phi:
     """Two-copy check that i and j are interchangeable: redistributing
     amounts between i and j alone must preserve every block drift sum.
-    ``sums`` passes those sums in, built once for all pairs of a split."""
+    ``sums`` is ``_block_drift_sums_across_copies``, built once per split."""
     n = system.n
     antecedent = [(Bin("add", Var(i), Var(j)), Bin("add", Var(n + i), Var(n + j)))]
     antecedent.extend((Var(w), Var(n + w)) for w in range(n) if w not in (i, j))
-    if sums is None:
-        sums = _block_drift_sums_across_copies(system, part)
     return Phi(tuple(antecedent), sums)
 
 
@@ -378,7 +375,7 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
     def compatible(i, j):
         key = (i, j) if i < j else (j, i)
         if key not in compatible_cache:
-            script = smt_emit(_pair_swap_formula(system, part, *key, sums), names)
+            script = smt_emit(_pair_swap_formula(system, *key, sums), names)
             verdict = solver_invoke(script, cmd, timeout_ms)
             if verdict.kind == "unknown":
                 raise SolverUnknown(verdict.reason, part)

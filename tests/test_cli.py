@@ -166,10 +166,11 @@ def test_simulate_compare_needs_partition_and_mode(eq1, tmp_path):
 
 
 @pytest.mark.parametrize("bad", [["--t-end", "-1"], ["--dt", "0"], ["--sample", "0"],
-                                 ["--t-end", "nan"], ["--t-end", "inf"]])
+                                 ["--t-end", "nan"], ["--t-end", "inf"],
+                                 ["--t-end", "1e200", "--dt", "1e-100"]])
 def test_simulate_bad_arguments_are_input_errors(bad, tmp_path, capsys):
     args = {"--t-end": "1", "--dt": "0.01", "--sample": "1"}
-    args.update([bad])
+    args.update(zip(bad[::2], bad[1::2]))
     csv = tmp_path / "t.csv"
     argv = ["simulate", "--in", str(GOLDEN / "t02_cascade.ode"), "--out", str(csv)]
     rc = main(argv + [item for pair in args.items() for item in pair])

@@ -7,7 +7,7 @@ behaviour even when every formula still has the right structure.
 import pytest
 
 from odelump import Partition, parse_model, phi_variable_names, smt_emit
-from odelump.smt import _pair_swap_formula, phi_script
+from odelump.smt import _block_drift_sums_across_copies, _pair_swap_formula, phi_script
 from conftest import cascade
 
 H_SPLIT = Partition([[0], [1, 2]])
@@ -31,7 +31,8 @@ FDE_SUMS = ("(and (= (* (- 1) x1) (* (- 1) x1_p)) "
 
 def _swap_script():
     system = cascade(k1=1, k2=1)
-    return smt_emit(_pair_swap_formula(system, H_SPLIT, 1, 2),
+    sums = _block_drift_sums_across_copies(system, H_SPLIT)
+    return smt_emit(_pair_swap_formula(system, 1, 2, sums),
                     phi_variable_names(system, "fde"))
 
 
