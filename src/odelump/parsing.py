@@ -19,6 +19,22 @@ rounding (0.25 becomes 1/4).  The `p/q` form exists so that serialization can
 round-trip rationals with non-terminating decimal expansions.  `begin` and
 `end` are reserved words.  Variables without a `d()` statement get zero
 drift; a zero reaction rate is rejected.
+
+How the text is read:
+
+* One regex sweep splits the text into token strings; each distinct string
+  is classified once.  Tokens carry no position: the line and column of an
+  error are worked out when it is raised, by sweeping the text again.
+* A drift that is a plain sum of products -- terms ``[-] factor {* factor}``
+  joined by ``+``/``-``, where a factor is a declared variable or a numeral
+  (either may carry unary ``-``) and ``/`` may only divide by a nonzero
+  numeral, as in ``4/3*x`` or ``x/2`` -- is read straight into monomials.
+* Any other drift (parentheses, ``min``/``max``/``abs``, division by
+  anything but a nonzero numeral, or text that is not a valid drift at all)
+  is read again from its first token as a drift-expression tree and lowered
+  to a polynomial when it can be, so its errors come from the tree parser.
+* If some drift stays a tree, the model is an expression model and every
+  drift is re-read as a tree, so subtraction and division keep their nodes.
 """
 
 from __future__ import annotations
@@ -26,60 +42,64 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from itertools import islice
+from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
 from .encode import Reaction, ReactionNetwork, multiset, rn_to_ode, ode_to_rn
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable)
 from .partition import Partition
-from .poly import Polynomial
+from .poly import _ONE, Polynomial, _from_accumulator
 from .system import OdeSystem
 
 _RESERVED = ("begin", "end")
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<arrow>->)
-      | (?P<sym>[=(){},+\-*/])
-    """,
-    re.VERBOSE,
+_KINDS = (
+    ("number", r"\d+(?:\.\d+)?"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("arrow", r"->"),
+    ("sym", r"[=(){},+\-*/]"),
 )
+# Skip whitespace and comments, then take one token; any other character is
+# taken alone and rejected by the parser.  At the end of input the token group
+# matches nothing.  The skip is possessive: it never gives back what it read,
+# so the `//c` of a trailing `x //c` cannot be re-read as `/`, `/`, `c`, and it
+# keeps no backtracking state, which makes the sweep faster.
+_TOKEN_RE = re.compile(
+    r"(?:\s+|//[^\n]*)*+(" + "|".join(p for _, p in _KINDS) + r"|.)?", re.DOTALL)
+_KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _KINDS))
 
 
-class _Token(NamedTuple):
-    kind: str  # "number", "ident", "arrow", a symbol character, or "eof"
-    text: str
-    line: int
-    col: int
+def _kind(token: str) -> Optional[str]:
+    """"number", "ident", "arrow", the symbol itself, or None if invalid."""
+    m = _KIND_RE.fullmatch(token)
+    if m is None:
+        return None
+    return token if m.lastgroup == "sym" else m.lastgroup
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelSyntaxError(line, pos - bol + 1, f"valid token, found {text[pos]!r}")
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "ws":
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                bol = pos + chunk.rindex("\n") + 1
-        elif kind != "comment":
-            col = pos - bol + 1
-            if kind == "sym":
-                tokens.append(_Token(chunk, chunk, line, col))
-            else:
-                tokens.append(_Token(kind, chunk, line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - bol + 1))
-    return tokens
+    """Parallel lists of token kinds and texts, ending with an "eof" token.
+
+    The kind of an invalid character is None.
+    """
+    texts = _TOKEN_RE.findall(text)
+    while texts and not texts[-1]:
+        texts.pop()
+    kind_of = {t: _kind(t) for t in set(texts)}
+    kinds = list(map(kind_of.__getitem__, texts))
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
+
+
+class _Numerals(dict):
+    """One exact Fraction per distinct numeral text."""
+
+    def __missing__(self, text):
+        value = self[text] = Fraction(text)
+        return value
 
 
 @dataclass(frozen=True)
@@ -97,78 +117,92 @@ class ModelDocument:
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
+    def __init__(self, text: str, names=()):
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.i = 0
-        self.names: list = []
-        self.index: dict = {}
+        self.names: list = list(names)
+        self.index: dict = {nm: i for i, nm in enumerate(self.names)}
+        self.number = _Numerals().__getitem__
+        self.quotients: dict = {}  # (p, q) numeral texts -> p/q
+        if None in self.kinds:
+            self.fail("valid token", self.kinds.index(None))
 
     # -- token plumbing ----------------------------------------------------
+    # Tokens are addressed by index into the parallel kinds/texts lists; the
+    # last token is "eof" and the cursor never moves past it.
 
-    def peek(self, ahead: int = 0) -> _Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def where(self, at: int):
+        """Line and column of token ``at``, found by sweeping the text again."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), at, None), None)
+        pos = len(self.text) if m is None or m.start(1) < 0 else m.start(1)
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
 
-    def advance(self) -> _Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
+    def advance(self) -> int:
+        at = self.i
+        if self.kinds[at] != "eof":
             self.i += 1
-        return t
+        return at
 
-    def fail(self, expected: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        found = tok.text or "end of input"
-        raise ModelSyntaxError(tok.line, tok.col, f"{expected}, found {found!r}")
+    def fail(self, expected: str, at: Optional[int] = None):
+        at = self.i if at is None else at
+        found = self.texts[at] or "end of input"
+        line, col = self.where(at)
+        raise ModelSyntaxError(line, col, f"{expected}, found {found!r}")
 
-    def accept(self, kind: str) -> Optional[_Token]:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.i] == kind:
+            self.i += 1
+            return True
+        return False
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.accept(kind)
-        if tok is None:
+    def expect(self, kind: str, expected: str) -> int:
+        at = self.i
+        if self.kinds[at] != kind:
             self.fail(expected)
-        return tok
+        self.i += 1
+        return at
 
-    def accept_word(self, word: str) -> Optional[_Token]:
-        t = self.peek()
-        if t.kind == "ident" and t.text == word:
-            return self.advance()
-        return None
+    def at_word(self, word: str, ahead: int = 0) -> bool:
+        at = min(self.i + ahead, len(self.texts) - 1)
+        return self.kinds[at] == "ident" and self.texts[at] == word
 
     def expect_word(self, word: str):
-        if not self.accept_word(word):
+        if not self.at_word(word):
             self.fail(f"'{word}'")
+        self.i += 1
 
     def at_section_end(self) -> bool:
-        return self.peek().kind == "eof" or (
-            self.peek().kind == "ident" and self.peek().text == "end")
+        return self.kinds[self.i] == "eof" or self.at_word("end")
 
     # -- atoms ----------------------------------------------------------------
 
-    def parse_ident(self, what: str = "identifier") -> _Token:
-        tok = self.expect("ident", what)
-        if tok.text in _RESERVED:
-            self.fail(what, tok)
-        return tok
+    def parse_ident(self, what: str = "identifier") -> int:
+        at = self.expect("ident", what)
+        if self.texts[at] in _RESERVED:
+            self.fail(what, at)
+        return at
 
-    def resolve(self, tok: _Token) -> int:
-        idx = self.index.get(tok.text)
+    def resolve(self, at: int) -> int:
+        idx = self.index.get(self.texts[at])
         if idx is None:
-            raise UndeclaredVariable(tok.text, tok.line, tok.col)
+            raise UndeclaredVariable(self.texts[at], *self.where(at))
         return idx
 
     def parse_rational(self) -> Fraction:
-        neg = self.accept("-") is not None
-        tok = self.expect("number", "number")
-        value = Fraction(tok.text)
+        neg = self.accept("-")
+        num = self.texts[self.expect("number", "number")]
+        value = self.number(num)
         if self.accept("/"):
-            den_tok = self.expect("number", "number")
-            den = Fraction(den_tok.text)
-            if den == 0:
-                self.fail("nonzero denominator", den_tok)
-            value /= den
+            den_at = self.expect("number", "number")
+            key = (num, self.texts[den_at])
+            quotient = self.quotients.get(key)
+            if quotient is None:
+                den = self.number(key[1])
+                if den == 0:
+                    self.fail("nonzero denominator", den_at)
+                quotient = self.quotients[key] = value / den
+            value = quotient
         return -value if neg else value
 
     # -- sections ------------------------------------------------------------
@@ -179,34 +213,35 @@ class _Parser:
         self.parse_init()
 
         self.expect_word("begin")
-        shape = self.peek()
-        if self.accept_word("ode"):
+        if self.at_word("ode"):
+            self.i += 1
             system_kind = "ode"
-            drift_exprs = self.parse_odes()
-        elif self.accept_word("reactions"):
+            drifts, starts = self.parse_odes()
+        elif self.at_word("reactions"):
+            self.i += 1
             system_kind = "reactions"
             reactions = self.parse_reactions()
         else:
-            self.fail("'ode' or 'reactions'", shape)
+            self.fail("'ode' or 'reactions'")
 
         user_blocks = None
-        partition_tok = None
-        if self.peek().text == "begin" and self.peek(1).text == "partition":
-            partition_tok = self.peek()
+        partition_at = None
+        if self.at_word("begin") and self.at_word("partition", 1):
+            partition_at = self.i
             user_blocks = self.parse_partition()
         observables = None
-        if self.peek().text == "begin" and self.peek(1).text == "observe":
+        if self.at_word("begin") and self.at_word("observe", 1):
             observables = self.parse_observe()
 
         self.expect_word("end")
         self.expect_word("model")
-        if self.peek().kind != "eof":
+        if self.kinds[self.i] != "eof":
             self.fail("end of input")
 
         if system_kind == "ode":
-            drifts = self.finish_drifts(drift_exprs)
             system: Union[OdeSystem, ReactionNetwork] = OdeSystem(
-                tuple(self.names), drifts, tuple(self.inits), observables)
+                tuple(self.names), self.finish_drifts(drifts, starts),
+                tuple(self.inits), observables)
         else:
             system = ReactionNetwork(
                 tuple(self.names), tuple(reactions), tuple(self.inits), observables)
@@ -217,11 +252,11 @@ class _Parser:
                 user_partition = Partition(user_blocks)
             except ValueError as exc:
                 raise PartitionCoverageError(
-                    str(exc), partition_tok.line, partition_tok.col) from None
+                    str(exc), *self.where(partition_at)) from None
             if user_partition.size != len(self.names):
                 raise PartitionCoverageError(
                     "partition must cover every declared variable",
-                    partition_tok.line, partition_tok.col)
+                    *self.where(partition_at))
         return ModelDocument(system, user_partition)
 
     def parse_init(self):
@@ -229,43 +264,55 @@ class _Parser:
         self.expect_word("init")
         self.inits: list = []
         while not self.at_section_end():
-            name_tok = self.parse_ident("variable declaration")
-            if name_tok.text in self.index:
-                raise DuplicateVariable(name_tok.text, name_tok.line, name_tok.col)
+            name_at = self.parse_ident("variable declaration")
+            name = self.texts[name_at]
+            if name in self.index:
+                raise DuplicateVariable(name, *self.where(name_at))
             self.expect("=", "'='")
             value = self.parse_rational()
-            self.index[name_tok.text] = len(self.names)
-            self.names.append(name_tok.text)
+            self.index[name] = len(self.names)
+            self.names.append(name)
             self.inits.append(value)
         self.expect_word("end")
         if not self.names:
             self.fail("at least one variable declaration")
         self.expect_word("init")
 
-    def parse_odes(self) -> dict:
-        drift_exprs: dict = {}
+    def parse_odes(self):
+        """Drifts by variable index, and the token index each drift starts at."""
+        drifts: dict = {}
+        starts: dict = {}
         while not self.at_section_end():
-            d_tok = self.expect("ident", "'d('")
-            if d_tok.text != "d":
-                self.fail("'d('", d_tok)
+            d_at = self.expect("ident", "'d('")
+            if self.texts[d_at] != "d":
+                self.fail("'d('", d_at)
             self.expect("(", "'('")
-            name_tok = self.expect("ident", "variable name")
-            idx = self.resolve(name_tok)
-            if idx in drift_exprs:
-                self.fail(f"a single drift for variable '{name_tok.text}'", name_tok)
+            name_at = self.expect("ident", "variable name")
+            idx = self.resolve(name_at)
+            if idx in drifts:
+                self.fail(f"a single drift for variable '{self.texts[name_at]}'", name_at)
             self.expect(")", "')'")
             self.expect("=", "'='")
-            drift_exprs[idx] = self.parse_expr()
+            starts[idx] = self.i
+            drifts[idx] = self.parse_drift()
         self.expect_word("end")
         self.expect_word("ode")
-        return drift_exprs
+        return drifts, starts
 
-    def finish_drifts(self, drift_exprs: dict) -> tuple:
-        exprs = [drift_exprs.get(i, Const(Fraction(0))) for i in range(len(self.names))]
-        polys = [to_polynomial(e) for e in exprs]
-        if all(p is not None for p in polys):
-            return tuple(polys)
-        return tuple(exprs)
+    def finish_drifts(self, drifts: dict, starts: dict) -> tuple:
+        n = len(self.names)
+        if all(isinstance(d, Polynomial) for d in drifts.values()):
+            zero = Polynomial.zero()
+            return tuple(drifts.get(i, zero) for i in range(n))
+        # an expression model: every drift keeps the tree its text spells
+        trees = []
+        for i in range(n):
+            if i in starts:
+                self.i = starts[i]
+                trees.append(self.parse_expr())
+            else:
+                trees.append(Const(Fraction(0)))
+        return tuple(trees)
 
     def parse_reactions(self) -> list:
         reactions = []
@@ -274,35 +321,35 @@ class _Parser:
             self.expect("arrow", "'->'")
             products = self.parse_mset()
             self.expect(",", "','")
-            rate_tok = self.peek()
+            rate_at = self.i
             rate = self.parse_rational()
             if rate == 0:
-                self.fail("nonzero reaction rate", rate_tok)
+                self.fail("nonzero reaction rate", rate_at)
             reactions.append(Reaction(reagents, products, rate))
         self.expect_word("end")
         self.expect_word("reactions")
         return reactions
 
     def parse_mset(self):
-        tok = self.peek()
-        if tok.kind == "number" and Fraction(tok.text) == 0:
-            self.advance()
+        kinds, texts = self.kinds, self.texts
+        if kinds[self.i] == "number" and self.number(texts[self.i]) == 0:
+            self.i += 1
             return ()
         items = []
         while True:
             mult = 1
-            num = self.accept("number")
-            if num is not None:
-                value = Fraction(num.text)
+            if kinds[self.i] == "number":
+                num_at = self.advance()
+                value = self.number(texts[num_at])
                 if value.denominator != 1 or value <= 0:
-                    self.fail("positive integer multiplicity", num)
+                    self.fail("positive integer multiplicity", num_at)
                 mult = int(value)
                 self.expect("*", "'*'")
-            name_tok = self.expect("ident", "species name")
-            items.append((self.resolve(name_tok), mult))
-            if not self.accept("+"):
+            items.append((self.resolve(self.expect("ident", "species name")), mult))
+            if kinds[self.i] != "+":
                 break
-        return multiset(items)
+            self.i += 1
+        return (items[0],) if len(items) == 1 else multiset(items)
 
     def parse_partition(self) -> list:
         self.expect_word("begin")
@@ -332,7 +379,85 @@ class _Parser:
         self.expect_word("observe")
         return frozenset(indices)
 
-    # -- drift expressions ----------------------------------------------------
+    # -- drifts -----------------------------------------------------------------
+
+    def parse_drift(self) -> Union[Polynomial, DriftExpr]:
+        """One drift: a Polynomial when it lowers to one, else its tree."""
+        poly = self.parse_sum_of_products()
+        if poly is not None:
+            return poly
+        expr = self.parse_expr()
+        poly = to_polynomial(expr)
+        return expr if poly is None else poly
+
+    def parse_sum_of_products(self) -> Optional[Polynomial]:
+        """Read a plain sum of products straight into monomials.
+
+        Returns None, with the cursor left where it was, on anything that is
+        not one; the caller then reads the same tokens as a tree.
+        """
+        kinds, texts, index, number = self.kinds, self.texts, self.index, self.number
+        i = self.i
+        acc: dict = {}
+        sign = 1
+        while True:
+            # one term: factors joined by "*", each "/" dividing by a numeral
+            coeff = None
+            variables = []
+            while True:
+                while kinds[i] == "-":
+                    sign = -sign
+                    i += 1
+                kind = kinds[i]
+                if kind == "ident":
+                    v = index.get(texts[i])
+                    if v is None or kinds[i + 1] == "(":
+                        return None
+                    variables.append(v)
+                elif kind == "number":
+                    c = number(texts[i])
+                    coeff = c if coeff is None else coeff * c
+                else:
+                    return None
+                i += 1
+                while kinds[i] == "/":
+                    i += 1
+                    while kinds[i] == "-":
+                        sign = -sign
+                        i += 1
+                    if kinds[i] != "number":
+                        return None
+                    c = number(texts[i])
+                    if not c:
+                        return None
+                    coeff = _ONE / c if coeff is None else coeff / c
+                    i += 1
+                if kinds[i] != "*":
+                    break
+                i += 1
+            if len(variables) == 1:
+                exps = ((variables[0], 1),)
+            else:
+                counts: dict = {}
+                for v in sorted(variables):
+                    counts[v] = counts.get(v, 0) + 1
+                exps = tuple(counts.items())
+            if coeff is None:
+                coeff = _ONE
+            if sign < 0:
+                coeff = -coeff
+            prev = acc.get(exps)
+            acc[exps] = coeff if prev is None else prev + coeff
+            kind = kinds[i]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
+            else:
+                break
+            i += 1
+        self.i = i
+        return _from_accumulator(acc)
 
     def parse_expr(self) -> DriftExpr:
         e = self.parse_term()
@@ -355,62 +480,62 @@ class _Parser:
                 return e
 
     def parse_factor(self) -> DriftExpr:
-        tok = self.peek()
-        if tok.kind == "-":
+        at = self.i
+        kind, text = self.kinds[at], self.texts[at]
+        if kind == "-":
             self.advance()
             return Bin("sub", Const(Fraction(0)), self.parse_factor())
-        if tok.kind == "number":
+        if kind == "number":
             self.advance()
-            return Const(Fraction(tok.text))
-        if tok.kind == "(":
+            return Const(self.number(text))
+        if kind == "(":
             self.advance()
             e = self.parse_expr()
             self.expect(")", "')'")
             return e
-        if tok.kind == "ident":
-            if self.peek(1).kind == "(":
-                if tok.text in ("min", "max"):
-                    self.advance()
-                    self.advance()
+        if kind == "ident":
+            if self.kinds[at + 1] == "(":
+                if text in ("min", "max"):
+                    self.i += 2
                     lhs = self.parse_expr()
                     self.expect(",", "','")
                     rhs = self.parse_expr()
                     self.expect(")", "')'")
-                    return Bin(tok.text, lhs, rhs)
-                if tok.text == "abs":
-                    self.advance()
-                    self.advance()
+                    return Bin(text, lhs, rhs)
+                if text == "abs":
+                    self.i += 2
                     arg = self.parse_expr()
                     self.expect(")", "')'")
                     return Abs(arg)
-                self.fail("a min, max or abs call", tok)
+                self.fail("a min, max or abs call", at)
             self.advance()
-            return Var(self.resolve(tok))
-        self.fail("a number, variable or '('", tok)
+            return Var(self.resolve(at))
+        self.fail("a number, variable or '('", at)
 
 
 def parse_model(text: str) -> ModelDocument:
     """Parse model text into a document; numbers become exact rationals."""
-    return _Parser(_tokenize(text)).parse_model()
+    return _Parser(text).parse_model()
 
 
 def parse_expression(text: str, names) -> DriftExpr:
     """Parse a bare drift expression over the given variable names."""
-    parser = _Parser(_tokenize(text))
-    parser.names = list(names)
-    parser.index = {nm: i for i, nm in enumerate(parser.names)}
+    parser = _Parser(text, names)
     expr = parser.parse_expr()
-    if parser.peek().kind != "eof":
+    if parser.kinds[parser.i] != "eof":
         parser.fail("end of input")
     return expr
 
 
 def parse_polynomial(text: str, names) -> Polynomial:
     """Parse an expression that must lower to a polynomial (for tests, demos)."""
-    p = to_polynomial(parse_expression(text, names))
-    if p is None:
+    parser = _Parser(text, names)
+    drift = parser.parse_drift()
+    if parser.kinds[parser.i] != "eof":
+        parser.fail("end of input")
+    if not isinstance(drift, Polynomial):
         raise ValueError(f"not a polynomial: {text!r}")
-    return p
+    return drift
 
 
 # -- serialization -------------------------------------------------------------

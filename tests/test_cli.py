@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -287,9 +288,12 @@ def test_usage_error_exit_code():
 def test_module_entry_point(tmp_path):
     model = tmp_path / "m.ode"
     model.write_text(cascade_text(k1=1, k2=1))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "odelump", "oracle", "--mode", "bde",
          "--in", str(model)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{x1}, {x2, x3}"

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from odelump import (DuplicateVariable, ModelSyntaxError, NonPolynomialDrift,
-                     OdeSystem, Partition, PartitionCoverageError,
+                     OdeLumpError, OdeSystem, Partition, PartitionCoverageError,
                      ReactionNetwork, UndeclaredVariable, parse_model,
                      rn_to_ode, serialize_model)
 from conftest import cascade, cascade_text
@@ -61,22 +61,86 @@ def test_partition_coverage_errors():
         parse_model(doubled)
 
 
+# (text, error type, line, column, message), taken from the parser before the
+# drift fast path existed; every error must keep all four.
+ERROR_CASES = [
+    ("begin model begin init x = end init begin ode end ode end model",
+     ModelSyntaxError, 1, 28, "line 1, column 28: expected number, found 'end'"),
+    ("begin model begin init x 1 end init begin ode end ode end model",
+     ModelSyntaxError, 1, 26, "line 1, column 26: expected '=', found '1'"),
+    ("begin model begin init end init begin ode end ode end model",
+     ModelSyntaxError, 1, 28,
+     "line 1, column 28: expected at least one variable declaration, found 'init'"),
+    ("begin model begin init x=1 end init begin ode d(x) = (x end ode end model",
+     ModelSyntaxError, 1, 57, "line 1, column 57: expected ')', found 'end'"),
+    ("begin model begin init x=1 end init begin ode d x = 1 end ode end model",
+     ModelSyntaxError, 1, 49, "line 1, column 49: expected '(', found 'x'"),
+    ("begin model begin init x=1 end init begin ode d(x) = 1 ? end ode end model",
+     ModelSyntaxError, 1, 56, "line 1, column 56: expected valid token, found '?'"),
+    ("begin model begin init x=1 end init begin reactions x -> x, 0 "
+     "end reactions end model",
+     ModelSyntaxError, 1, 61, "line 1, column 61: expected nonzero reaction rate, found '0'"),
+    # an invalid character wins over an earlier syntax error
+    ("begin model begin init x = end init\nbegin ode d(x) = 1 ? end ode end model",
+     ModelSyntaxError, 2, 20, "line 2, column 20: expected valid token, found '?'"),
+    # end of input after trailing whitespace, after a trailing comment, after x//c
+    ("begin model begin init x=1 end init begin ode d(x) = 2*x end ode  \n\t ",
+     ModelSyntaxError, 2, 3, "line 2, column 3: expected 'end', found 'end of input'"),
+    ("begin model begin init x=1 end init begin ode d(x) = 2*x end ode\n// trailing",
+     ModelSyntaxError, 2, 12, "line 2, column 12: expected 'end', found 'end of input'"),
+    ("begin model begin init x=1 end init begin ode d(x) = x//c",
+     ModelSyntaxError, 1, 58, "line 1, column 58: expected 'end', found 'end of input'"),
+    ("begin model begin init x=1 end init begin ode d(x) = 2*x y end ode end model",
+     ModelSyntaxError, 1, 58, "line 1, column 58: expected 'd(', found 'y'"),
+    ("begin model begin init x=1 end init begin ode d(x) = 2*x + 3* end ode end model",
+     UndeclaredVariable, 1, 63, "line 1, column 63: undeclared variable 'end'"),
+    ("begin model begin init x=1 end init begin ode d(x) = x/ end ode end model",
+     UndeclaredVariable, 1, 57, "line 1, column 57: undeclared variable 'end'"),
+    ("begin model begin init x=1/0 end init begin ode end ode end model",
+     ModelSyntaxError, 1, 28, "line 1, column 28: expected nonzero denominator, found '0'"),
+    ("begin model begin init x=1 end init begin ode d(x) = x(2) end ode end model",
+     ModelSyntaxError, 1, 54, "line 1, column 54: expected a min, max or abs call, found 'x'"),
+    ("begin model begin init x=1 end init begin ode d(x) = x d(x) = 1 end ode end model",
+     ModelSyntaxError, 1, 58,
+     "line 1, column 58: expected a single drift for variable 'x', found 'x'"),
+    ("begin model begin init x=1. end init begin ode end ode end model",
+     ModelSyntaxError, 1, 27, "line 1, column 27: expected valid token, found '.'"),
+    ("begin model begin init x=1 end init begin ode d(x) = 1 > 2 end ode end model",
+     ModelSyntaxError, 1, 56, "line 1, column 56: expected valid token, found '>'"),
+    ("begin model begin init x=1 end init begin ode d(x) = 1 end ode end model \u00e9",
+     ModelSyntaxError, 1, 74, "line 1, column 74: expected valid token, found '\u00e9'"),
+    ("begin model begin init x=1 end init begin ode d(x) = min(x,) end ode end model",
+     ModelSyntaxError, 1, 60,
+     "line 1, column 60: expected a number, variable or '(', found ')'"),
+    ("begin model begin init x=1 end init begin reactions x -> 0.5*x, 1 "
+     "end reactions end model",
+     ModelSyntaxError, 1, 58,
+     "line 1, column 58: expected positive integer multiplicity, found '0.5'"),
+    # an undeclared variable inside a plain sum-of-products drift
+    ("begin model\nbegin init\n  x = 1\n  y = 2\nend init\nbegin ode\n"
+     "  d(x) = 2*x - 3*x*z + y\nend ode\nend model\n",
+     UndeclaredVariable, 7, 20, "line 7, column 20: undeclared variable 'z'"),
+    ("begin model\nbegin init\n  x = 1\nend init\nbegin reactions\n"
+     "  x + q -> 0, 1\nend reactions\nend model",
+     UndeclaredVariable, 6, 7, "line 6, column 7: undeclared variable 'q'"),
+    ("begin model begin init x=1 y=2 x=3 end init begin ode end ode end model",
+     DuplicateVariable, 1, 32, "line 1, column 32: duplicate variable 'x'"),
+    ("begin model\nbegin init\n  x = 1\n  y = 2\nend init\nbegin ode\n  d(x) = x\n"
+     "end ode\nbegin partition\n  {x}\nend partition\nend model\n",
+     PartitionCoverageError, 9, 1, "line 9: partition must cover every declared variable"),
+    ("begin model\nbegin init\n  x = 1\n  y = 2\nend init\nbegin ode\nend ode\n"
+     "  begin partition {x, y}, {y} end partition\nend model\n",
+     PartitionCoverageError, 8, 3, "line 8: blocks must be disjoint and cover 0..n-1"),
+]
+
+
 def test_syntax_errors_carry_positions():
-    cases = [
-        "begin model begin init x = end init begin ode end ode end model",
-        "begin model begin init x 1 end init begin ode end ode end model",
-        "begin model begin init end init begin ode end ode end model",
-        "begin model begin init x=1 end init begin ode d(x) = (x end ode end model",
-        "begin model begin init x=1 end init begin ode d x = 1 end ode end model",
-        "begin model begin init x=1 end init begin ode d(x) = 1 ? end ode end model",
-        "begin model begin init x=1 end init begin reactions x -> x, 0 "
-        "end reactions end model",
-    ]
-    for text in cases:
-        with pytest.raises(ModelSyntaxError) as err:
+    for text, kind, line, column, message in ERROR_CASES:
+        with pytest.raises(OdeLumpError) as err:
             parse_model(text)
-        assert err.value.line >= 1
-        assert err.value.column >= 1
+        assert type(err.value) is kind, text
+        assert (err.value.line, err.value.column, str(err.value)) == \
+            (line, column, message), text
 
 
 def test_error_lines_point_into_text():

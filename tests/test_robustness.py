@@ -96,7 +96,12 @@ def test_malformed_documents_raise_package_errors(text):
         parse_model(text)
 
 
-@given(st.text(alphabet="beginmodl ixyz=01{}(),+-*/\n", max_size=80))
+# ".", ">", tab, "//" and a non-ASCII letter reach the tokenizer's error and
+# comment paths
+_PIECES = list("beginmodl ixyz=01{}(),+-*/\n.>\t\u00e9") + ["//"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=80).map("".join))
 @settings(max_examples=200, deadline=None)
 def test_parser_never_crashes_outside_its_error_types(text):
     try:
