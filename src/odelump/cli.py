@@ -281,6 +281,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "timeout", 1) <= 0:
+            raise _InputError(f"--timeout must be a positive number of ms, not {args.timeout}")
         return _DISPATCH[args.command](args)
     except (SolverNotFound, SolverTimeout, SolverUnknown, ProtocolError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

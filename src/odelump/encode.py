@@ -13,22 +13,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NonPolynomialDrift
-from .poly import Monomial, as_fraction, poly_normalize
+from .poly import _canon, _from_accumulator, as_fraction
 from .system import OdeSystem
 
 Multiset = tuple  # tuple[tuple[int, int], ...]: sorted (species, multiplicity >= 1)
 
 
 def multiset(items) -> Multiset:
-    """Canonicalize an iterable of (species, multiplicity) pairs or a mapping."""
-    merged: dict = {}
-    pairs = items.items() if hasattr(items, "items") else items
-    for s, k in pairs:
-        if k < 0:
-            raise ValueError(f"negative multiplicity {k} for species {s}")
-        if k:
-            merged[s] = merged.get(s, 0) + k
-    return tuple(sorted(merged.items()))
+    """Canonicalize (species, multiplicity) pairs or a mapping, to the normal
+    form of a monomial's exponent vector: reagents are the rate monomial."""
+    return _canon(items)
 
 
 @dataclass(frozen=True)
@@ -59,9 +53,14 @@ class ReactionNetwork:
             raise ValueError("init must assign every species")
         for r in self.reactions:
             for side in (r.reagents, r.products):
-                for s, _ in side:
-                    if not 0 <= s < n:
-                        raise ValueError(f"species index {s} out of range")
+                prev = -1
+                for s, k in side:
+                    if not prev < s < n or k < 1:
+                        if not 0 <= s < n:
+                            raise ValueError(f"species index {s} out of range")
+                        raise ValueError(f"reaction side {side} is not a canonical "
+                                         "multiset; build it with multiset()")
+                    prev = s
 
     @staticmethod
     def make(names: Sequence[str], reactions, init, observables=None) -> "ReactionNetwork":
@@ -76,16 +75,20 @@ class ReactionNetwork:
 
 def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
     """Mass-action semantics: each reaction (rho -> pi, a) adds
-    a * (pi(s) - rho(s)) * prod_t x_t^rho(t) to the drift of every species s."""
-    contributions: list = [[] for _ in range(rn.n)]
+    a * (pi(s) - rho(s)) * prod_t x_t^rho(t) to the drift of every species s.
+    The reagents are that monomial's exponents: one accumulator per drift."""
+    accs: list = [{} for _ in range(rn.n)]
     for r in rn.reactions:
         net = dict(r.products)
         for s, k in r.reagents:
             net[s] = net.get(s, 0) - k
         for s, change in net.items():
             if change:
-                contributions[s].append(Monomial(r.rate * change, r.reagents))
-    drifts = tuple(poly_normalize(terms) for terms in contributions)
+                term = r.rate if change == 1 else -r.rate if change == -1 else r.rate * change
+                acc = accs[s]
+                prev = acc.get(r.reagents)
+                acc[r.reagents] = term if prev is None else prev + term
+    drifts = tuple(_from_accumulator(acc) for acc in accs)
     return OdeSystem(rn.names, drifts, rn.init, rn.observables)
 
 

@@ -40,14 +40,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Optional
 
 from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 from .system import OdeSystem
 
 _BRUTE_FORCE_LIMIT = 10
@@ -450,10 +450,18 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     if system.observables is not None:
         obs = frozenset(labels[v] for v in system.observables)
     if system.is_polynomial:
-        sigma = {v: Polynomial.variable(labels[v]).scale(
-            Fraction(1, len(part.blocks[labels[v]]))) for v in range(system.n)}
-        drifts = [Polynomial.sum(system.drifts[v] for v in block).substitute(sigma)
-                  for block in part.blocks]
+        # Replacing x_v by y_b/|B_b| renames v to its block b, then divides
+        # each term by prod_b |B_b|^e_b, which keeps the term order.
+        mapping = dict(enumerate(labels))
+        sizes = [len(block) for block in part.blocks]
+        drifts = []
+        for block in part.blocks:
+            renamed = Polynomial.sum(system.drifts[v] for v in block).rename(mapping)
+            terms = []
+            for m in renamed.terms:
+                d = prod(sizes[b] ** e for b, e in m.exps)
+                terms.append(m if d == 1 else Monomial(m.coeff / d, m.exps))
+            drifts.append(Polynomial(tuple(terms)))
     else:
         sigma = {v: Bin("mul",
                         Const(Fraction(1, len(part.blocks[labels[v]]))),

@@ -6,6 +6,12 @@ functions on the reals iff their term tuples compare equal.  Coefficients are
 `fractions.Fraction`, exponent maps are sparse sorted ``(variable, exponent)``
 tuples with every stored exponent positive.  The zero polynomial is the empty
 term tuple.
+
+One path reaches that form.  ``_canon`` normalizes raw ``(index, count)``
+pairs; the result is also a reaction multiset of :mod:`odelump.encode`.
+Terms are merged in an ``{exps: coeff}`` accumulator that ``_from_accumulator``
+turns into a polynomial.  :meth:`Polynomial.sum` is that accumulator over
+whole polynomials, and addition and :func:`poly_normalize` go through it.
 """
 
 from __future__ import annotations
@@ -38,22 +44,33 @@ class Monomial(NamedTuple):
         return sum(e for _, e in self.exps)
 
 
-def monomial(coeff: RationalLike, exps: Union[Mapping[int, int], Iterable] = ()) -> Monomial:
-    """Build a monomial, canonicalizing the exponent map.
-
-    ``exps`` maps variable index to exponent (mapping or iterable of pairs);
-    zero exponents are dropped, negative ones rejected.
-    """
-    items = exps.items() if isinstance(exps, Mapping) else exps
+def _canon(pairs) -> Exps:
+    """Normal form of ``(index, count)`` pairs, given as a mapping or an
+    iterable: sorted by index, like indices merged, zero counts dropped.
+    Negative indices or counts raise ValueError."""
+    if type(pairs) is not tuple:
+        items = pairs.items() if isinstance(pairs, Mapping) else pairs
+        pairs = tuple((v, e) for v, e in items)
+    prev = -1
+    for v, e in pairs:
+        if e <= 0 or v <= prev:
+            break
+        prev = v
+    else:
+        return pairs
     merged: dict = {}
-    for v, e in items:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for variable {v}")
-        if v < 0:
-            raise ValueError(f"negative variable index {v}")
+    for v, e in pairs:
+        if e < 0 or v < 0:
+            raise ValueError(f"negative index or count in ({v}, {e})")
         if e:
             merged[v] = merged.get(v, 0) + e
-    return Monomial(as_fraction(coeff), tuple(sorted(merged.items())))
+    return tuple(sorted(merged.items()))
+
+
+def monomial(coeff: RationalLike, exps: Union[Mapping[int, int], Iterable] = ()) -> Monomial:
+    """Build a monomial; ``exps`` maps variable index to exponent (a mapping
+    or pairs) and is brought to normal form."""
+    return Monomial(as_fraction(coeff), _canon(exps))
 
 
 def _term_key(exps: Exps):
@@ -62,20 +79,10 @@ def _term_key(exps: Exps):
     return (-sum(e for _, e in exps), tuple((v, -e) for v, e in exps))
 
 
-def _merge_exps(a: Exps, b: Exps) -> Exps:
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
-
-
 @dataclass(frozen=True)
 class Polynomial:
-    """Normalized polynomial; construct via :func:`poly_normalize` or the helpers."""
+    """Normalized polynomial, built by the helpers below, :func:`poly_normalize`
+    or a term accumulator (see the module docstring)."""
 
     terms: tuple = ()
 
@@ -100,10 +107,10 @@ class Polynomial:
 
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
-        """Sum of ``polys`` in one accumulator; a lone summand is returned as is."""
-        polys = list(polys)
-        if len(polys) == 1:
-            return polys[0]
+        """Sum in one accumulator; a lone nonzero summand is returned as is."""
+        polys = [p for p in polys if p.terms]
+        if len(polys) <= 1:
+            return polys[0] if polys else _POLY_ZERO
         acc: dict = {}
         for p in polys:
             for m in p.terms:
@@ -134,14 +141,7 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        acc = {m.exps: m.coeff for m in self.terms}
-        for m in other.terms:
-            acc[m.exps] = acc.get(m.exps, _ZERO) + m.coeff
-        return _from_accumulator(acc)
+        return Polynomial.sum((self, other))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(Monomial(-m.coeff, m.exps) for m in self.terms))
@@ -155,7 +155,7 @@ class Polynomial:
         acc: dict = {}
         for ma in self.terms:
             for mb in other.terms:
-                e = _merge_exps(ma.exps, mb.exps)
+                e = _canon(ma.exps + mb.exps)
                 acc[e] = acc.get(e, _ZERO) + ma.coeff * mb.coeff
         return _from_accumulator(acc)
 
@@ -183,35 +183,23 @@ class Polynomial:
 
     def substitute(self, sigma: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution; variables absent from ``sigma`` stay fixed."""
-        acc: dict = {}
+        products = []
         for m in self.terms:
-            product = {(): m.coeff}
+            product = Polynomial.constant(m.coeff)
             for v, e in m.exps:
-                replacement = sigma.get(v)
-                if replacement is None:
-                    factor = {((v, 1),): _ONE}
-                else:
-                    factor = {t.exps: t.coeff for t in replacement.terms}
+                factor = sigma[v] if v in sigma else Polynomial.variable(v)
                 for _ in range(e):
-                    product = _dict_mul(product, factor)
-                    if not product:
-                        break
-                if not product:
-                    break
-            for e2, c2 in product.items():
-                acc[e2] = acc.get(e2, _ZERO) + c2
-        return _from_accumulator(acc)
+                    product = product * factor
+            products.append(product)
+        return Polynomial.sum(products)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Substitution restricted to a variable-to-variable map (kept exact and fast)."""
         acc: dict = {}
         for m in self.terms:
-            merged: dict = {}
-            for v, e in m.exps:
-                w = mapping.get(v, v)
-                merged[w] = merged.get(w, 0) + e
-            e2 = tuple(sorted(merged.items()))
-            acc[e2] = acc.get(e2, _ZERO) + m.coeff
+            e2 = _canon((mapping.get(v, v), e) for v, e in m.exps)
+            prev = acc.get(e2)
+            acc[e2] = m.coeff if prev is None else prev + m.coeff
         return _from_accumulator(acc)
 
     def eval(self, values) -> Fraction:
@@ -255,15 +243,6 @@ class Polynomial:
         return self.format()
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = _merge_exps(e1, e2)
-            out[e] = out.get(e, _ZERO) + c1 * c2
-    return out
-
-
 def _from_accumulator(acc: dict) -> Polynomial:
     terms = [Monomial(c, e) for e, c in acc.items() if c != 0]
     terms.sort(key=lambda m: _term_key(m.exps))
@@ -276,34 +255,9 @@ _POLY_ZERO = Polynomial(())
 # -- module-level operation surface ------------------------------------------
 
 
-def _canon_exps(exps) -> Exps:
-    prev = -1
-    for v, e in exps:
-        if e <= 0 or v <= prev:
-            break
-        prev = v
-    else:
-        return exps if isinstance(exps, tuple) else tuple(exps)
-    merged: dict = {}
-    for v, e in exps:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} for variable {v}")
-        if e:
-            merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items()))
-
-
 def poly_normalize(terms: Iterable[Monomial]) -> Polynomial:
     """Merge like terms, drop zero coefficients, sort canonically. Idempotent.
-
-    Accepts raw term sequences: unsorted or zero-exponent entries in an
-    exponent map are repaired before merging.
-    """
-    acc: dict = {}
-    for m in terms:
-        if m.coeff == 0:
-            continue
-        e = _canon_exps(m.exps)
-        acc[e] = acc.get(e, _ZERO) + m.coeff
-    return _from_accumulator(acc)
+    Raw exponent maps are brought to normal form first."""
+    return Polynomial.sum(Polynomial((Monomial(m.coeff, _canon(m.exps)),))
+                          for m in terms if m.coeff)
 

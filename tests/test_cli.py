@@ -273,6 +273,25 @@ def test_solver_error_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["reduce", "check"])
+@pytest.mark.parametrize("timeout", ["0", "-5"])
+def test_nonpositive_timeout_is_an_input_error(tmp_path, capsys, command, timeout):
+    model = tmp_path / "m.ode"
+    model.write_text(cascade_text(extra=PARTITION_BLOCK))
+    cmd = seq_cmd(tmp_path, ["unsat", "unsat"])
+    replies = (tmp_path / "seq.txt").read_text()
+    argv = [command, "--mode", "bde", "--in", str(model), "--backend", "smt",
+            "--solver-cmd", cmd, "--timeout", timeout]
+    if command == "reduce":
+        argv += ["--out", str(tmp_path / "red.ode")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --timeout must be a positive number of ms, not {timeout}\n"
+    # the scripted solver never ran: it would have consumed a reply
+    assert (tmp_path / "seq.txt").read_text() == replies
+    assert not (tmp_path / "red.ode").exists()
+
+
 def test_syntactic_backend_rejects_expression_drifts(tmp_path):
     model = tmp_path / "min.ode"
     model.write_text(MIN_PAIR_TEXT)

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from odelump import (NonPolynomialDrift, OdeSystem, Polynomial, Reaction,
-                     ReactionNetwork, multiset, ode_to_rn, parse_polynomial,
-                     rn_to_ode)
+                     ReactionNetwork, monomial, multiset, ode_to_rn,
+                     parse_polynomial, poly_normalize, rn_to_ode)
 from conftest import cascade, random_poly_system
 
 NAMES = ("x1", "x2", "x3")
@@ -88,6 +91,66 @@ def test_rn_to_ode_linear_in_reactions():
         summed = rn_to_ode(joined)
         for i in range(4):
             assert summed.drifts[i] == a.drifts[i] + b.drifts[i]
+
+
+def test_rn_to_ode_matches_per_monomial_contributions():
+    """Each reaction adds rate * (products(s) - reagents(s)) * x^reagents to
+    the drift of every species s; summed by poly_normalize, on networks with
+    multiplicities 0-3 and reactions that cancel each other."""
+    rng = random.Random(31)
+
+    def side(n):
+        return multiset((rng.randrange(n), rng.randint(0, 3))
+                        for _ in range(rng.randint(0, 3)))
+
+    cancelled = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        reactions = []
+        for _ in range(rng.randint(0, 8)):
+            r = Reaction(side(n), side(n), Fraction(rng.choice((-3, -1, 1, 2)),
+                                                    rng.randint(1, 3)))
+            reactions.append(r)
+            if rng.random() < 0.3:
+                reactions.append(Reaction(r.reagents, r.products, -r.rate))
+            elif rng.random() < 0.3:
+                reactions.append(Reaction(r.reagents, side(n), r.rate))
+        rn = ReactionNetwork.make([f"s{i}" for i in range(n)], reactions, [0] * n)
+        contributions = [[] for _ in range(n)]
+        for r in reactions:
+            for s in range(n):
+                change = dict(r.products).get(s, 0) - dict(r.reagents).get(s, 0)
+                contributions[s].append(monomial(r.rate * change, r.reagents))
+        expected = tuple(poly_normalize(terms) for terms in contributions)
+        assert rn_to_ode(rn).drifts == expected
+        cancelled += sum(len({m.exps for m in terms if m.coeff}) > p.monomial_count()
+                         for terms, p in zip(contributions, expected))
+    assert cancelled >= 100
+
+
+@pytest.mark.parametrize("bad", [((1, 1), (0, 1)), ((0, 1), (0, 2)),
+                                 ((0, 0),), ((1, -1),)])
+def test_network_rejects_noncanonical_sides(bad):
+    ok = ((0, 1),)
+    for reagents, products in ((bad, ok), (ok, bad)):
+        with pytest.raises(ValueError, match="canonical multiset"):
+            ReactionNetwork.make(("a", "b"), [Reaction(reagents, products, Fraction(1))],
+                                 [0, 0])
+    if all(k >= 0 for _, k in bad):
+        ReactionNetwork.make(("a", "b"), [Reaction(multiset(bad), ok, Fraction(1))],
+                             [0, 0])
+
+
+@given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 3)), max_size=6))
+def test_multiset_is_the_monomial_normal_form(pairs):
+    if any(s < 0 or k < 0 for s, k in pairs):
+        for build in (multiset, lambda p: monomial(1, p)):
+            with pytest.raises(ValueError):
+                build(pairs)
+        return
+    assert multiset(pairs) == monomial(1, pairs).exps == \
+        tuple(sorted((s, sum(k for t, k in pairs if t == s))
+                     for s in {s for s, k in pairs if k}))
 
 
 def test_ode_to_rn_rejects_expression_drifts():

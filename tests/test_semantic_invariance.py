@@ -92,6 +92,28 @@ def test_forward_reduction_tracks_block_sums_on_lifted_systems():
     assert checked >= 20
 
 
+def test_forward_reduction_is_the_uniform_substitution():
+    """The macro drift of block B is the sum of B's drifts with every x_v
+    replaced by y_b / |B_b|, b the block of v, worked out by the generic
+    substitution."""
+    rng = random.Random(77)
+    products_in_a_block = 0
+    for _ in range(60):
+        system, _ = _lifted_sample(rng, "fde")
+        part = coarsest_fde(system, Partition.one_block(system.n))
+        labels = part.labels
+        sigma = {v: Polynomial.variable(labels[v]).scale(
+            Fraction(1, len(part.blocks[labels[v]]))) for v in range(system.n)}
+        expected = tuple(Polynomial.sum(system.drifts[v] for v in block).substitute(sigma)
+                         for block in part.blocks)
+        assert reduce_forward(system, part).drifts == expected
+        merged = {v for block in part.blocks if len(block) > 1 for v in block}
+        products_in_a_block += any(
+            sum(e for v, e in m.exps if v in merged and labels[v] == b) >= 2
+            for d in system.drifts for m in d.terms for b in {labels[v] for v, _ in m.exps})
+    assert products_in_a_block >= 20
+
+
 def test_backward_reduction_tracks_members_on_lifted_systems():
     rng = random.Random(2025)
     checked = 0
