@@ -23,8 +23,8 @@ from .lump import (brute_force_coarsest, check_bde, check_fde,
 from .parsing import ModelDocument, parse_model, serialize_model
 from .partition import Partition
 from .sim import compare_reduction, integrate, write_csv
-from .smt import (DEFAULT_TIMEOUT_MS, phi_script, resolve_solver_cmd,
-                  solver_invoke, symbolic_coarsest_with_trace)
+from .smt import (DEFAULT_TIMEOUT_MS, phi_script, solver_ask,
+                  symbolic_coarsest_with_trace)
 
 
 class _InputError(Exception):
@@ -149,8 +149,7 @@ def _cmd_reduce(args) -> int:
         iterations = len(trace)
     else:
         part, iterations = symbolic_coarsest_with_trace(
-            system, seed, args.mode, resolve_solver_cmd(args.solver_cmd),
-            args.timeout)
+            system, seed, args.mode, args.solver_cmd, args.timeout)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", InitMismatchWarning)
@@ -203,13 +202,11 @@ def _cmd_check(args) -> int:
         return 1
 
     script, names = phi_script(system, part, args.mode)
-    verdict = solver_invoke(script, resolve_solver_cmd(args.solver_cmd), args.timeout)
-    if verdict.kind == "unsat":
+    values = solver_ask(script, names, part, args.solver_cmd, args.timeout)
+    if values is None:
         print(f"ok: partition is a {args.mode.upper()}")
         return 0
-    if verdict.kind == "unknown":
-        raise SolverUnknown(verdict.reason, part)
-    witness = ", ".join(f"{nm}={verdict.model[nm]}" for nm in names)
+    witness = ", ".join(f"{nm}={v}" for nm, v in zip(names, values))
     print(f"counterexample witness: {witness}", file=sys.stderr)
     return 1
 
@@ -224,6 +221,8 @@ def _cmd_simulate(args) -> int:
             raise _InputError("--compare needs a partition section in the "
                               "original model file")
         reduced = _as_ode(_load(args.compare))
+        if reduced.n != doc.user_partition.block_count:
+            raise _InputError("reduced trajectory width does not match the partition")
     try:
         trajectory = integrate(system, args.t_end, args.dt, args.sample)
     except ValueError as exc:
@@ -257,10 +256,8 @@ def _cmd_convert(args) -> int:
 def _cmd_oracle(args) -> int:
     doc = _load(args.input)
     system = _as_ode(doc)
-    if doc.user_partition is not None:
-        seed = doc.user_partition
-    else:
-        seed = _seed_partition(None, args.mode, system, doc)
+    kind = "file" if doc.user_partition is not None else None
+    seed = _seed_partition(kind, args.mode, system, doc)
     part = brute_force_coarsest(system, seed, args.mode)
     print(part.format(system.names))
     return 0

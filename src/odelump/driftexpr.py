@@ -47,35 +47,44 @@ class Abs:
 DriftExpr = Union[Const, Var, Bin, Abs]
 
 
+def compile_expr(expr: DriftExpr, number):
+    """Compile ``expr`` to a function of the values (a sequence or mapping
+    over variable indices); ``number`` converts the constants: ``Fraction``
+    for exact evaluation, ``float`` for integration.  A division whose ``/``
+    raises ZeroDivisionError raises :class:`DivisionByZero` naming the
+    subexpression; numpy's own division rules are left as they are."""
+    if isinstance(expr, Const):
+        c = number(expr.value)
+        return lambda x: c
+    if isinstance(expr, Var):
+        i = expr.index
+        return lambda x: x[i]
+    if isinstance(expr, Abs):
+        f = compile_expr(expr.arg, number)
+        return lambda x: abs(f(x))
+    fa = compile_expr(expr.lhs, number)
+    fb = compile_expr(expr.rhs, number)
+    if expr.op == "div":
+        def div(x):
+            try:
+                return fa(x) / fb(x)
+            except ZeroDivisionError:
+                raise DivisionByZero(format_expr(expr)) from None
+        return div
+    return {
+        "add": lambda x: fa(x) + fb(x),
+        "sub": lambda x: fa(x) - fb(x),
+        "mul": lambda x: fa(x) * fb(x),
+        "min": lambda x: min(fa(x), fb(x)),
+        "max": lambda x: max(fa(x), fb(x)),
+    }[expr.op]
+
+
 def drift_eval(expr: DriftExpr, values) -> Fraction:
     """Exact evaluation over rationals; min/max/abs are set-theoretic.
-
     Raises :class:`DivisionByZero` naming the subexpression whose denominator
-    evaluates to zero.  ``values`` is a sequence or mapping over variable
-    indices.
-    """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return values[expr.index]
-    if isinstance(expr, Abs):
-        return abs(drift_eval(expr.arg, values))
-    a = drift_eval(expr.lhs, values)
-    b = drift_eval(expr.rhs, values)
-    op = expr.op
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero(format_expr(expr))
-        return a / b
-    if op == "min":
-        return min(a, b)
-    return max(a, b)
+    evaluates to zero.  ``values`` is a sequence or mapping over indices."""
+    return compile_expr(expr, Fraction)(values)
 
 
 def expr_variables(expr: DriftExpr) -> frozenset:

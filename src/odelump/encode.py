@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import NonPolynomialDrift
 from .poly import _canon, _from_accumulator, as_fraction
-from .system import OdeSystem
+from .system import OdeSystem, check_container
 
 Multiset = tuple  # tuple[tuple[int, int], ...]: sorted (species, multiplicity >= 1)
 
@@ -44,13 +44,8 @@ class ReactionNetwork:
     observables: Optional[frozenset] = None
 
     def __post_init__(self):
+        check_container(self.names, self.init, self.observables)
         n = len(self.names)
-        if n == 0:
-            raise ValueError("a network needs at least one species")
-        if len(set(self.names)) != n:
-            raise ValueError("species names must be unique")
-        if len(self.init) != n:
-            raise ValueError("init must assign every species")
         for r in self.reactions:
             for side in (r.reagents, r.products):
                 prev = -1

@@ -45,10 +45,7 @@ class Partition:
     @staticmethod
     def from_labels(labels: Sequence) -> "Partition":
         """Group indices by label value (labels need not be integers)."""
-        groups: dict = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(i)
-        return Partition(groups.values())
+        return Partition.one_block(len(labels)).split_by(labels.__getitem__)
 
     # -- basic queries --------------------------------------------------------
 

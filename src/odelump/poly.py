@@ -205,8 +205,9 @@ class Polynomial:
     def eval(self, values) -> Fraction:
         """Exact evaluation; ``values`` is a sequence or mapping over variables.
 
-        Also works with floats (used by the simulator and the finite-difference
-        tests); exactness then follows the input type.
+        Also works with floats (the finite-difference tests use that);
+        exactness then follows the input type.  The simulator compiles its
+        own float evaluators and does not call this.
         """
         lookup = values.__getitem__
         total = None

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .driftexpr import Abs, Const, Var
+from .driftexpr import compile_expr
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
 from .partition import Partition
 from .poly import Polynomial
@@ -50,33 +50,11 @@ def _compile_polynomial(drift: Polynomial):
     return f
 
 
-def _compile_expr(e):
-    if isinstance(e, Const):
-        c = float(e.value)
-        return lambda x: c
-    if isinstance(e, Var):
-        i = e.index
-        return lambda x: x[i]
-    if isinstance(e, Abs):
-        f = _compile_expr(e.arg)
-        return lambda x: abs(f(x))
-    fa = _compile_expr(e.lhs)
-    fb = _compile_expr(e.rhs)
-    return {
-        "add": lambda x: fa(x) + fb(x),
-        "sub": lambda x: fa(x) - fb(x),
-        "mul": lambda x: fa(x) * fb(x),
-        "div": lambda x: fa(x) / fb(x),
-        "min": lambda x: min(fa(x), fb(x)),
-        "max": lambda x: max(fa(x), fb(x)),
-    }[e.op]
-
-
 def _compile_system(system: OdeSystem):
     if system.is_polynomial:
         parts = [_compile_polynomial(d) for d in system.drifts]
     else:
-        parts = [_compile_expr(d) for d in system.drifts]
+        parts = [compile_expr(d, float) for d in system.drifts]
 
     def f(x):
         return np.array([g(x) for g in parts])
@@ -115,7 +93,7 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
                 k3 = f(x + half * k2)
                 k4 = f(x + dt * k3)
                 x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (ZeroDivisionError, FloatingPointError):
+        except (DivisionByZero, FloatingPointError):
             raise DivisionByZero(f"t = {t}") from None
         except OverflowError:
             raise NonFiniteState(t) from None

@@ -320,14 +320,21 @@ def solver_invoke(script: str, cmd: Optional[str] = None,
     return SolverVerdict("sat", model=model)
 
 
+def solver_ask(script: str, names: Sequence[str], partition: Partition,
+               cmd: Optional[str] = None,
+               timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Optional[list]:
+    """Send ``script`` to the solver: None on unsat, the witness values of
+    ``names`` on sat.  On unknown raises :class:`SolverUnknown` carrying
+    ``partition``, the partition reached so far."""
+    verdict = solver_invoke(script, cmd, timeout_ms)
+    if verdict.kind == "unknown":
+        raise SolverUnknown(verdict.reason, partition)
+    if verdict.kind == "unsat":
+        return None
+    return [verdict.model[nm] for nm in names]
+
+
 # -- witness-guided refinement -----------------------------------------------------------
-
-
-def _model_values(model: dict, names: Sequence[str]) -> list:
-    try:
-        return [model[nm] for nm in names]
-    except KeyError as exc:
-        raise ProtocolError(f"model is missing variable {exc}") from None
 
 
 def _exact_drift(system: OdeSystem, i: int, values):
@@ -376,10 +383,7 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
         key = (i, j) if i < j else (j, i)
         if key not in compatible_cache:
             script = smt_emit(_pair_swap_formula(system, *key, sums), names)
-            verdict = solver_invoke(script, cmd, timeout_ms)
-            if verdict.kind == "unknown":
-                raise SolverUnknown(verdict.reason, part)
-            compatible_cache[key] = verdict.kind == "unsat"
+            compatible_cache[key] = solver_ask(script, (), part, cmd, timeout_ms) is None
         return compatible_cache[key]
 
     new_blocks = []
@@ -421,18 +425,14 @@ def symbolic_coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str,
     greedily (ascending index); the final full-formula unsat guarantees the
     result is a valid equivalence regardless of the grouping order.
     """
-    cmd = resolve_solver_cmd(cmd)
     part = seed
     iterations = 0
     while True:
         iterations += 1
         script, names = phi_script(system, part, mode)
-        verdict = solver_invoke(script, cmd, timeout_ms)
-        if verdict.kind == "unsat":
+        values = solver_ask(script, names, part, cmd, timeout_ms)
+        if values is None:
             return part, iterations
-        if verdict.kind == "unknown":
-            raise SolverUnknown(verdict.reason, part)
-        values = _model_values(verdict.model, names)
         if mode == "bde":
             part = _split_bde_by_witness(system, part, values)
         else:

@@ -12,6 +12,25 @@ from .errors import PartitionMismatch
 from .poly import Polynomial, as_fraction
 
 
+def check_container(names, init, observables) -> None:
+    """What every model container requires: at least one name, unique names,
+    one Fraction initial value per name, observables (or None) in range."""
+    n = len(names)
+    if n == 0:
+        raise ValueError("a model needs at least one variable")
+    if len(init) != n:
+        raise ValueError("init must assign every variable")
+    if len(set(names)) != n:
+        raise ValueError("variable names must be unique")
+    for v in init:
+        if not isinstance(v, Fraction):
+            raise TypeError("initial values must be Fractions")
+    if observables is not None:
+        for i in observables:
+            if not 0 <= i < n:
+                raise ValueError(f"observable index {i} out of range")
+
+
 @dataclass(frozen=True)
 class OdeSystem:
     """Variables with one drift each, initial values, and optional observables.
@@ -27,13 +46,10 @@ class OdeSystem:
     observables: Optional[frozenset] = None
 
     def __post_init__(self):
+        check_container(self.names, self.init, self.observables)
         n = len(self.names)
-        if n == 0:
-            raise ValueError("a system needs at least one variable")
-        if len(self.drifts) != n or len(self.init) != n:
-            raise ValueError("names, drifts and init must have equal length")
-        if len(set(self.names)) != n:
-            raise ValueError("variable names must be unique")
+        if len(self.drifts) != n:
+            raise ValueError("names and drifts must have equal length")
         poly = isinstance(self.drifts[0], Polynomial)
         for d in self.drifts:
             if isinstance(d, Polynomial) != poly:
@@ -41,13 +57,6 @@ class OdeSystem:
             used = d.variables() if poly else driftexpr.expr_variables(d)
             if used and max(used) >= n:
                 raise ValueError(f"drift references variable index {max(used)} >= n = {n}")
-        for v in self.init:
-            if not isinstance(v, Fraction):
-                raise TypeError("initial values must be Fractions")
-        if self.observables is not None:
-            for i in self.observables:
-                if not 0 <= i < n:
-                    raise ValueError(f"observable index {i} out of range")
 
     @staticmethod
     def make(names: Sequence[str], drifts, init, observables=None) -> "OdeSystem":

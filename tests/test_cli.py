@@ -152,7 +152,7 @@ def test_simulate_and_compare(eq1, tmp_path, capsys):
     assert header == "time,x1,x2,x3"
 
 
-def test_simulate_compare_needs_partition_and_mode(eq1, tmp_path):
+def test_simulate_compare_needs_partition_and_mode(eq1, tmp_path, capsys):
     red = tmp_path / "red.ode"
     assert main(["reduce", "--mode", "fde", "--in", str(eq1),
                  "--partition", "one-block", "--out", str(red)]) == 0
@@ -163,6 +163,16 @@ def test_simulate_compare_needs_partition_and_mode(eq1, tmp_path):
     assert main(["simulate", "--in", str(eq1), "--t-end", "1", "--dt", "0.01",
                  "--out", str(csv), "--compare", str(red),
                  "--map-mode", "fde"]) == 2
+    assert not csv.exists()
+    capsys.readouterr()
+    # the reduced model's width is checked before anything is integrated
+    rc = main(["simulate", "--in", str(GOLDEN / "t04_partition.ode"), "--t-end", "1",
+               "--dt", "0.1", "--out", str(csv), "--compare",
+               str(GOLDEN / "t02_cascade.ode"), "--map-mode", "fde"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: reduced trajectory width does not match the partition\n"
     assert not csv.exists()
 
 
@@ -263,6 +273,27 @@ def test_solver_env_variable_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ODELUMP_SOLVER", fake("reply", reply))
     assert main(["check", "--mode", "bde", "--backend", "smt",
                  "--in", str(model)]) == 0
+
+
+def test_check_smt_reports_witness_on_sat(tmp_path, capsys):
+    model = tmp_path / "m.ode"
+    model.write_text(cascade_text(k1=1, k2=2, extra=PARTITION_BLOCK))
+    # at x = (1/2, 1, 1) the block {x2, x3} has drifts -1/2 and 0
+    witness = SAT_111.replace("x1 () Real 1.0", "x1 () Real (/ 1 2)")
+    rc = main(["check", "--mode", "bde", "--backend", "smt",
+               "--solver-cmd", seq_cmd(tmp_path, [witness]), "--in", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == "counterexample witness: x1=1/2, x2=1, x3=1\n"
+
+
+def test_check_smt_unknown_is_a_solver_error(tmp_path, capsys):
+    model = tmp_path / "m.ode"
+    model.write_text(cascade_text(extra=PARTITION_BLOCK))
+    rc = main(["check", "--mode", "fde", "--backend", "smt",
+               "--solver-cmd", seq_cmd(tmp_path, ["unknown"]), "--in", str(model)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("solver error: solver returned unknown: "
+                                       "solver reported unknown\n")
 
 
 def test_solver_error_exit_code(tmp_path):

@@ -173,3 +173,19 @@ def test_high_degree_monomials_accepted():
     rn = ode_to_rn(system)
     assert rn.reactions[0].reagents == ((0, 3), (1, 1))
     assert rn_to_ode(rn) == system
+
+
+@pytest.mark.parametrize("build", [
+    lambda obs, init: OdeSystem.make(("a", "b"), (Polynomial.zero(),) * 2, init, obs),
+    lambda obs, init: ReactionNetwork.make(("a", "b"), (), init, obs),
+], ids=["system", "network"])
+def test_containers_reject_out_of_range_observables(build):
+    with pytest.raises(ValueError, match="observable index 5 out of range"):
+        build([5], [1, 0])
+
+
+def test_network_rejects_non_fraction_init():
+    with pytest.raises(TypeError, match="initial values must be Fractions"):
+        ReactionNetwork(("a", "b"), (), (1, 0))
+    with pytest.raises(TypeError, match="initial values must be Fractions"):
+        OdeSystem(("a", "b"), (Polynomial.zero(),) * 2, (1, 0))

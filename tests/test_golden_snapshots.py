@@ -5,7 +5,9 @@ left behind: the file it wrote (null if none), its stdout and stderr with the
 input and output paths replaced by ``IN`` and ``OUT``, and its exit code.
 ``reduce`` and ``check`` run with ``--backend syntactic``, so models with
 expression drifts pin the error that backend gives instead of calling a
-solver.
+solver; ``--out`` goes only to the commands that write a file.  The
+``simulate`` cases pin the RK4 floats, those of the expression models
+included, and the ``oracle`` cases pin the seed read from a partition section.
 
 After a deliberate change of output, inspect the differences and regenerate
 the file from the repository root with
@@ -35,15 +37,18 @@ COMMANDS = (
     "convert --to rn",
     "convert --to smt2 --mode bde",
     "convert --to smt2 --mode fde",
+    "simulate --t-end 2 --dt 0.01 --sample 10",
+    "oracle --mode bde",
+    "oracle --mode fde",
 )
 
 
 def run(model: Path, command: str, out: Path) -> dict:
     """Run one command in-process and return what it left behind."""
     argv = command.split() + ["--in", str(model)]
-    if argv[0] != "convert":
+    if argv[0] in ("reduce", "check"):
         argv += ["--backend", "syntactic"]
-    if argv[0] != "check":
+    if argv[0] in ("reduce", "simulate", "convert"):
         argv += ["--out", str(out)]
     if out.exists():
         out.unlink()

@@ -8,8 +8,9 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      NotAnFde, OdeSystem, Partition, PartitionMismatch,
                      Polynomial, TooLarge, brute_force_coarsest, check_bde,
                      check_fde, coarsest_bde, coarsest_fde,
-                     coarsest_with_trace, compare_reduction, integrate,
-                     monomial, parse_polynomial, phi_variable_names,
+                     coarsest_with_trace, compare_reduction, drift_eval,
+                     integrate, monomial, parse_model, parse_polynomial,
+                     phi_variable_names,
                      poly_normalize, prepartition_from_inits,
                      reduce_backward, reduce_forward,
                      symbolic_coarsest_with_trace)
@@ -345,6 +346,71 @@ def test_reduce_backward_warns_on_unequal_inits():
 def test_reduce_backward_requires_bde():
     with pytest.raises(NotABde):
         reduce_backward(cascade(k1=1, k2=2), H_SPLIT)
+
+
+# min + max = x1 + x2, and both equal a when x1 = x2 = a: {x1, x2}, {x3} is
+# both an FDE and a BDE, though no drift is a polynomial.
+MINMAX_DIV_TEXT = """\
+begin model
+begin init
+  x1 = {i1}
+  x2 = {i2}
+  x3 = 1/2
+end init
+begin ode
+  d(x1) = min(x1, x2) - x1/(1 + x3*x3)
+  d(x2) = max(x1, x2) - x2/(1 + x3*x3)
+  d(x3) = (x1 + x2)/2 - x3
+end ode
+end model
+"""
+
+
+def minmax_div_system(i1, i2):
+    system = parse_model(MINMAX_DIV_TEXT.format(i1=i1, i2=i2)).system
+    assert not system.is_polynomial
+    return system
+
+
+def rational_points(count, n, seed=7):
+    rng = random.Random(seed)
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(count)]
+
+
+def test_reduce_forward_expression_drifts():
+    system = minmax_div_system(2, "1/2")
+    reduced = reduce_forward(system, Partition([[0, 1], [2]]))
+    assert reduced.names == ("x1_x2", "x3")
+    assert reduced.init == (Fraction(5, 2), Fraction(1, 2))
+    for x in rational_points(40, 3):
+        sums = (x[0] + x[1], x[2])
+        assert drift_eval(reduced.drifts[0], sums) == \
+            drift_eval(system.drifts[0], x) + drift_eval(system.drifts[1], x)
+        assert drift_eval(reduced.drifts[1], sums) == drift_eval(system.drifts[2], x)
+
+
+def test_reduce_backward_expression_drifts():
+    system = minmax_div_system(1, 1)
+    reduced = reduce_backward(system, Partition([[0, 1], [2]]))
+    assert reduced.names == ("x1", "x3")
+    assert reduced.init == (1, Fraction(1, 2))
+    for a, c, _ in rational_points(40, 3):
+        for v in (0, 1):
+            assert drift_eval(reduced.drifts[0], (a, c)) == \
+                drift_eval(system.drifts[v], (a, a, c))
+        assert drift_eval(reduced.drifts[1], (a, c)) == \
+            drift_eval(system.drifts[2], (a, a, c))
+
+
+@pytest.mark.parametrize("mode,inits", [("fde", (2, "1/2")), ("bde", (1, 1))])
+def test_expression_reductions_track_the_original(mode, inits):
+    system = minmax_div_system(*inits)
+    part = Partition([[0, 1], [2]])
+    reduced = (reduce_forward if mode == "fde" else reduce_backward)(system, part)
+    orig = integrate(system, t_end=2.0, dt=0.01)
+    red = integrate(reduced, t_end=2.0, dt=0.01)
+    assert compare_reduction(orig, red, part, mode) < 1e-9
 
 
 # -- initial partitions ---------------------------------------------------------------------

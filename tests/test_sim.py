@@ -67,6 +67,21 @@ def test_division_by_zero_reported_with_time():
         integrate(doc.system, t_end=1.0, dt=0.1)
 
 
+def test_constant_zero_denominator_reported_with_time():
+    # float constants divide as Python floats, which raise rather than give inf
+    doc = parse_model("begin model begin init x=1 end init "
+                      "begin ode d(x) = x + 1/(2 - 2) end ode end model")
+    with pytest.raises(DivisionByZero, match=r"^division by zero at t = 0\.1$"):
+        integrate(doc.system, t_end=1.0, dt=0.1)
+
+
+def test_zero_over_zero_is_non_finite():
+    doc = parse_model("begin model begin init x=0 y=0 end init "
+                      "begin ode d(x) = x/y d(y) = y end ode end model")
+    with pytest.raises(NonFiniteState):
+        integrate(doc.system, t_end=1.0, dt=0.1)
+
+
 def test_blowup_raises_non_finite():
     system = OdeSystem.make(("x",), (parse_polynomial("x*x", ("x",)),), (10,))
     with pytest.raises(NonFiniteState):

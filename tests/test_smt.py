@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from odelump import (OdeSystem, Partition, Polynomial, ProtocolError,
-                     SolverNotFound, SolverTimeout, Var, build_phi_bde,
-                     build_phi_fde, coarsest_bde, parse_model,
-                     phi_variable_names, poly_to_expr, smt_emit, solver_invoke,
-                     symbolic_coarsest, symbolic_coarsest_with_trace)
+                     SolverNotFound, SolverTimeout, SolverUnknown, Var,
+                     build_phi_bde, build_phi_fde, coarsest_bde, parse_model,
+                     parse_polynomial, phi_variable_names, poly_to_expr,
+                     smt_emit, solver_invoke, symbolic_coarsest,
+                     symbolic_coarsest_with_trace)
 from odelump.smt import Phi
 from conftest import cascade, random_poly_system, solver_available
 
@@ -297,6 +298,58 @@ def test_model_with_zero_denominator_rejected(tmp_path):
 )"""
     with pytest.raises(ProtocolError):
         symbolic_coarsest(doc.system, H_ONE, "bde", seq_cmd(tmp_path, [zeros]))
+
+
+# A witness for the full fde formula on H_SPLIT: x1 = x1_p and x2 + x3 = x2_p + x3_p.
+SAT_FDE_ON_SPLIT = """sat
+(
+  (define-fun x1 () Real 1.0)
+  (define-fun x2 () Real 1.0)
+  (define-fun x3 () Real 1.0)
+  (define-fun x1_p () Real 1.0)
+  (define-fun x2_p () Real 2.0)
+  (define-fun x3_p () Real 0.0)
+)"""
+
+
+@pytest.mark.parametrize("mode,replies", [
+    ("bde", [SAT_111, "unknown"]),
+    # the loop's second query on H_SPLIT is sat; the pair query (x2, x3) is unknown
+    ("fde", [SAT_FDE_WITNESS, "sat\n()", "sat\n()", "unsat", SAT_FDE_ON_SPLIT, "unknown"]),
+])
+def test_unknown_after_a_split_carries_the_split_partition(tmp_path, mode, replies):
+    cmd = seq_cmd(tmp_path, replies)
+    with pytest.raises(SolverUnknown) as err:
+        symbolic_coarsest(cascade(k1=1, k2=1), H_ONE, mode, cmd)
+    assert err.value.partition == H_SPLIT
+    assert (tmp_path / "seq.txt").read_text() == ""
+
+
+def test_fde_forced_full_split(tmp_path):
+    # The pair query calls x1 and x2 interchangeable, yet at the witness the
+    # block's drift sums differ (1 against 2): the block is split fully.
+    names = ("x1", "x2")
+    system = OdeSystem.make(names, (parse_polynomial("x1", names),
+                                    parse_polynomial("2*x2", names)), (1, 1))
+    witness = """sat
+(
+  (define-fun x1 () Real 1.0)
+  (define-fun x2 () Real 0.0)
+  (define-fun x1_p () Real 0.0)
+  (define-fun x2_p () Real 1.0)
+)"""
+    cmd = seq_cmd(tmp_path, [witness, "unsat", "unsat"])
+    part, iterations = symbolic_coarsest_with_trace(
+        system, Partition.one_block(2), "fde", cmd)
+    assert part == Partition.singletons(2)
+    assert iterations == 2
+    assert (tmp_path / "seq.txt").read_text() == ""
+
+
+def test_fde_model_violating_block_sums_rejected(tmp_path):
+    bad = SAT_FDE_WITNESS.replace("x2_p () Real 3.0", "x2_p () Real 2.0")
+    with pytest.raises(ProtocolError, match="block-sum antecedent"):
+        symbolic_coarsest(cascade(), H_ONE, "fde", seq_cmd(tmp_path, [bad]))
 
 
 # -- against a real solver (skipped when none is installed) --------------------------------
