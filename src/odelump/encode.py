@@ -8,6 +8,7 @@ mutually inverse up to polynomial normalization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -90,12 +91,18 @@ def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
 def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
     """Emit one reaction per monomial: c * prod x^rho in drift(s) becomes
     rho -> rho + {s} at rate c.  Reactions are ordered by species, then by
-    the drift's canonical term order."""
+    the drift's canonical term order.  The products are built by merging
+    ``(s, 1)`` into the sorted reagents, which keeps them canonical."""
     if not ode.is_polynomial:
         raise NonPolynomialDrift("reaction form requires polynomial drifts")
     reactions = []
     for s, drift in enumerate(ode.drifts):
         for m in drift.terms:
-            products = multiset(m.exps + ((s, 1),))
-            reactions.append(Reaction(m.exps, products, m.coeff))
+            exps = m.exps
+            i = bisect_left(exps, (s,))  # first pair with species >= s
+            if i < len(exps) and exps[i][0] == s:
+                products = exps[:i] + ((s, exps[i][1] + 1),) + exps[i + 1:]
+            else:
+                products = exps[:i] + ((s, 1),) + exps[i:]
+            reactions.append(Reaction(exps, products, m.coeff))
     return ReactionNetwork(ode.names, tuple(reactions), ode.init, ode.observables)

@@ -85,10 +85,11 @@ class CheckResult:
         return msg
 
 
-def _require_polynomial(system: OdeSystem):
+def _require_polynomial(system: OdeSystem,
+                        message="syntactic checks need polynomial drifts; "
+                                "use the solver backend"):
     if not system.is_polynomial:
-        raise NonPolynomialDrift(
-            "syntactic checks need polynomial drifts; use the solver backend")
+        raise NonPolynomialDrift(message)
 
 
 def _raw_drifts(system: OdeSystem):
@@ -536,7 +537,8 @@ def brute_force_coarsest(system: OdeSystem, seed: Partition, mode: str) -> Parti
     :class:`NoUniqueCoarsest` if the survivors have no maximum element.
     """
     signer_type = _signer_type(mode)
-    _require_polynomial(system)
+    # The oracle has no solver fallback, so its message gives no advice.
+    _require_polynomial(system, "the brute-force oracle needs polynomial drifts")
     system.require_cover(seed)
     if system.n > _BRUTE_FORCE_LIMIT:
         raise TooLarge(system.n, _BRUTE_FORCE_LIMIT)

@@ -4,6 +4,23 @@ Classical fourth-order Runge-Kutta with a fixed step: deterministic and
 reproducible, which the acceptance tolerances rely on.  Exact rational
 initial values are converted to binary64 on entry; exactness is only needed
 by the lumping checks, never here.
+
+A polynomial system is compiled once into flat arrays: one float
+coefficient per monomial, the index of the drift that owns it, and its
+factors, where factor slot j lists the monomials with more than j factors
+and the value each of them multiplies by.  A factor is ``x[v]`` for
+exponent 1, or ``x[v] ** e`` computed once per stage for each distinct
+``(v, e)``.  An RK4 stage gathers each slot, multiplies it into the terms
+in place, and sums the terms per drift with ``np.bincount``.  Expression
+drifts are evaluated per drift by :func:`odelump.driftexpr.compile_expr`.
+
+The arrays give the same floats, to the last bit, as evaluating each
+monomial in Python as ``coeff * f1 * f2 * ...`` in exponent-vector order
+and adding the terms to 0.0 in term order: slots multiply in that order,
+and ``bincount`` adds each drift's terms in that order.  Powers are numpy
+scalar ``x[v] ** e``, not array ``np.power``, whose vectorized kernels can
+round differently from the scalar ``pow``.  So trajectories do not move
+when the evaluator changes, and neither do the golden ``simulate`` outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +32,6 @@ import numpy as np
 from .driftexpr import compile_expr
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
 from .partition import Partition
-from .poly import Polynomial
 from .system import OdeSystem
 
 
@@ -35,26 +51,41 @@ class Trajectory:
         return self.states[:, self.names.index(name)]
 
 
-def _compile_polynomial(drift: Polynomial):
-    terms = [(float(m.coeff), m.exps) for m in drift.terms]
+def _compile_polynomials(drifts, n: int):
+    coef, owner = [], []
+    powers: dict = {}  # (v, e) with e >= 2 -> its index in the factor values
+    slots: list = []   # slot j: (rows, sources) of the monomials' j-th factors
+    for i, drift in enumerate(drifts):
+        for m in drift.terms:
+            row = len(coef)
+            coef.append(float(m.coeff))
+            owner.append(i)
+            for j, (v, e) in enumerate(m.exps):
+                if j == len(slots):
+                    slots.append(([], []))
+                rows, sources = slots[j]
+                rows.append(row)
+                sources.append(v if e == 1 else powers.setdefault((v, e), n + len(powers)))
+    coef = np.array(coef, dtype=float)
+    owner = np.array(owner, dtype=np.intp)
+    slots = [(slice(None) if len(rows) == len(coef) else np.array(rows, dtype=np.intp),
+              np.array(sources, dtype=np.intp)) for rows, sources in slots]
+    powers = tuple(powers)
 
     def f(x):
-        total = 0.0
-        for c, exps in terms:
-            t = c
-            for v, e in exps:
-                t *= x[v] ** e
-            total += t
-        return total
+        z = np.concatenate((x, [x[v] ** e for v, e in powers])) if powers else x
+        t = coef.copy()
+        for rows, sources in slots:
+            t[rows] *= z[sources]
+        return np.bincount(owner, weights=t, minlength=n)
 
     return f
 
 
 def _compile_system(system: OdeSystem):
     if system.is_polynomial:
-        parts = [_compile_polynomial(d) for d in system.drifts]
-    else:
-        parts = [compile_expr(d, float) for d in system.drifts]
+        return _compile_polynomials(system.drifts, system.n)
+    parts = [compile_expr(d, float) for d in system.drifts]
 
     def f(x):
         return np.array([g(x) for g in parts])

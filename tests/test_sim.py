@@ -1,14 +1,20 @@
 import io
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odelump import (DivisionByZero, GridMismatch, NonFiniteState, OdeSystem,
                      Partition, Polynomial, Trajectory, compare_reduction,
-                     integrate, parse_model, parse_polynomial, read_csv,
-                     reduce_backward, reduce_forward, write_csv)
+                     integrate, monomial, parse_model, parse_polynomial,
+                     poly_normalize, read_csv, reduce_backward, reduce_forward,
+                     write_csv)
+from odelump import sim
 from conftest import cascade
 
 
@@ -84,8 +90,99 @@ def test_zero_over_zero_is_non_finite():
 
 def test_blowup_raises_non_finite():
     system = OdeSystem.make(("x",), (parse_polynomial("x*x", ("x",)),), (10,))
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState, match=r"at t = 1\.5$"):
         integrate(system, t_end=10.0, dt=0.5)
+
+
+def test_product_blowup_raises_non_finite_at_the_reference_time():
+    names = ("x", "y")
+    system = OdeSystem.make(names, (parse_polynomial("x*y", names),
+                                    parse_polynomial("2*x*y - y", names)), (3, 2))
+    with pytest.raises(NonFiniteState, match=r"at t = 0\.6000000000000001$"):
+        integrate(system, t_end=5.0, dt=0.1)
+    with pytest.raises(NonFiniteState, match=r"at t = 0\.6000000000000001$"):
+        scalar_integrate(system, t_end=5.0, dt=0.1)
+
+
+def test_no_monomials_at_all_stays_at_the_initial_values():
+    init = (Fraction(-7, 3), Fraction(0), Fraction(1, 10))
+    system = OdeSystem.make(("a", "b", "c"), (Polynomial.zero(),) * 3, init)
+    traj = integrate(system, t_end=1.0, dt=0.125, sample_every=2)
+    assert traj.states.shape == (5, 3)
+    assert np.array_equal(traj.states, np.tile([float(v) for v in init], (5, 1)))
+
+
+# -- the array evaluator against a per-monomial scalar one ---------------------------
+
+
+def _scalar_compile(system):
+    """Reference evaluator: each monomial as ``coeff * f1 * f2 * ...`` with
+    scalar powers, each drift summed from 0.0 in term order."""
+    drifts = [[(float(m.coeff), m.exps) for m in d.terms] for d in system.drifts]
+
+    def f(x):
+        out = []
+        for terms in drifts:
+            total = 0.0
+            for c, exps in terms:
+                t = c
+                for v, e in exps:
+                    t *= x[v] ** e
+                total += t
+            out.append(total)
+        return np.array(out)
+
+    return f
+
+
+def scalar_integrate(system, t_end, dt, sample_every=1):
+    """``integrate`` with the reference evaluator in place of the arrays."""
+    with mock.patch.object(sim, "_compile_system", _scalar_compile):
+        return integrate(system, t_end, dt, sample_every)
+
+
+NAMES = ("x0", "x1", "x2", "x3")
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+# Up to three factors, exponents 1-4; an empty mapping is a constant term.
+monomials = st.builds(monomial, coefficients,
+                      st.dictionaries(st.integers(0, len(NAMES) - 1), st.integers(1, 4),
+                                      max_size=3))
+polynomials = st.lists(monomials, max_size=6).map(poly_normalize)  # may be zero
+inits = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(polynomials, min_size=len(NAMES), max_size=len(NAMES)),
+       st.lists(inits, min_size=len(NAMES), max_size=len(NAMES)))
+@example(  # (x0, 2) in several monomials, of one, two and three factors
+    [parse_polynomial("x0*x0 - 3*x0*x0*x1 + x0*x0*x1*x2*x2*x2*x2 + 1/3", NAMES),
+     parse_polynomial("x0*x0*x3 - x1*x1*x1", NAMES),
+     Polynomial.zero(),
+     parse_polynomial("2", NAMES)],
+    [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), Fraction(1)])
+def test_array_evaluator_is_bit_identical_to_scalar_reference(drifts, init):
+    system = OdeSystem.make(NAMES, drifts, init)
+    try:
+        expected = scalar_integrate(system, t_end=0.5, dt=0.05, sample_every=2)
+    except NonFiniteState as exc:
+        with pytest.raises(NonFiniteState, match=f"^{re.escape(str(exc))}$"):
+            integrate(system, t_end=0.5, dt=0.05, sample_every=2)
+        return
+    actual = integrate(system, t_end=0.5, dt=0.05, sample_every=2)
+    assert np.array_equal(actual.times, expected.times)
+    assert np.array_equal(actual.states, expected.states)
+
+
+def test_cubic_uses_scalar_power_not_array_power():
+    # At x = 0.01, numpy's vectorized np.power(x, 3.0) differs in the last bit
+    # from the scalar x ** 3 on AVX-512 builds; the drift and the trajectory
+    # must follow the scalar value wherever they run.
+    system = OdeSystem.make(("x",), (parse_polynomial("-x*x*x + x", ("x",)),),
+                            (Fraction(1, 100),))
+    x = np.float64(0.01)
+    assert sim._compile_system(system)(np.array([x]))[0] == 0.0 + -1.0 * x ** 3 + 1.0 * x
+    traj = integrate(system, t_end=1.0, dt=0.01)
+    assert np.array_equal(traj.states, scalar_integrate(system, 1.0, 0.01).states)
 
 
 def test_time_reversal_on_linear_system():
