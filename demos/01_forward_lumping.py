@@ -6,8 +6,8 @@ model is built, and both models are integrated to confirm that the macro
 trajectory tracks the block sums of the original.
 """
 
-from odelump import (Partition, coarsest_fde, compare_reduction, integrate,
-                     parse_model, reduce_forward, serialize_model)
+from odelump import (Partition, coarsest_with_trace, compare_reduction,
+                     integrate, parse_model, reduce_forward, serialize_model)
 
 MODEL = """
 begin model
@@ -28,7 +28,7 @@ system = parse_model(MODEL).system
 print("original variables:", ", ".join(system.names))
 
 # Refine from the coarsest possible seed: everything in one block.
-part = coarsest_fde(system, Partition.one_block(system.n))
+part = coarsest_with_trace(system, Partition.one_block(system.n), "fde")[0]
 print("coarsest forward partition:", part.format(system.names))
 
 # One macro-variable per block; x2 and x3 collapse into their sum, and the

@@ -9,7 +9,7 @@ the reduced model no longer reproduces the original dynamics.
 
 import warnings
 
-from odelump import (Partition, check_bde, coarsest_bde, integrate,
+from odelump import (Partition, check_bde, coarsest_with_trace, integrate,
                      parse_model, reduce_backward, serialize_model)
 
 MODEL = """
@@ -31,9 +31,9 @@ system = parse_model(MODEL).system
 
 # The witness-free syntactic check: substitute every variable by its block
 # representative and compare normalized drifts.
-part = coarsest_bde(system, Partition.one_block(system.n))
+part = coarsest_with_trace(system, Partition.one_block(system.n), "bde")[0]
 print("coarsest backward partition:", part.format(system.names))
-print("check verdict:", check_bde(system, part).verdict)
+print("check verdict:", check_bde(system, part).describe(system.names))
 
 reduced = reduce_backward(system, part)
 print("\nreduced model (x3 rewritten to x2):")

@@ -6,7 +6,7 @@ negative.  The two encodings are mutually inverse, so lumping can run on
 whichever form a model arrives in.
 """
 
-from odelump import (Partition, coarsest_fde, ode_to_rn, parse_model,
+from odelump import (Partition, coarsest_with_trace, ode_to_rn, parse_model,
                      rn_to_ode, serialize_model)
 
 NETWORK = """
@@ -38,5 +38,5 @@ print(serialize_model(rn, form="rn"))
 assert rn_to_ode(rn) == ode  # exact round trip
 
 # The two hunters play symmetric roles, which forward lumping discovers.
-part = coarsest_fde(ode, Partition.one_block(ode.n))
+part = coarsest_with_trace(ode, Partition.one_block(ode.n), "fde")[0]
 print("coarsest forward partition:", part.format(ode.names))

@@ -11,7 +11,8 @@ import shlex
 import shutil
 
 from odelump import (Partition, build_phi_bde, parse_model, smt_emit,
-                     phi_variable_names, resolve_solver_cmd, symbolic_coarsest)
+                     phi_variable_names, resolve_solver_cmd,
+                     symbolic_coarsest_with_trace)
 
 MODEL = """
 begin model
@@ -42,6 +43,7 @@ if shutil.which(shlex.split(cmd)[0]) is None:
     print(f"no solver on the path ({cmd!r} not found); "
           "install one to run the refinement loop")
 else:
-    found = symbolic_coarsest(system, Partition.one_block(system.n), "bde")
+    found = symbolic_coarsest_with_trace(
+        system, Partition.one_block(system.n), "bde")[0]
     print("coarsest backward partition from the solver loop:",
           found.format(system.names))

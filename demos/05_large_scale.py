@@ -9,7 +9,7 @@ every drift against the current partition and splits blocks by the result.
 import time
 from fractions import Fraction
 
-from odelump import OdeSystem, Partition, coarsest_bde
+from odelump import OdeSystem, Partition, coarsest_with_trace
 from odelump.poly import Monomial, Polynomial
 
 COPIES, WIDTH = 10_000, 10
@@ -32,7 +32,7 @@ system = OdeSystem(tuple(names), tuple(drifts), (one,) * (COPIES * WIDTH))
 print(f"built {system.n} variables, {system.monomial_count()} monomials")
 
 started = time.perf_counter()
-part = coarsest_bde(system, Partition.one_block(system.n))
+part = coarsest_with_trace(system, Partition.one_block(system.n), "bde")[0]
 elapsed = time.perf_counter() - started
 
 sizes = sorted(len(b) for b in part.blocks)

@@ -158,7 +158,7 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
     if expr.op == "mul":
         return lhs * rhs
     # division: divisor must be a nonzero constant
-    if rhs.degree() > 0 or rhs.is_zero():
+    if rhs.degree() > 0 or not rhs:
         return None
     return lhs.scale(1 / rhs.terms[0].coeff)
 

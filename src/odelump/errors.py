@@ -90,7 +90,7 @@ class NotABde(OdeLumpError):
 class TooLarge(OdeLumpError):
     """Brute-force enumeration refused a system beyond its size guard."""
 
-    def __init__(self, n, limit=10):
+    def __init__(self, n, limit):
         self.n = n
         self.limit = limit
         super().__init__(f"brute force is guarded to n <= {limit}, got n = {n}")

@@ -58,8 +58,8 @@ class CheckResult:
     """Verdict of an equivalence check.
 
     On failure carries the offending block, the variable pair whose
-    comparison failed, the nonzero difference polynomial, and (when a small
-    search finds one) a rational assignment making that difference nonzero.
+    comparison failed, the nonzero difference polynomial, and a rational
+    assignment, one value per variable, making that difference nonzero.
     """
 
     ok: bool
@@ -67,10 +67,6 @@ class CheckResult:
     pair: Optional[tuple] = None
     witness_polynomial: Optional[Polynomial] = None
     witness_assignment: Optional[tuple] = None
-
-    @property
-    def verdict(self) -> str:
-        return "ok" if self.ok else "counterexample"
 
     def describe(self, names=None) -> str:
         if self.ok:
@@ -285,9 +281,7 @@ def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckRes
     b, i, j = offending
     difference, source = witness(system, part, i, j)
     point = _nonzero_point(difference)
-    assignment = None
-    if point is not None:
-        assignment = tuple(point.get(w, Fraction(1)) for w in source)
+    assignment = tuple(point.get(w, Fraction(1)) for w in source)
     return CheckResult(False, b, (i, j), difference, assignment)
 
 
@@ -401,16 +395,6 @@ def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
     _require_polynomial(system)
     system.require_cover(seed)
     return _refine(_raw_drifts(system), seed, signer_type)
-
-
-def coarsest_bde(system: OdeSystem, seed: Partition) -> Partition:
-    """Coarsest backward-equivalence partition refining ``seed``."""
-    return coarsest_with_trace(system, seed, "bde")[0]
-
-
-def coarsest_fde(system: OdeSystem, seed: Partition) -> Partition:
-    """Coarsest forward-equivalence partition refining ``seed``."""
-    return coarsest_with_trace(system, seed, "fde")[0]
 
 
 # -- reduced models -----------------------------------------------------------------
@@ -563,30 +547,30 @@ def brute_force_coarsest(system: OdeSystem, seed: Partition, mode: str) -> Parti
 
 
 def _nonzero_point(p: Polynomial) -> Optional[dict]:
-    """A rational point where ``p`` is nonzero, or None if none was found.
+    """A point of positive integers where ``p`` is nonzero, as variable ->
+    Fraction over the variables of ``p``; None if ``p`` is zero.
 
-    A nonzero polynomial cannot vanish on a grid whose size exceeds its
-    per-variable degrees, so the search below always succeeds when the grid
-    is tried; very wide polynomials fall back to a diagonal probe.
+    The variables are fixed in ascending order, each to the smallest t in
+    1..deg+1 that leaves ``p`` nonzero, with deg its degree in ``p`` so far.
+    A nonzero polynomial of degree deg in v vanishes identically at no more
+    than deg values of v, so some t works and the search always succeeds.
+    It stops as soon as ``p`` is nonzero with every remaining variable at 1,
+    the values it would pick next.  The result is the lexicographically first
+    point where ``p`` is nonzero of the grid that gives each variable the
+    values 1..d+1, with d its degree in the original ``p``.
     """
-    if p.is_zero():
+    if not p:
         return None
     variables = sorted(p.variables())
-    if not variables:
-        return {}
-    if len(variables) > 6:
-        for t in range(1, 12):
-            point = {v: Fraction(t) for v in variables}
-            if p.eval(point) != 0:
-                return point
-        return None
-    bounds = {v: 0 for v in variables}
-    for m in p.terms:
-        for v, e in m.exps:
-            bounds[v] = max(bounds[v], e)
-    grids = [range(1, bounds[v] + 2) for v in variables]
-    for values in product(*grids):
-        point = {v: Fraction(t) for v, t in zip(variables, values)}
-        if p.eval(point) != 0:
-            return point
-    return None
+    point = dict.fromkeys(variables, Fraction(1))
+    for v in variables:
+        if p.eval(point):
+            break
+        degree = max((e for m in p.terms for w, e in m.exps if w == v), default=0)
+        for t in range(1, degree + 2):
+            fixed = p.substitute({v: Polynomial.constant(t)})
+            if fixed:
+                break
+        point[v] = Fraction(t)
+        p = fixed
+    return point

@@ -42,11 +42,6 @@ class Partition:
     def one_block(n: int) -> "Partition":
         return Partition([range(n)])
 
-    @staticmethod
-    def from_labels(labels: Sequence) -> "Partition":
-        """Group indices by label value (labels need not be integers)."""
-        return Partition.one_block(len(labels)).split_by(labels.__getitem__)
-
     # -- basic queries --------------------------------------------------------
 
     @property

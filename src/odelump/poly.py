@@ -120,9 +120,6 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -377,22 +377,20 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
 
     names = phi_variable_names(system, "fde")
     sums = _block_drift_sums_across_copies(system, part)
-    compatible_cache: dict = {}
 
     def compatible(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in compatible_cache:
-            script = smt_emit(_pair_swap_formula(system, *key, sums), names)
-            compatible_cache[key] = solver_ask(script, (), part, cmd, timeout_ms) is None
-        return compatible_cache[key]
+        script = smt_emit(_pair_swap_formula(system, i, j, sums), names)
+        return solver_ask(script, (), part, cmd, timeout_ms) is None
 
     new_blocks = []
     changed = False
     for block in part.blocks:
         groups: list = []
+        # v meets only members of earlier groups, which all precede it, so
+        # each pair (w, v) is asked at most once.
         for v in block:
             for g in groups:
-                if all(compatible(v, w) for w in g):
+                if all(compatible(w, v) for w in g):
                     g.append(v)
                     break
             else:
@@ -424,6 +422,10 @@ def symbolic_coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str,
     Forward splits run pairwise two-variable checks within blocks and group
     greedily (ascending index); the final full-formula unsat guarantees the
     result is a valid equivalence regardless of the grouping order.
+
+    The backward result is the coarsest equivalence refining ``seed``; the
+    forward result is a valid equivalence whose coarseness is checked only
+    empirically, against the enumeration oracle on polynomial inputs.
     """
     part = seed
     iterations = 0
@@ -437,15 +439,3 @@ def symbolic_coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str,
             part = _split_bde_by_witness(system, part, values)
         else:
             part = _split_fde_by_witness(system, part, values, cmd, timeout_ms)
-
-
-def symbolic_coarsest(system: OdeSystem, seed: Partition, mode: str,
-                      cmd: Optional[str] = None,
-                      timeout_ms: int = DEFAULT_TIMEOUT_MS) -> Partition:
-    """Coarsest equivalence refining ``seed``, decided by the external solver.
-
-    The backward result is the coarsest such partition; the forward result is
-    a valid equivalence whose coarseness is checked empirically against the
-    enumeration oracle on polynomial inputs.
-    """
-    return symbolic_coarsest_with_trace(system, seed, mode, cmd, timeout_ms)[0]

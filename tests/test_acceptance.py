@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from odelump import (OdeSystem, Partition, Polynomial, brute_force_coarsest,
-                     check_bde, coarsest_bde, coarsest_fde, compare_reduction,
+                     check_bde, coarsest_with_trace, compare_reduction,
                      integrate, parse_model, reduce_backward, reduce_forward,
-                     smt_emit, build_phi_bde, solver_invoke, symbolic_coarsest)
+                     smt_emit, build_phi_bde, solver_invoke,
+                     symbolic_coarsest_with_trace)
 from odelump.cli import main
 from odelump.poly import Monomial
 from conftest import cascade, cascade_text, random_poly_system, solver_available
@@ -36,7 +37,7 @@ def test_forward_reduction_of_cascade(tmp_path):
                "--partition", "one-block", "--out", str(out)])
     elapsed = time.perf_counter() - started
     system = cascade(k1=2, k2=3, init=(1, Fraction(1, 2), Fraction(1, 2)))
-    part = coarsest_fde(system, Partition.one_block(3))
+    part = coarsest_with_trace(system, Partition.one_block(3), "fde")[0]
     reduced = parse_model(out.read_text()).system
     macro = reduced.drifts[1]
     ok = (rc == 0
@@ -52,7 +53,7 @@ def test_coarsest_bde_of_cascade():
     """Coarsest BDE from the one-block seed with equal rates, in under a second."""
     system = cascade(k1=1, k2=1)
     started = time.perf_counter()
-    part = coarsest_bde(system, Partition.one_block(3))
+    part = coarsest_with_trace(system, Partition.one_block(3), "bde")[0]
     elapsed = time.perf_counter() - started
     ok = part == H_SPLIT and elapsed < 1.0
     _report(f"coarsest BDE: {part.format(system.names)}, {elapsed:.3f}s", ok)
@@ -69,9 +70,11 @@ def test_oracle_equivalence_on_random_systems():
         system = random_poly_system(rng, rng.randint(2, 6), max_degree=2,
                                     coeff_range=(-3, 3))
         seed = Partition.one_block(system.n)
-        if coarsest_bde(system, seed) != brute_force_coarsest(system, seed, "bde"):
+        if coarsest_with_trace(system, seed, "bde")[0] != \
+                brute_force_coarsest(system, seed, "bde"):
             mismatches += 1
-        if coarsest_fde(system, seed) != brute_force_coarsest(system, seed, "fde"):
+        if coarsest_with_trace(system, seed, "fde")[0] != \
+                brute_force_coarsest(system, seed, "fde"):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 60.0
@@ -162,7 +165,7 @@ def test_desk_scale_performance():
     copies, width = 10_000, 10
     started = time.perf_counter()
     system = _replicated_motif(copies, width)
-    part = coarsest_bde(system, Partition.one_block(system.n))
+    part = coarsest_with_trace(system, Partition.one_block(system.n), "bde")[0]
     elapsed = time.perf_counter() - started
     expected = Partition([range(r, system.n, width) for r in range(width)])
     ok = (system.monomial_count() == 3 * copies * width
@@ -202,12 +205,14 @@ def test_smt_agreement():
     for _ in range(50):
         candidate = random_poly_system(rng, rng.randint(2, 4))
         seed = Partition.one_block(candidate.n)
-        if symbolic_coarsest(candidate, seed, "bde") != coarsest_bde(candidate, seed):
+        if symbolic_coarsest_with_trace(candidate, seed, "bde")[0] != \
+                coarsest_with_trace(candidate, seed, "bde")[0]:
             mismatches += 1
 
     from test_smt import MIN_PAIR_TEXT
     min_doc = parse_model(MIN_PAIR_TEXT)
-    min_part = symbolic_coarsest(min_doc.system, Partition.one_block(3), "bde")
+    min_part = symbolic_coarsest_with_trace(
+        min_doc.system, Partition.one_block(3), "bde")[0]
     min_ok = min_part == Partition([[0, 1], [2]])
 
     ok = unsat_ok and mismatches == 0 and min_ok

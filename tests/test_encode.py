@@ -22,18 +22,18 @@ def test_mass_action_cascade_drift():
         (1, 0))
     ode = rn_to_ode(rn)
     assert ode.drifts[1] == parse_polynomial("2*x1 - x2", ("x1", "x2"))
-    assert ode.drifts[0].is_zero()  # x1 is catalytic in the first reaction
+    assert not ode.drifts[0]  # x1 is catalytic in the first reaction
 
 
 def test_empty_reaction_list_gives_zero_drifts():
     rn = ReactionNetwork.make(("a", "b"), (), (1, 1))
-    assert all(d.is_zero() for d in rn_to_ode(rn).drifts)
+    assert not any(rn_to_ode(rn).drifts)
 
 
 def test_no_net_change_gives_zero_drifts():
     r = Reaction(multiset({0: 1, 1: 1}), multiset({0: 1, 1: 1}), Fraction(5))
     rn = ReactionNetwork.make(("a", "b"), (r,), (1, 1))
-    assert all(d.is_zero() for d in rn_to_ode(rn).drifts)
+    assert not any(rn_to_ode(rn).drifts)
 
 
 def test_second_order_mass_action():

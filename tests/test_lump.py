@@ -1,19 +1,23 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      NotAnFde, OdeSystem, Partition, PartitionMismatch,
                      Polynomial, TooLarge, brute_force_coarsest, check_bde,
-                     check_fde, coarsest_bde, coarsest_fde,
-                     coarsest_with_trace, compare_reduction, drift_eval,
+                     check_fde, coarsest_with_trace, compare_reduction, drift_eval,
                      integrate, monomial, parse_model, parse_polynomial,
                      phi_variable_names,
                      poly_normalize, prepartition_from_inits,
                      reduce_backward, reduce_forward,
                      symbolic_coarsest_with_trace)
+from odelump.cli import main
+from odelump.lump import _nonzero_point
 from conftest import (cascade, permute_partition, permute_system,
                       random_poly_system)
 
@@ -32,7 +36,6 @@ def test_bde_holds_with_equal_rates():
 def test_bde_fails_with_unequal_rates():
     result = check_bde(cascade(k1=1, k2=2), H_SPLIT)
     assert not result.ok
-    assert result.verdict == "counterexample"
     assert result.pair == (1, 2)
     assert result.block_index == 1
     assert result.witness_polynomial == parse_polynomial("-x1", NAMES)
@@ -71,31 +74,32 @@ def test_fde_singleton_partition_trivially_ok():
 
 
 def test_coarsest_bde_from_one_block():
-    assert coarsest_bde(cascade(k1=1, k2=1), H_ONE) == H_SPLIT
+    assert coarsest_with_trace(cascade(k1=1, k2=1), H_ONE, "bde")[0] == H_SPLIT
 
 
 def test_coarsest_bde_unequal_rates_fully_splits():
-    assert coarsest_bde(cascade(k1=1, k2=2), H_ONE) == Partition.singletons(3)
+    assert coarsest_with_trace(cascade(k1=1, k2=2), H_ONE, "bde")[0] == \
+        Partition.singletons(3)
 
 
 def test_coarsest_from_singletons_is_identity():
     seed = Partition.singletons(3)
-    assert coarsest_bde(cascade(), seed) == seed
-    assert coarsest_fde(cascade(), seed) == seed
+    assert coarsest_with_trace(cascade(), seed, "bde")[0] == seed
+    assert coarsest_with_trace(cascade(), seed, "fde")[0] == seed
 
 
 def test_coarsest_fde_from_one_block():
-    assert coarsest_fde(cascade(k1=1, k2=1), H_ONE) == H_SPLIT
+    assert coarsest_with_trace(cascade(k1=1, k2=1), H_ONE, "fde")[0] == H_SPLIT
 
 
 def test_coarsest_fde_fixpoint_unchanged():
-    assert coarsest_fde(cascade(k1=2, k2=3), H_SPLIT) == H_SPLIT
+    assert coarsest_with_trace(cascade(k1=2, k2=3), H_SPLIT, "fde")[0] == H_SPLIT
 
 
 def test_all_zero_drifts_keep_one_block():
     system = OdeSystem.make(NAMES, tuple(Polynomial.zero() for _ in NAMES), (0, 0, 0))
-    assert coarsest_bde(system, H_ONE) == H_ONE
-    assert coarsest_fde(system, H_ONE) == H_ONE
+    assert coarsest_with_trace(system, H_ONE, "bde")[0] == H_ONE
+    assert coarsest_with_trace(system, H_ONE, "fde")[0] == H_ONE
 
 
 def test_refinement_trace_is_strictly_monotone():
@@ -114,8 +118,8 @@ def test_coarsest_results_are_sound_and_refine_seed():
     for _ in range(40):
         system = random_poly_system(rng, rng.randint(2, 6))
         seed = Partition.one_block(system.n)
-        bde = coarsest_bde(system, seed)
-        fde = coarsest_fde(system, seed)
+        bde = coarsest_with_trace(system, seed, "bde")[0]
+        fde = coarsest_with_trace(system, seed, "fde")[0]
         assert check_bde(system, bde).ok
         assert check_fde(system, fde).ok
         assert bde.refines(seed)
@@ -127,8 +131,9 @@ def test_oracle_agreement_sample():
     for _ in range(25):
         system = random_poly_system(rng, rng.randint(2, 5))
         seed = Partition.one_block(system.n)
-        assert coarsest_bde(system, seed) == brute_force_coarsest(system, seed, "bde")
-        assert coarsest_fde(system, seed) == brute_force_coarsest(system, seed, "fde")
+        for mode in ("bde", "fde"):
+            assert coarsest_with_trace(system, seed, mode)[0] == \
+                brute_force_coarsest(system, seed, mode)
 
 
 # -- deep refinement ---------------------------------------------------------------
@@ -158,7 +163,8 @@ def _seeds(rng, system, groups):
         for v in group:
             labels[v] = label
     one = Partition.one_block(system.n)
-    return (one, prepartition_from_inits(system, one), Partition.from_labels(labels))
+    return (one, prepartition_from_inits(system, one),
+            one.split_by(labels.__getitem__))
 
 
 def _full_passes(system, seed, mode):
@@ -256,9 +262,9 @@ def test_refinement_scales_to_long_chains():
                for i in range(1, n)]
     system = OdeSystem.make(tuple(f"x{i}" for i in range(n)), tuple(drifts), (0,) * n)
     seed = Partition.one_block(n)
-    for coarsest in (coarsest_bde, coarsest_fde):
+    for mode in ("bde", "fde"):
         started = time.perf_counter()
-        part = coarsest(system, seed)
+        part = coarsest_with_trace(system, seed, mode)[0]
         assert time.perf_counter() - started < 2.0
         assert part == Partition.singletons(n)
 
@@ -271,9 +277,9 @@ def test_permutation_equivariance():
         rng.shuffle(perm)
         shuffled = permute_system(system, perm)
         seed = Partition.one_block(system.n)
-        for coarsest in (coarsest_bde, coarsest_fde):
-            assert coarsest(shuffled, seed) == \
-                permute_partition(coarsest(system, seed), perm)
+        for mode in ("bde", "fde"):
+            assert coarsest_with_trace(shuffled, seed, mode)[0] == \
+                permute_partition(coarsest_with_trace(system, seed, mode)[0], perm)
 
 
 def test_normalization_invariance():
@@ -287,7 +293,8 @@ def test_normalization_invariance():
     rebuilt = cascade(k1=2, k2=3)
     assert messy == rebuilt
     assert check_fde(messy, H_SPLIT).ok == check_fde(rebuilt, H_SPLIT).ok
-    assert coarsest_bde(messy, H_ONE) == coarsest_bde(rebuilt, H_ONE)
+    assert coarsest_with_trace(messy, H_ONE, "bde")[0] == \
+        coarsest_with_trace(rebuilt, H_ONE, "bde")[0]
 
 
 # -- reductions --------------------------------------------------------------------------
@@ -466,6 +473,103 @@ def test_brute_force_respects_seed():
     assert result == Partition.singletons(3)
 
 
+# -- witness points ------------------------------------------------------------------------
+
+
+def grid_point(p):
+    """Reference witness: the lexicographically first point, over the sorted
+    variables of ``p``, of the grid giving each variable the values 1..d+1,
+    with d its degree in ``p``, where ``p`` is nonzero."""
+    variables = sorted(p.variables())
+    degree = {v: max(e for m in p.terms for w, e in m.exps if w == v) for v in variables}
+    for values in product(*(range(1, degree[v] + 2) for v in variables)):
+        point = {v: Fraction(t) for v, t in zip(variables, values)}
+        if p.eval(point):
+            return point
+    return None
+
+
+WIDTH = 6
+_witness_terms = st.lists(
+    st.builds(monomial, st.integers(-3, 3).filter(bool),
+              st.lists(st.integers(0, WIDTH - 1), max_size=3)
+              .map(lambda vs: {v: vs.count(v) for v in vs})),
+    min_size=1, max_size=5).map(poly_normalize)
+# Factors (x_v - c) make the polynomial vanish on the first grid points.
+_vanishing_factors = st.lists(st.tuples(st.integers(0, WIDTH - 1), st.integers(1, 2)),
+                              max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_witness_terms, _vanishing_factors)
+@example(parse_polynomial("x0*x1 - x0 - x1 + 1", ("x0", "x1")), [(2, 2)])
+def test_nonzero_point_is_the_first_grid_point(p, factors):
+    for v, c in factors:
+        p = p * (Polynomial.variable(v) - Polynomial.constant(c))
+    if not p:
+        assert _nonzero_point(p) is None
+        return
+    point = _nonzero_point(p)
+    assert point == grid_point(p)
+    assert p.eval(point) != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(-2, 2)),
+                min_size=1, max_size=8))
+def test_nonzero_point_found_for_wide_polynomials(pairs):
+    # sums of x_i - x_j, zero on the whole diagonal
+    p = Polynomial.sum((Polynomial.variable(i) - Polynomial.variable(j)).scale(c)
+                       for i, j, c in pairs)
+    point = _nonzero_point(p)
+    if not p:
+        assert point is None
+    else:
+        assert set(point) == p.variables()
+        assert p.eval(point) != 0
+
+
+def test_nonzero_point_skips_a_variable_that_drops_out():
+    # fixing x0 = 1 removes x1, whose value then defaults to 1
+    p = parse_polynomial("(x0 - 1)*x1 + x2 - 1", ("x0", "x1", "x2"))
+    assert _nonzero_point(p) == {0: 1, 1: 1, 2: 2}
+
+
+def test_nonzero_point_stops_once_ones_work(monkeypatch):
+    # x0 = 2 leaves x1 + ... + x9, nonzero at ones: nothing else is substituted
+    names = tuple(f"x{i}" for i in range(10))
+    p = parse_polynomial("(x0 - 1)*(" + " + ".join(names[1:]) + ")", names)
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counting(self, sigma):
+        calls.append(sorted(sigma))
+        return substitute(self, sigma)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    assert _nonzero_point(p) == {0: 2, **{v: 1 for v in range(1, 10)}}
+    assert calls == [[0], [0]]
+
+
+def test_check_reports_a_witness_for_a_wide_difference(tmp_path, capsys):
+    names = [f"x{i}" for i in range(1, 11)]
+    singletons = ", ".join(f"{{{nm}}}" for nm in names[:8])
+    path = tmp_path / "wide.ode"
+    path.write_text(
+        "begin model\nbegin init\n"
+        + "".join(f"  {nm} = 1\n" for nm in names)
+        + "end init\nbegin ode\n"
+        "  d(x9) = x1 + x3 + x5 + x7\n"
+        "  d(x10) = x2 + x4 + x6 + x8\n"
+        "end ode\nbegin partition\n"
+        f"  {singletons}, {{x9, x10}}\n"
+        "end partition\nend model\n")
+    assert main(["check", "--mode", "bde", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "difference x1 - x2 + x3 - x4 + x5 - x6 + x7 - x8" in err
+    assert "witness point ('1', '1', '1', '1', '1', '1', '1', '2', '1', '1')" in err
+
+
 # -- error paths -----------------------------------------------------------------------------
 
 
@@ -473,7 +577,7 @@ def test_partition_mismatch():
     with pytest.raises(PartitionMismatch):
         check_bde(cascade(), Partition.singletons(2))
     with pytest.raises(PartitionMismatch):
-        coarsest_fde(cascade(), Partition.one_block(4))
+        coarsest_with_trace(cascade(), Partition.one_block(4), "fde")
 
 
 def test_expression_drifts_rejected_by_syntactic_path():

@@ -17,8 +17,9 @@ def test_singletons_and_one_block():
     assert Partition.one_block(3).blocks == ((0, 1, 2),)
 
 
-def test_from_labels_groups_by_value():
-    p = Partition.from_labels(["a", "b", "a", "c"])
+def test_split_by_groups_by_string_label():
+    labels = ["a", "b", "a", "c"]
+    p = Partition.one_block(len(labels)).split_by(labels.__getitem__)
     assert p.blocks == ((0, 2), (1,), (3,))
 
 

@@ -26,7 +26,7 @@ def test_normalize_merges_like_terms():
 def test_normalize_cancels_to_zero():
     terms = [monomial(1, {0: 1, 1: 1}), monomial(-1, {1: 1, 0: 1})]
     assert poly_normalize(terms) == Polynomial.zero()
-    assert poly_normalize(terms).is_zero()
+    assert not poly_normalize(terms)
 
 
 def test_normalize_block_sum_drifts():
@@ -78,7 +78,7 @@ def test_add_spec_example():
 
 def test_add_cancellation():
     p = P("x1*x2 - 3*x3")
-    assert (p + p.scale(-1)).is_zero()
+    assert not p + p.scale(-1)
 
 
 def _random_poly(rng, n=4, degree=3, terms=4):
@@ -102,7 +102,7 @@ def test_sum_matches_repeated_addition():
         assert Polynomial.sum(polys) == total
     lone = P("x1 - x2")
     assert Polynomial.sum([lone]) is lone
-    assert Polynomial.sum([lone, lone.scale(-1)]).is_zero()
+    assert not Polynomial.sum([lone, lone.scale(-1)])
 
 
 def test_ring_laws_random():
@@ -166,7 +166,7 @@ def test_partial_product():
 
 
 def test_partial_constant():
-    assert P("7/3").partial(1).is_zero()
+    assert not P("7/3").partial(1)
 
 
 def test_partial_block_sum():

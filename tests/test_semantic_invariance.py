@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from odelump import (NonFiniteState, OdeSystem, Partition, Polynomial,
-                     check_bde, check_fde, coarsest_bde, coarsest_fde,
+                     check_bde, check_fde, coarsest_with_trace,
                      compare_reduction, integrate, parse_polynomial,
                      prepartition_from_inits, reduce_backward,
                      reduce_forward)
@@ -79,7 +79,7 @@ def test_forward_reduction_tracks_block_sums_on_lifted_systems():
     checked = 0
     for _ in range(40):
         system, roles = _lifted_sample(rng, "fde")
-        part = coarsest_fde(system, Partition.one_block(system.n))
+        part = coarsest_with_trace(system, Partition.one_block(system.n), "fde")[0]
         assert roles.refines(part)  # at least the roles merge
         reduced = reduce_forward(system, part)
         try:
@@ -100,7 +100,7 @@ def test_forward_reduction_is_the_uniform_substitution():
     products_in_a_block = 0
     for _ in range(60):
         system, _ = _lifted_sample(rng, "fde")
-        part = coarsest_fde(system, Partition.one_block(system.n))
+        part = coarsest_with_trace(system, Partition.one_block(system.n), "fde")[0]
         labels = part.labels
         sigma = {v: Polynomial.variable(labels[v]).scale(
             Fraction(1, len(part.blocks[labels[v]]))) for v in range(system.n)}
@@ -121,7 +121,7 @@ def test_backward_reduction_tracks_members_on_lifted_systems():
         system, roles = _lifted_sample(rng, "bde")
         # block-equal initial values are required for faithful dynamics
         seed = prepartition_from_inits(system, Partition.one_block(system.n))
-        part = coarsest_bde(system, seed)
+        part = coarsest_with_trace(system, seed, "bde")[0]
         assert roles.refines(part) or not roles.refines(seed)
         if part.block_count == system.n:
             continue
@@ -147,7 +147,7 @@ def test_backward_reduction_with_interleaved_blocks():
          parse_polynomial("-x3 + x2", names)),
         (Fraction(3), Fraction(1), Fraction(3)))
     part = Partition([[0, 2], [1]])
-    assert coarsest_bde(system, part) == part
+    assert coarsest_with_trace(system, part, "bde")[0] == part
     reduced = reduce_backward(system, part)
     assert reduced.names == ("x1", "x2")
     orig = integrate(system, t_end=2.0, dt=1e-3)

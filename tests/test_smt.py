@@ -8,9 +8,9 @@ import pytest
 
 from odelump import (OdeSystem, Partition, Polynomial, ProtocolError,
                      SolverNotFound, SolverTimeout, SolverUnknown, Var,
-                     build_phi_bde, build_phi_fde, coarsest_bde, parse_model,
-                     parse_polynomial, phi_variable_names, poly_to_expr,
-                     smt_emit, solver_invoke, symbolic_coarsest,
+                     build_phi_bde, build_phi_fde, coarsest_with_trace,
+                     parse_model, parse_polynomial, phi_variable_names,
+                     poly_to_expr, smt_emit, solver_invoke,
                      symbolic_coarsest_with_trace)
 from odelump.smt import Phi
 from conftest import cascade, random_poly_system, solver_available
@@ -276,14 +276,14 @@ def test_model_violating_antecedent_rejected(tmp_path):
   (define-fun x3 () Real 2.0)
 )"""
     with pytest.raises(ProtocolError):
-        symbolic_coarsest(cascade(), H_ONE, "bde", seq_cmd(tmp_path, [bad]))
+        symbolic_coarsest_with_trace(cascade(), H_ONE, "bde", seq_cmd(tmp_path, [bad]))
 
 
 def test_model_not_falsifying_rejected(tmp_path):
     # (1,1,1) satisfies the split partition's formula for k1 = k2
     with pytest.raises(ProtocolError):
-        symbolic_coarsest(cascade(k1=1, k2=1), H_SPLIT, "bde",
-                          seq_cmd(tmp_path, [SAT_111]))
+        symbolic_coarsest_with_trace(cascade(k1=1, k2=1), H_SPLIT, "bde",
+                                     seq_cmd(tmp_path, [SAT_111]))
 
 
 def test_model_with_zero_denominator_rejected(tmp_path):
@@ -297,7 +297,7 @@ def test_model_with_zero_denominator_rejected(tmp_path):
   (define-fun x3 () Real 0.0)
 )"""
     with pytest.raises(ProtocolError):
-        symbolic_coarsest(doc.system, H_ONE, "bde", seq_cmd(tmp_path, [zeros]))
+        symbolic_coarsest_with_trace(doc.system, H_ONE, "bde", seq_cmd(tmp_path, [zeros]))
 
 
 # A witness for the full fde formula on H_SPLIT: x1 = x1_p and x2 + x3 = x2_p + x3_p.
@@ -320,7 +320,7 @@ SAT_FDE_ON_SPLIT = """sat
 def test_unknown_after_a_split_carries_the_split_partition(tmp_path, mode, replies):
     cmd = seq_cmd(tmp_path, replies)
     with pytest.raises(SolverUnknown) as err:
-        symbolic_coarsest(cascade(k1=1, k2=1), H_ONE, mode, cmd)
+        symbolic_coarsest_with_trace(cascade(k1=1, k2=1), H_ONE, mode, cmd)
     assert err.value.partition == H_SPLIT
     assert (tmp_path / "seq.txt").read_text() == ""
 
@@ -349,7 +349,7 @@ def test_fde_forced_full_split(tmp_path):
 def test_fde_model_violating_block_sums_rejected(tmp_path):
     bad = SAT_FDE_WITNESS.replace("x2_p () Real 3.0", "x2_p () Real 2.0")
     with pytest.raises(ProtocolError, match="block-sum antecedent"):
-        symbolic_coarsest(cascade(), H_ONE, "fde", seq_cmd(tmp_path, [bad]))
+        symbolic_coarsest_with_trace(cascade(), H_ONE, "fde", seq_cmd(tmp_path, [bad]))
 
 
 # -- against a real solver (skipped when none is installed) --------------------------------
@@ -380,13 +380,13 @@ def test_real_phi_bde_sat_witness_for_one_block():
 
 @needs_solver
 def test_real_symbolic_bde_cascade():
-    assert symbolic_coarsest(cascade(k1=1, k2=1), H_ONE, "bde") == H_SPLIT
+    assert symbolic_coarsest_with_trace(cascade(k1=1, k2=1), H_ONE, "bde")[0] == H_SPLIT
 
 
 @needs_solver
 def test_real_min_drift_symmetry():
     doc = parse_model(MIN_PAIR_TEXT)
-    part = symbolic_coarsest(doc.system, H_ONE, "bde")
+    part = symbolic_coarsest_with_trace(doc.system, H_ONE, "bde")[0]
     assert part == Partition([[0, 1], [2]])
 
 
@@ -396,7 +396,8 @@ def test_real_agreement_with_syntactic_backend():
     for _ in range(50):
         system = random_poly_system(rng, rng.randint(2, 4))
         seed = Partition.one_block(system.n)
-        assert symbolic_coarsest(system, seed, "bde") == coarsest_bde(system, seed)
+        assert symbolic_coarsest_with_trace(system, seed, "bde")[0] == \
+            coarsest_with_trace(system, seed, "bde")[0]
 
 
 @needs_solver
@@ -406,8 +407,10 @@ def test_real_verdicts_agree_with_syntactic_checks():
     rng = random.Random(78)
     for _ in range(20):
         system = random_poly_system(rng, rng.randint(2, 4))
-        part = Partition.from_labels([rng.randrange(2) for _ in range(system.n)]) \
-            if rng.random() < 0.7 else Partition.one_block(system.n)
+        labels = [rng.randrange(2) for _ in range(system.n)]
+        part = Partition.one_block(system.n)
+        if rng.random() < 0.7:
+            part = part.split_by(labels.__getitem__)
         names_b = phi_variable_names(system, "bde")
         verdict_b = solver_invoke(smt_emit(build_phi_bde(system, part), names_b))
         assert (verdict_b.kind == "unsat") == check_bde(system, part).ok
