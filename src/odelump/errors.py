@@ -74,17 +74,17 @@ class NonPolynomialDrift(OdeLumpError):
 class NotAnFde(OdeLumpError):
     """The partition fails the forward differential-equivalence check."""
 
-    def __init__(self, counterexample):
+    def __init__(self, counterexample, names=None):
         self.counterexample = counterexample
-        super().__init__(f"partition is not an FDE: {counterexample}")
+        super().__init__(f"partition is not an FDE: {counterexample.describe(names)}")
 
 
 class NotABde(OdeLumpError):
     """The partition fails the backward differential-equivalence check."""
 
-    def __init__(self, counterexample):
+    def __init__(self, counterexample, names=None):
         self.counterexample = counterexample
-        super().__init__(f"partition is not a BDE: {counterexample}")
+        super().__init__(f"partition is not a BDE: {counterexample.describe(names)}")
 
 
 class TooLarge(OdeLumpError):

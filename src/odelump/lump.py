@@ -24,13 +24,10 @@ fixpoint is the unique coarsest partition refining the seed.
 The refinement is splitter-driven.  A variable's bde signature sees the
 partition only through the blocks of the variables its drift mentions, and
 its fde signature only through the partials of the block sums with respect
-to it.  After a split, therefore, only the users of a moved variable (bde)
-and the variables a moved variable's drift mentions (fde) can change
-signature.  Each pass re-signs just those, in non-singleton blocks, and
-compares them with the signature their block was formed with.  It yields the
-same partition as re-signing every variable, so the fixpoint is the same,
-at a cost that follows the variables a split can affect rather than the
-system size.  A brute-force enumeration oracle cross-checks this on small
+to it.  So after a split only the users of a moved variable (bde) and the
+variables a moved variable's drift mentions (fde) are re-signed, and the
+refinable partition of :mod:`odelump.partition` splits each block from
+those alone.  A brute-force enumeration oracle cross-checks this on small
 systems.
 """
 
@@ -46,9 +43,9 @@ from typing import Optional
 from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
-from .partition import Partition
+from .partition import Partition, _Refinable
 from .poly import Monomial, Polynomial
-from .system import OdeSystem
+from .system import OdeSystem, _require_system
 
 _BRUTE_FORCE_LIMIT = 10
 
@@ -84,6 +81,7 @@ class CheckResult:
 def _require_polynomial(system: OdeSystem,
                         message="syntactic checks need polynomial drifts; "
                                 "use the solver backend"):
+    _require_system(system)
     if not system.is_polynomial:
         raise NonPolynomialDrift(message)
 
@@ -195,9 +193,6 @@ class _BdeSigner:
     def sign(self, v):
         return _bde_signature(self.raw[v], self.labels)
 
-    def drop(self, v):
-        pass
-
     def affected(self, moves):
         if self.users is None:
             self.users = [[] for _ in self.raw]
@@ -214,10 +209,11 @@ class _FdeSigner:
 
     Moving w from block a to block b subtracts the partials of w's drift from
     a's entries and adds them to b's; only the variables that drift mentions
-    see a change."""
+    see a change.  Variables left alone in their block are dropped for good."""
 
     def __init__(self, raw, blocks, labels):
         self.raw = raw
+        self.blocks = blocks
         self.partials = [None] * len(raw)
         for block in blocks:
             if len(block) > 1:
@@ -229,10 +225,11 @@ class _FdeSigner:
     def sign(self, v):
         return _fde_signature(self.partials[v])
 
-    def drop(self, v):
-        self.partials[v] = None
-
     def affected(self, moves):
+        for _, a, b in moves:
+            for block in (self.blocks[a], self.blocks[b]):
+                if len(block) == 1:
+                    self.partials[next(iter(block))] = None
         touched: set = set()
         for w, a, b in moves:
             terms = self.raw[w]
@@ -319,69 +316,28 @@ def _refine(raw, seed: Partition, signer_type):
     at the start of every pass.
 
     Each pass splits every block by the signatures its members have under the
-    current partition, exactly as re-signing every variable would.  Blocks
-    carry stable labels: when a block splits, the part holding its members
-    that were not re-signed keeps the label (the largest part, if every
-    member was), and only the members of the other parts move.  The next
-    pass re-signs only the variables whose signature a move can change, in
-    non-singleton blocks; every other member still has the signature its
-    block was formed with, kept in ``shared``.
+    current partition, exactly as re-signing every variable would, but signs
+    only members of non-singleton blocks, after the first pass only those the
+    last pass's moves can affect: :meth:`_Refinable.split` keeps a block's
+    label on its members that are not re-signed.
 
-    ``signer_type(raw, seed.blocks, labels)`` gives the mode's signer, which
-    reads the live ``labels``: ``sign(v)`` is v's signature, ``drop(v)``
-    tells it v is alone in its block for good, and ``affected(moves)`` takes
-    the ``(variable, old label, new label)`` moves of a pass and returns the
-    variables whose signature they can change.
+    ``signer_type(raw, members, labels)`` gives the mode's signer over the
+    live members and labels: ``sign(v)`` is v's signature, and
+    ``affected(moves)`` returns the variables whose signature the
+    ``(variable, old label, new label)`` moves of a pass can change.
     """
-    labels = list(seed.labels)
-    members = [set(block) for block in seed.blocks]
-    shared: list = [None] * len(members)
-    signer = signer_type(raw, seed.blocks, labels)
-    wide = sum(1 for block in seed.blocks if len(block) > 1)
+    part = _Refinable(seed)
+    signer = signer_type(raw, part.members, part.labels)
     pending = [v for block in seed.blocks if len(block) > 1 for v in block]
     trace = []
     while True:
-        trace.append(len(members))
-        by_block: dict = {}
-        for v in pending:
-            by_block.setdefault(labels[v], []).append(v)
-        moves = []
-        for b, resigned in by_block.items():
-            block = members[b]
-            groups: dict = {}
-            for v in resigned:
-                groups.setdefault(signer.sign(v), []).append(v)
-            if len(resigned) < len(block):
-                groups.pop(shared[b], None)
-            else:
-                keep = max(groups, key=lambda sig: len(groups[sig]))
-                shared[b] = keep
-                del groups[keep]
-            if not groups:
-                continue
-            wide -= 1
-            for sig, part in groups.items():
-                new = len(members)
-                members.append(set(part))
-                shared.append(sig)
-                block.difference_update(part)
-                moves.extend((v, b, new) for v in part)
-                if len(part) > 1:
-                    wide += 1
-                else:
-                    signer.drop(part[0])
-            if len(block) > 1:
-                wide += 1
-            else:
-                signer.drop(next(iter(block)))
+        trace.append(len(part.members))
+        moves = part.split(pending, signer.sign)
         if not moves:
-            return Partition(members), trace
-        for v, _, new in moves:
-            labels[v] = new
-        if not wide:  # only singletons left: the next pass just confirms
-            pending = ()
-            continue
-        pending = [v for v in signer.affected(moves) if len(members[labels[v]]) > 1]
+            return Partition(part.members), trace
+        # With only singletons left, the next pass just confirms.
+        pending = [v for v in signer.affected(moves)
+                   if len(part.members[part.labels[v]]) > 1] if part.wide else ()
 
 
 def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
@@ -423,11 +379,12 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     drifts the caller is responsible for having verified the partition
     (normally through the solver loop).
     """
+    _require_system(system)
     system.require_cover(part)
     if system.is_polynomial:
         result = check_fde(system, part)
         if not result.ok:
-            raise NotAnFde(result)
+            raise NotAnFde(result, system.names)
     labels = part.labels
     init = tuple(sum((system.init[v] for v in block), Fraction(0))
                  for block in part.blocks)
@@ -464,11 +421,12 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     Warns with :class:`InitMismatchWarning` when a block has unequal initial
     values, in which case the reduced dynamics do not reproduce the original.
     """
+    _require_system(system)
     system.require_cover(part)
     if system.is_polynomial:
         result = check_bde(system, part)
         if not result.ok:
-            raise NotABde(result)
+            raise NotABde(result, system.names)
     labels = part.labels
     reps = part.representatives()
     mapping = dict(enumerate(labels))

@@ -85,13 +85,10 @@ class Partition:
 
         Returns ``self`` itself when no block splits, so callers can tell a
         split from no progress by identity."""
-        groups: dict = {}
-        for b, block in enumerate(self.blocks):
-            for v in block:
-                groups.setdefault((b, key(v)), []).append(v)
-        if len(groups) == len(self.blocks):
+        refinable = _Refinable(self)
+        if not refinable.split(range(self.size), key):
             return self
-        return Partition(groups.values())
+        return Partition(refinable.members)
 
     # -- value semantics -------------------------------------------------------
 
@@ -109,3 +106,54 @@ class Partition:
             return names[i] if names is not None else str(i)
 
         return ", ".join("{" + ", ".join(nm(i) for i in b) + "}" for b in self.blocks)
+
+
+class _Refinable:
+    """A partition split in place under stable labels: first the block
+    ordinals of ``part``, then new labels counting on.  ``labels[v]`` is v's
+    label, ``members[b]`` the members of block b (a set once a split removed
+    some), ``formed[b]`` the key b was formed with (None at first) and
+    ``wide`` the number of blocks with more than one member."""
+
+    def __init__(self, part: Partition):
+        self.labels = list(part.labels)
+        self.members = list(part.blocks)
+        self.formed = [None] * len(self.members)
+        self.wide = sum(len(block) > 1 for block in part.blocks)
+
+    def split(self, elements, key) -> list:
+        """Split each block by ``key`` on its members among ``elements`` and
+        return the ``(element, old label, new label)`` moves; ``key`` sees the
+        labels from before the call.  The label stays on the block's members
+        not given, which must have the key the block was formed with, and on
+        the given members of that key; when all are given, on the largest
+        part, the earliest of equals in ``elements``."""
+        labels, members, formed = self.labels, self.members, self.formed
+        by_block: dict = {}
+        for v in elements:
+            by_block.setdefault(labels[v], []).append(v)
+        moves = []
+        for b, given in by_block.items():
+            groups: dict = {}
+            for v in given:
+                groups.setdefault(key(v), []).append(v)
+            block = members[b]
+            if len(given) < len(block):
+                groups.pop(formed[b], None)
+                if groups and type(block) is not set:
+                    block = members[b] = set(block)
+                for part in groups.values():
+                    block.difference_update(part)
+            else:
+                kept = formed[b] = max(groups, key=lambda k: len(groups[k]))
+                block = members[b] = groups.pop(kept)
+            if not groups:
+                continue
+            self.wide += (len(block) > 1) - 1 + sum(len(part) > 1 for part in groups.values())
+            for new, part in enumerate(groups.values(), len(members)):
+                moves.extend([(v, b, new) for v in part])
+            members.extend(groups.values())
+            formed.extend(groups)
+        for v, _, new in moves:
+            labels[v] = new
+        return moves

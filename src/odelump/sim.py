@@ -32,7 +32,7 @@ import numpy as np
 from .driftexpr import compile_expr
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
 from .partition import Partition
-from .system import OdeSystem
+from .system import OdeSystem, _require_system
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
               sample_every: int = 1) -> Trajectory:
     """RK4 from the system's initial values; rows recorded every
     ``sample_every`` steps, first row at t = 0."""
+    _require_system(system)
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
     if not t_end / dt <= MAX_STEPS:

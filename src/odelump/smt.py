@@ -382,8 +382,7 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
         script = smt_emit(_pair_swap_formula(system, i, j, sums), names)
         return solver_ask(script, (), part, cmd, timeout_ms) is None
 
-    new_blocks = []
-    changed = False
+    group = {}
     for block in part.blocks:
         groups: list = []
         # v meets only members of earlier groups, which all precede it, so
@@ -395,10 +394,10 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
                     break
             else:
                 groups.append([v])
-        changed = changed or len(groups) > 1
-        new_blocks.extend(groups)
-    if changed:
-        return Partition(new_blocks)
+        group.update((v, g[0]) for g in groups for v in g)
+    split = part.split_by(group.__getitem__)
+    if split is not part:
+        return split
 
     # Pairwise checks found nothing to separate although the full formula is
     # falsifiable (possible for non-polynomial drifts): force progress by
@@ -407,9 +406,7 @@ def _split_fde_by_witness(system: OdeSystem, part: Partition, values,
         sum_x = sum((_exact_drift(system, v, x) for v in block), Fraction(0))
         sum_xp = sum((_exact_drift(system, v, xp) for v in block), Fraction(0))
         if sum_x != sum_xp and len(block) > 1:
-            forced = [blk for k, blk in enumerate(part.blocks) if k != b]
-            forced.extend([v] for v in block)
-            return Partition(forced)
+            return part.split_by(lambda v: v if part.labels[v] == b else -1)
     raise ProtocolError("model does not falsify the current formula")
 
 

@@ -91,3 +91,11 @@ class OdeSystem:
         if not self.is_polynomial:
             return None
         return sum(d.monomial_count() for d in self.drifts)
+
+
+def _require_system(system) -> None:
+    """Raise TypeError unless ``system`` is an :class:`OdeSystem`; a
+    reaction network has to be converted with ``rn_to_ode`` first."""
+    if not isinstance(system, OdeSystem):
+        raise TypeError(f"expected an OdeSystem, not {type(system).__name__}; "
+                        "convert a reaction network with rn_to_ode first")

@@ -321,6 +321,8 @@ def test_reduce_forward_requires_fde():
     with pytest.raises(NotAnFde) as err:
         reduce_forward(cascade(k1=1, k2=1), H_ONE)
     assert not err.value.counterexample.ok
+    assert str(err.value) == ("partition is not an FDE: counterexample: pair (x1, x2) "
+                              "in block 0, difference 2, witness point ('1', '1', '1')")
 
 
 def test_reduce_forward_observables_map_to_blocks():
@@ -351,8 +353,11 @@ def test_reduce_backward_warns_on_unequal_inits():
 
 
 def test_reduce_backward_requires_bde():
-    with pytest.raises(NotABde):
+    with pytest.raises(NotABde) as err:
         reduce_backward(cascade(k1=1, k2=2), H_SPLIT)
+    assert err.value.counterexample.pair == (1, 2)
+    assert str(err.value) == ("partition is not a BDE: counterexample: pair (x2, x3) "
+                              "in block 1, difference -x1, witness point ('1', '1', '1')")
 
 
 # min + max = x1 + x2, and both equal a when x1 = x2 = a: {x1, x2}, {x3} is

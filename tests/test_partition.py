@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odelump import GroundSetMismatch, Partition
+from odelump.partition import _Refinable
 
 
 def test_blocks_canonicalized():
@@ -83,3 +86,82 @@ def test_split_by_returns_self_when_nothing_splits():
     assert one.split_by(lambda v: "same") is one
     singletons = Partition.singletons(3)
     assert singletons.split_by(lambda v: v) is singletons
+
+
+def _reference_split(members, formed, elements, key):
+    """Blocks after splitting, as label -> set: a block keeps its label for
+    its members not in ``elements`` and its given members of the kept key,
+    which is the key it was formed with, or, when every member is given, the
+    key of the most given members, the earliest in ``elements`` of equals.
+    Each other (label, key) group of given members becomes a new block."""
+    blocks = {b: set(m) for b, m in enumerate(members)}
+    given_of: dict = {}
+    for v in elements:
+        given_of.setdefault(next(b for b, m in blocks.items() if v in m), []).append(v)
+    fresh = []
+    for b, given_b in given_of.items():
+        kept = formed[b]
+        if len(given_b) == len(blocks[b]):
+            keys = [key(v) for v in given_b]
+            kept = max(keys, key=keys.count)
+        groups: dict = {}
+        for v in given_b:
+            if key(v) != kept:
+                groups.setdefault(key(v), set()).add(v)
+        for part in groups.values():
+            blocks[b] -= part
+            fresh.append(part)
+    return blocks, fresh
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_refinable_split_matches_reference(data):
+    n = data.draw(st.integers(1, 12))
+    start = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    refinable = _Refinable(Partition.one_block(n).split_by(start.__getitem__))
+    for _ in range(data.draw(st.integers(1, 4))):
+        keys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        elements = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+        old_labels = list(refinable.labels)
+        old_count = len(refinable.members)
+        blocks, fresh = _reference_split(refinable.members, refinable.formed,
+                                         elements, keys.__getitem__)
+
+        moves = refinable.split(elements, keys.__getitem__)
+
+        # Only given elements move, each once, from its old block to a new one.
+        moved = [v for v, _, _ in moves]
+        assert len(set(moved)) == len(moved) and set(moved) <= set(elements)
+        for v, old, new in moves:
+            assert old == old_labels[v] and new == refinable.labels[v] >= old_count
+        # Every unmoved element keeps its label: the untouched members and
+        # the given members of the kept key stay with their block.
+        for v in set(range(n)) - set(moved):
+            assert refinable.labels[v] == old_labels[v]
+        for b, members in blocks.items():
+            assert set(refinable.members[b]) == members
+        assert sorted(map(sorted, refinable.members[old_count:])) == sorted(map(sorted, fresh))
+        # Labels and members agree, and ``wide`` counts the non-singletons.
+        for b, members in enumerate(refinable.members):
+            assert members and all(refinable.labels[v] == b for v in members)
+        assert sum(map(len, refinable.members)) == n
+        assert refinable.wide == sum(len(m) > 1 for m in refinable.members)
+        for new in range(old_count, len(refinable.members)):
+            assert refinable.formed[new] == keys[next(iter(refinable.members[new]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_split_by_groups_by_block_and_key(data):
+    n = data.draw(st.integers(1, 12))
+    start = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    keys = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    part = Partition.one_block(n).split_by(start.__getitem__)
+    groups: dict = {}
+    for b, block in enumerate(part.blocks):
+        for v in block:
+            groups.setdefault((b, keys[v]), []).append(v)
+    split = part.split_by(keys.__getitem__)
+    assert split == Partition(groups.values())
+    assert (split is part) == (len(groups) == part.block_count)

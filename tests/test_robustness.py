@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odelump import (OdeLumpError, OdeSystem, Partition, Polynomial,
-                     parse_model, reduce_forward)
+                     brute_force_coarsest, check_bde, check_fde,
+                     coarsest_with_trace, integrate, parse_model,
+                     reduce_backward, reduce_forward)
 from odelump.cli import main
 
 RN_MODEL = """\
@@ -64,6 +66,22 @@ def test_simulate_reaction_network_with_sampling(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert len(lines) == 12  # header + t = 0, 0.1, ..., 1.0
     assert lines[0] == "time,x1,x2,x3"
+
+
+@pytest.mark.parametrize("call", [
+    lambda rn, part: check_bde(rn, part),
+    lambda rn, part: check_fde(rn, part),
+    lambda rn, part: coarsest_with_trace(rn, part, "bde"),
+    lambda rn, part: brute_force_coarsest(rn, part, "fde"),
+    lambda rn, part: reduce_backward(rn, part),
+    lambda rn, part: reduce_forward(rn, part),
+    lambda rn, part: integrate(rn, 1.0, 0.1),
+], ids=["check_bde", "check_fde", "coarsest_with_trace", "brute_force_coarsest",
+        "reduce_backward", "reduce_forward", "integrate"])
+def test_reaction_networks_must_be_converted_first(call):
+    doc = parse_model(RN_MODEL)
+    with pytest.raises(TypeError, match="convert a reaction network with rn_to_ode"):
+        call(doc.system, doc.user_partition)
 
 
 def test_macro_name_collision_deduplicated():
