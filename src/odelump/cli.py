@@ -25,6 +25,7 @@ from .partition import Partition
 from .sim import compare_reduction, integrate, write_csv
 from .smt import (DEFAULT_TIMEOUT_MS, phi_script, solver_ask,
                   symbolic_coarsest_with_trace)
+from .system import _MODES, _by_mode
 
 
 class _InputError(Exception):
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_mode(p):
-        p.add_argument("--mode", choices=("fde", "bde"), required=True,
+        p.add_argument("--mode", choices=_MODES, required=True,
                        help="forward (block sums) or backward (representatives)")
 
     def add_backend(p):
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="traj.csv")
     p.add_argument("--compare", metavar="G",
                    help="reduced model; the partition is read from --in")
-    p.add_argument("--map-mode", choices=("fde", "bde"),
+    p.add_argument("--map-mode", choices=_MODES,
                    help="aggregation used by --compare")
 
     p = sub.add_parser("convert", help="rewrite a model as odes, reactions, or an "
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, metavar="F")
     p.add_argument("--to", dest="target", choices=("ode", "rn", "smt2"), required=True)
     p.add_argument("--out", required=True, metavar="G")
-    p.add_argument("--mode", choices=("fde", "bde"),
+    p.add_argument("--mode", choices=_MODES,
                    help="required for --to smt2 (with a partition in the model)")
 
     p = sub.add_parser("oracle", help="brute-force coarsest partition (n <= 10)")
@@ -110,7 +111,7 @@ def _as_ode(doc: ModelDocument):
 
 def _seed_partition(kind, mode, system, doc: ModelDocument) -> Partition:
     if kind is None:
-        kind = "from-init" if mode == "bde" else "one-block"
+        kind = _by_mode(mode, "from-init", "one-block")
     if kind == "file":
         if doc.user_partition is None:
             raise _InputError("--partition file requires a partition section "
@@ -153,10 +154,7 @@ def _cmd_reduce(args) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", InitMismatchWarning)
-        if args.mode == "fde":
-            reduced = reduce_forward(system, part)
-        else:
-            reduced = reduce_backward(system, part)
+        reduced = _by_mode(args.mode, reduce_backward, reduce_forward)(system, part)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
@@ -193,8 +191,7 @@ def _cmd_check(args) -> int:
     backend = _pick_backend(args.backend, system)
 
     if backend == "syntactic":
-        result = check_bde(system, part) if args.mode == "bde" \
-            else check_fde(system, part)
+        result = _by_mode(args.mode, check_bde, check_fde)(system, part)
         if result.ok:
             print(f"ok: partition is a {args.mode.upper()}")
             return 0

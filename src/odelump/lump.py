@@ -45,7 +45,7 @@ from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition, _Refinable
 from .poly import Monomial, Polynomial
-from .system import OdeSystem, _require_system
+from .system import OdeSystem, _by_mode, _require_cover, _require_system
 
 _BRUTE_FORCE_LIMIT = 10
 
@@ -200,7 +200,7 @@ class _BdeSigner:
                 for w in {w for exps, _ in terms for w, _ in exps}:
                     self.users[w].append(v)
         users = self.users
-        return {u for w, _, _ in moves for u in users[w]}
+        return {u for _, _, part in moves for w in part for u in users[w]}
 
 
 class _FdeSigner:
@@ -226,27 +226,17 @@ class _FdeSigner:
         return _fde_signature(self.partials[v])
 
     def affected(self, moves):
-        for _, a, b in moves:
+        for a, b, _ in moves:
             for block in (self.blocks[a], self.blocks[b]):
                 if len(block) == 1:
                     self.partials[next(iter(block))] = None
         touched: set = set()
-        for w, a, b in moves:
-            terms = self.raw[w]
-            _add_partials(self.partials, a, terms, True, touched)
-            _add_partials(self.partials, b, terms, False, touched)
+        for a, b, part in moves:
+            for w in part:
+                terms = self.raw[w]
+                _add_partials(self.partials, a, terms, True, touched)
+                _add_partials(self.partials, b, terms, False, touched)
         return touched
-
-
-_SIGNERS = {"bde": _BdeSigner, "fde": _FdeSigner}
-
-
-def _signer_type(mode: str):
-    """The signer class of ``mode``; raises ValueError for any other mode."""
-    try:
-        return _SIGNERS[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}") from None
 
 
 def _unstable(raw, part: Partition, signer_type) -> Optional[tuple]:
@@ -271,7 +261,7 @@ def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckRes
     the difference polynomial for the first differing pair and, per original
     variable, the variable of that polynomial whose value it takes."""
     _require_polynomial(system)
-    system.require_cover(part)
+    _require_cover(system, part)
     offending = _unstable(_raw_drifts(system), part, signer_type)
     if offending is None:
         return CheckResult(True)
@@ -324,7 +314,7 @@ def _refine(raw, seed: Partition, signer_type):
     ``signer_type(raw, members, labels)`` gives the mode's signer over the
     live members and labels: ``sign(v)`` is v's signature, and
     ``affected(moves)`` returns the variables whose signature the
-    ``(variable, old label, new label)`` moves of a pass can change.
+    ``(old label, new label, members)`` moves of a pass can change.
     """
     part = _Refinable(seed)
     signer = signer_type(raw, part.members, part.labels)
@@ -347,9 +337,9 @@ def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
     pass started from.  It increases strictly, and its last entry, from the
     pass that split nothing, is the block count of the result.
     """
-    signer_type = _signer_type(mode)
+    signer_type = _by_mode(mode, _BdeSigner, _FdeSigner)
     _require_polynomial(system)
-    system.require_cover(seed)
+    _require_cover(system, seed)
     return _refine(_raw_drifts(system), seed, signer_type)
 
 
@@ -379,8 +369,7 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     drifts the caller is responsible for having verified the partition
     (normally through the solver loop).
     """
-    _require_system(system)
-    system.require_cover(part)
+    _require_cover(system, part)
     if system.is_polynomial:
         result = check_fde(system, part)
         if not result.ok:
@@ -421,8 +410,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     Warns with :class:`InitMismatchWarning` when a block has unequal initial
     values, in which case the reduced dynamics do not reproduce the original.
     """
-    _require_system(system)
-    system.require_cover(part)
+    _require_cover(system, part)
     if system.is_polynomial:
         result = check_bde(system, part)
         if not result.ok:
@@ -452,7 +440,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
 def prepartition_from_inits(system: OdeSystem, seed: Partition) -> Partition:
     """Refine ``seed`` by exact equality of initial values; observables are
     additionally isolated into singleton blocks."""
-    system.require_cover(seed)
+    _require_cover(system, seed)
     obs = system.observables or frozenset()
     return seed.split_by(lambda v: (system.init[v], v if v in obs else -1))
 
@@ -478,10 +466,10 @@ def brute_force_coarsest(system: OdeSystem, seed: Partition, mode: str) -> Parti
     Guarded to n <= 10 (Bell-number growth).  Raises
     :class:`NoUniqueCoarsest` if the survivors have no maximum element.
     """
-    signer_type = _signer_type(mode)
+    signer_type = _by_mode(mode, _BdeSigner, _FdeSigner)
     # The oracle has no solver fallback, so its message gives no advice.
     _require_polynomial(system, "the brute-force oracle needs polynomial drifts")
-    system.require_cover(seed)
+    _require_cover(system, seed)
     if system.n > _BRUTE_FORCE_LIMIT:
         raise TooLarge(system.n, _BRUTE_FORCE_LIMIT)
 

@@ -123,11 +123,11 @@ class _Refinable:
 
     def split(self, elements, key) -> list:
         """Split each block by ``key`` on its members among ``elements`` and
-        return the ``(element, old label, new label)`` moves; ``key`` sees the
-        labels from before the call.  The label stays on the block's members
-        not given, which must have the key the block was formed with, and on
-        the given members of that key; when all are given, on the largest
-        part, the earliest of equals in ``elements``."""
+        return the moves, one ``(old label, new label, members)`` per new
+        block; ``key`` sees the labels from before the call.  The label stays
+        on the block's members not given, which must have the key the block
+        was formed with, and on the given members of that key; when all are
+        given, on the largest part, the earliest of equals in ``elements``."""
         labels, members, formed = self.labels, self.members, self.formed
         by_block: dict = {}
         for v in elements:
@@ -150,10 +150,11 @@ class _Refinable:
             if not groups:
                 continue
             self.wide += (len(block) > 1) - 1 + sum(len(part) > 1 for part in groups.values())
-            for new, part in enumerate(groups.values(), len(members)):
-                moves.extend([(v, b, new) for v in part])
+            moves.extend((b, new, part)
+                         for new, part in enumerate(groups.values(), len(members)))
             members.extend(groups.values())
             formed.extend(groups)
-        for v, _, new in moves:
-            labels[v] = new
+        for _, new, part in moves:
+            for v in part:
+                labels[v] = new
         return moves

@@ -32,7 +32,7 @@ import numpy as np
 from .driftexpr import compile_expr
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
 from .partition import Partition
-from .system import OdeSystem, _require_system
+from .system import OdeSystem, _by_mode, _require_system
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,8 @@ def compare_reduction(orig: Trajectory, red: Trajectory, part: Partition,
     bde: each reduced (representative) column must equal every original
     member column of its block.
     """
-    if mode not in ("fde", "bde"):
-        raise ValueError(f"unknown mode {mode!r}")
+    targets = _by_mode(mode, lambda block: [orig.states[:, v] for v in block],
+                       lambda block: [orig.states[:, list(block)].sum(axis=1)])
     if len(orig.times) != len(red.times) or not np.array_equal(orig.times, red.times):
         raise GridMismatch("trajectories use different time grids")
     if part.size != len(orig.names):
@@ -156,13 +156,8 @@ def compare_reduction(orig: Trajectory, red: Trajectory, part: Partition,
         raise GridMismatch("reduced trajectory width does not match the partition")
     worst = 0.0
     for b, block in enumerate(part.blocks):
-        if mode == "fde":
-            aggregate = orig.states[:, list(block)].sum(axis=1)
-            worst = max(worst, float(np.max(np.abs(red.states[:, b] - aggregate))))
-        else:
-            for v in block:
-                diff = np.abs(red.states[:, b] - orig.states[:, v])
-                worst = max(worst, float(np.max(diff)))
+        for target in targets(block):
+            worst = max(worst, float(np.max(np.abs(red.states[:, b] - target))))
     return worst
 
 

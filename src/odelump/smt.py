@@ -28,7 +28,7 @@ from .driftexpr import (Abs, Bin, Const, DriftExpr, Var, denominators,
 from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
                      SolverTimeout, SolverUnknown)
 from .partition import Partition
-from .system import OdeSystem
+from .system import OdeSystem, _by_mode, _require_cover
 
 DEFAULT_SOLVER_CMD = "z3 -in"
 SOLVER_ENV_VAR = "ODELUMP_SOLVER"
@@ -71,7 +71,7 @@ def _expr_drifts(system: OdeSystem) -> list:
 def build_phi_bde(system: OdeSystem, part: Partition) -> Phi:
     """(same-block variables equal) implies (same-block drifts equal),
     with pairs chained through each block representative."""
-    system.require_cover(part)
+    _require_cover(system, part)
     drifts = _expr_drifts(system)
     pairs = [(block[0], other) for block in part.blocks for other in block[1:]]
     return Phi(tuple((Var(rep), Var(other)) for rep, other in pairs),
@@ -95,7 +95,7 @@ def build_phi_fde(system: OdeSystem, part: Partition) -> Phi:
     The primed copy of variable i is variable n + i in the formula's index
     space; :func:`phi_variable_names` supplies matching names.
     """
-    system.require_cover(part)
+    _require_cover(system, part)
     n = system.n
     return Phi(tuple((sum_exprs(Var(v) for v in block), sum_exprs(Var(n + v) for v in block))
                      for block in part.blocks),
@@ -103,14 +103,11 @@ def build_phi_fde(system: OdeSystem, part: Partition) -> Phi:
 
 
 def phi_variable_names(system: OdeSystem, mode: str) -> tuple:
-    """Names for the formula's variable indices (adds primed copies for fde)."""
-    if mode not in ("fde", "bde"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "bde":
-        return tuple(system.names)
+    """Names for the formula's variable indices: the system's names and, for
+    fde, a primed copy of each."""
     taken = set(system.names)
     primed = []
-    for nm in system.names:
+    for nm in _by_mode(mode, (), system.names):
         candidate = nm + "_p"
         while candidate in taken:
             candidate += "_"
@@ -195,8 +192,8 @@ def phi_script(system: OdeSystem, part: Partition, mode: str):
     """``(script, names)``: the SMT-LIB script asserting that ``part`` is not
     a ``mode`` equivalence of ``system``, and the names of its variables."""
     names = phi_variable_names(system, mode)
-    build = build_phi_bde if mode == "bde" else build_phi_fde
-    return smt_emit(build(system, part), names), names
+    phi = _by_mode(mode, build_phi_bde, build_phi_fde)(system, part)
+    return smt_emit(phi, names), names
 
 
 # -- solver process ------------------------------------------------------------------
@@ -345,7 +342,8 @@ def _exact_drift(system: OdeSystem, i: int, values):
                             "despite the emitted guards") from None
 
 
-def _split_bde_by_witness(system: OdeSystem, part: Partition, values) -> Partition:
+def _split_bde_by_witness(system: OdeSystem, part: Partition, values,
+                          cmd, timeout_ms) -> Partition:
     for block in part.blocks:
         first = values[block[0]]
         if any(values[v] != first for v in block[1:]):
@@ -424,6 +422,7 @@ def symbolic_coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str,
     forward result is a valid equivalence whose coarseness is checked only
     empirically, against the enumeration oracle on polynomial inputs.
     """
+    split = _by_mode(mode, _split_bde_by_witness, _split_fde_by_witness)
     part = seed
     iterations = 0
     while True:
@@ -432,7 +431,4 @@ def symbolic_coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str,
         values = solver_ask(script, names, part, cmd, timeout_ms)
         if values is None:
             return part, iterations
-        if mode == "bde":
-            part = _split_bde_by_witness(system, part, values)
-        else:
-            part = _split_fde_by_witness(system, part, values, cmd, timeout_ms)
+        part = split(system, part, values, cmd, timeout_ms)

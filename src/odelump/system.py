@@ -1,4 +1,6 @@
-"""The ODE system container shared by every analysis in the package."""
+"""The ODE system container shared by every analysis in the package, and the
+input rules they all share: what a system and a covering partition are, and
+the one choice between the forward (fde) and backward (bde) equivalence."""
 
 from __future__ import annotations
 
@@ -72,13 +74,6 @@ class OdeSystem:
     def is_polynomial(self) -> bool:
         return isinstance(self.drifts[0], Polynomial)
 
-    def require_cover(self, part) -> None:
-        """Raise :class:`PartitionMismatch` unless ``part`` partitions
-        exactly this system's variables."""
-        if part.size != self.n:
-            raise PartitionMismatch(
-                f"partition covers {part.size} variables, system has {self.n}")
-
     def drift_value(self, index: int, values) -> Fraction:
         """Exact value of one drift at an assignment (sequence or mapping)."""
         d = self.drifts[index]
@@ -99,3 +94,27 @@ def _require_system(system) -> None:
     if not isinstance(system, OdeSystem):
         raise TypeError(f"expected an OdeSystem, not {type(system).__name__}; "
                         "convert a reaction network with rn_to_ode first")
+
+
+def _require_cover(system, part) -> None:
+    """:func:`_require_system`, then raise :class:`PartitionMismatch` unless
+    ``part`` partitions exactly the system's variables."""
+    _require_system(system)
+    if part.size != system.n:
+        raise PartitionMismatch(
+            f"partition covers {part.size} variables, system has {system.n}")
+
+
+_MODES = ("fde", "bde")
+
+
+def _by_mode(mode, bde, fde):
+    """``bde`` or ``fde`` as ``mode`` names; ValueError for any other mode.
+
+    Callers pick among module-level names at each call, never from a stored
+    table, so a function swapped on its module is the one that runs."""
+    if mode == "bde":
+        return bde
+    if mode == "fde":
+        return fde
+    raise ValueError(f"unknown mode {mode!r}")

@@ -18,6 +18,7 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      symbolic_coarsest_with_trace)
 from odelump.cli import main
 from odelump.lump import _nonzero_point
+from odelump.smt import phi_script
 from conftest import (cascade, permute_partition, permute_system,
                       random_poly_system)
 
@@ -598,6 +599,7 @@ _MODE_ENTRY_POINTS = {
     "coarsest_with_trace": lambda mode, tmp: coarsest_with_trace(cascade(), H_ONE, mode),
     "brute_force_coarsest": lambda mode, tmp: brute_force_coarsest(cascade(), H_ONE, mode),
     "phi_variable_names": lambda mode, tmp: phi_variable_names(cascade(), mode),
+    "phi_script": lambda mode, tmp: phi_script(cascade(), H_ONE, mode),
     "compare_reduction": lambda mode, tmp: compare_reduction(
         _TRAJ, _TRAJ, Partition.singletons(3), mode),
     # a solver command that cannot start: the mode must be rejected first

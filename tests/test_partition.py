@@ -130,11 +130,15 @@ def test_refinable_split_matches_reference(data):
 
         moves = refinable.split(elements, keys.__getitem__)
 
-        # Only given elements move, each once, from its old block to a new one.
-        moved = [v for v, _, _ in moves]
+        # One move per new block, carrying its members; only given elements
+        # move, each once, from its old block to a new one.
+        assert [new for _, new, _ in moves] == list(range(old_count, len(refinable.members)))
+        moved = [v for _, _, part in moves for v in part]
         assert len(set(moved)) == len(moved) and set(moved) <= set(elements)
-        for v, old, new in moves:
-            assert old == old_labels[v] and new == refinable.labels[v] >= old_count
+        for old, new, part in moves:
+            assert set(part) == set(refinable.members[new])
+            for v in part:
+                assert old == old_labels[v] and new == refinable.labels[v]
         # Every unmoved element keeps its label: the untouched members and
         # the given members of the kept key stay with their block.
         for v in set(range(n)) - set(moved):

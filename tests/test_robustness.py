@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odelump import (OdeLumpError, OdeSystem, Partition, Polynomial,
-                     brute_force_coarsest, check_bde, check_fde,
-                     coarsest_with_trace, integrate, parse_model,
-                     reduce_backward, reduce_forward)
+                     brute_force_coarsest, build_phi_bde, build_phi_fde,
+                     check_bde, check_fde, coarsest_with_trace, integrate,
+                     parse_model, prepartition_from_inits, reduce_backward,
+                     reduce_forward, symbolic_coarsest_with_trace)
 from odelump.cli import main
 
 RN_MODEL = """\
@@ -76,8 +77,16 @@ def test_simulate_reaction_network_with_sampling(tmp_path, capsys):
     lambda rn, part: reduce_backward(rn, part),
     lambda rn, part: reduce_forward(rn, part),
     lambda rn, part: integrate(rn, 1.0, 0.1),
+    lambda rn, part: prepartition_from_inits(rn, part),
+    lambda rn, part: build_phi_bde(rn, part),
+    lambda rn, part: build_phi_fde(rn, part),
+    # a solver command that cannot start: the type must be rejected first
+    lambda rn, part: symbolic_coarsest_with_trace(rn, part, "bde",
+                                                  "odelump-no-such-solver"),
 ], ids=["check_bde", "check_fde", "coarsest_with_trace", "brute_force_coarsest",
-        "reduce_backward", "reduce_forward", "integrate"])
+        "reduce_backward", "reduce_forward", "integrate",
+        "prepartition_from_inits", "build_phi_bde", "build_phi_fde",
+        "symbolic_coarsest_with_trace"])
 def test_reaction_networks_must_be_converted_first(call):
     doc = parse_model(RN_MODEL)
     with pytest.raises(TypeError, match="convert a reaction network with rn_to_ode"):
