@@ -44,7 +44,7 @@ from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition, _Refinable
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _canon, _from_accumulator
 from .system import OdeSystem, _by_mode, _require_cover, _require_system
 
 _BRUTE_FORCE_LIMIT = 10
@@ -262,6 +262,8 @@ def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckRes
     variable, the variable of that polynomial whose value it takes."""
     _require_polynomial(system)
     _require_cover(system, part)
+    if part.block_count == system.n:
+        return CheckResult(True)  # no same-block pair to compare
     offending = _unstable(_raw_drifts(system), part, signer_type)
     if offending is None:
         return CheckResult(True)
@@ -365,17 +367,20 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     replaced by macro/|block|; when the partition is an FDE any block-sum
     preserving replacement gives the same function, and the uniform one keeps
     coefficients rational.  Macro initial values are block sums of the
-    original ones.  Polynomial systems are checked first; for expression
-    drifts the caller is responsible for having verified the partition
-    (normally through the solver loop).
+    original ones.  Polynomial systems are checked first, and one whose
+    partition is all singletons comes back as the same object; for
+    expression drifts the caller is responsible for having verified the
+    partition (normally through the solver loop).
     """
     _require_cover(system, part)
     if system.is_polynomial:
         result = check_fde(system, part)
         if not result.ok:
             raise NotAnFde(result, system.names)
+        if part.block_count == system.n:
+            return system
     labels = part.labels
-    init = tuple(sum((system.init[v] for v in block), Fraction(0))
+    init = tuple(sum((system.init[v] for v in block[1:]), system.init[block[0]])
                  for block in part.blocks)
     obs = None
     if system.observables is not None:
@@ -383,13 +388,17 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     if system.is_polynomial:
         # Replacing x_v by y_b/|B_b| renames v to its block b, then divides
         # each term by prod_b |B_b|^e_b, which keeps the term order.
-        mapping = dict(enumerate(labels))
         sizes = [len(block) for block in part.blocks]
         drifts = []
         for block in part.blocks:
-            renamed = Polynomial.sum(system.drifts[v] for v in block).rename(mapping)
+            acc: dict = {}
+            for v in block:
+                for m in system.drifts[v].terms:
+                    exps = _canon(tuple((labels[w], e) for w, e in m.exps))
+                    prev = acc.get(exps)
+                    acc[exps] = m.coeff if prev is None else prev + m.coeff
             terms = []
-            for m in renamed.terms:
+            for m in _from_accumulator(acc).terms:
                 d = prod(sizes[b] ** e for b, e in m.exps)
                 terms.append(m if d == 1 else Monomial(m.coeff / d, m.exps))
             drifts.append(Polynomial(tuple(terms)))
@@ -407,14 +416,18 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     """Keep one representative (minimum index) per block and rewrite every
     occurrence of the other members to it.
 
-    Warns with :class:`InitMismatchWarning` when a block has unequal initial
-    values, in which case the reduced dynamics do not reproduce the original.
+    Polynomial systems are checked first, and one whose partition is all
+    singletons comes back as the same object.  Warns with
+    :class:`InitMismatchWarning` when a block has unequal initial values, in
+    which case the reduced dynamics do not reproduce the original.
     """
     _require_cover(system, part)
     if system.is_polynomial:
         result = check_bde(system, part)
         if not result.ok:
             raise NotABde(result, system.names)
+        if part.block_count == system.n:
+            return system
     labels = part.labels
     reps = part.representatives()
     mapping = dict(enumerate(labels))

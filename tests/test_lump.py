@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -311,11 +312,120 @@ def test_reduce_forward_cascade():
 
 
 def test_reduce_forward_singletons_is_isomorphic():
-    system = cascade(k1=2, k2=3)
+    system = cascade(k1=2, k2=3, observables={0, 2})
     reduced = reduce_forward(system, Partition.singletons(3))
     assert reduced.names == system.names
     assert reduced.drifts == system.drifts
     assert reduced.init == system.init
+    assert reduced.observables == system.observables
+
+
+def _rational_system(rng, n):
+    """Random system with n <= 10 variables, degree <= 3 and coefficients
+    p/q, q <= 4.  Half of them are lifted from a random system over the block
+    sums of a hidden partition, which is then an FDE, and a random term may
+    break it on one block; so many coarsest fde results lump something."""
+    def coeff():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+    def poly(k):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            exps: dict = {}
+            for _ in range(rng.randint(0, 3)):
+                v = rng.randrange(k)
+                exps[v] = exps.get(v, 0) + 1
+            terms.append(monomial(coeff(), exps))
+        return poly_normalize(terms)
+
+    if rng.random() < 0.5:
+        drifts = [poly(n) for _ in range(n)]
+    else:
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        hidden = Partition.one_block(n).split_by(labels.__getitem__)
+        sums = {b: Polynomial.sum(Polynomial.variable(v) for v in block)
+                for b, block in enumerate(hidden.blocks)}
+        drifts = [poly(hidden.block_count).substitute(sums) for _ in range(n)]
+        if rng.random() < 0.5:
+            v = rng.randrange(n)
+            drifts[v] = drifts[v] + poly(n)
+    names = tuple(f"x{i}" for i in range(n))
+    observables = rng.sample(range(n), min(n, 2)) if rng.random() < 0.5 else None
+    return OdeSystem.make(names, drifts, [rng.randint(0, 2) for _ in range(n)],
+                          observables)
+
+
+def _reference_forward(system, part):
+    """reduce_forward composed from public operations: sum each block's
+    drifts, rename by the labels, divide each term by prod(size**e)."""
+    labels = part.labels
+    sizes = [len(block) for block in part.blocks]
+    names, drifts, taken = [], [], set()
+    for block in part.blocks:
+        name = "_".join(system.names[v] for v in block)
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        names.append(name)
+        renamed = Polynomial.sum(system.drifts[v] for v in block) \
+            .rename(dict(enumerate(labels)))
+        drifts.append(poly_normalize(
+            monomial(m.coeff / prod(sizes[b] ** e for b, e in m.exps), m.exps)
+            for m in renamed.terms))
+    init = [sum((system.init[v] for v in block), Fraction(0)) for block in part.blocks]
+    obs = None
+    if system.observables is not None:
+        obs = {labels[v] for v in system.observables}
+    return OdeSystem.make(names, drifts, init, obs)
+
+
+def test_reduce_forward_matches_sum_rename_and_scale():
+    rng = random.Random(13)
+    lumped = 0
+    for _ in range(150):
+        system = _rational_system(rng, rng.randint(1, 10))
+        for seed in _seeds(rng, system, [[v] for v in range(system.n)]):
+            part = coarsest_with_trace(system, seed, "fde")[0]
+            lumped += part.block_count < system.n
+            reduced = reduce_forward(system, part)
+            expected = _reference_forward(system, part)
+            assert reduced == expected
+    assert lumped > 100
+
+
+@pytest.mark.parametrize("mode", ["bde", "fde"])
+def test_singleton_partitions_pass_and_reduce_to_the_input(mode):
+    check = check_bde if mode == "bde" else check_fde
+    reduce = reduce_backward if mode == "bde" else reduce_forward
+    rng = random.Random(5)
+    systems = [cascade(k1=2, k2=3, observables={1})]
+    systems += [_rational_system(rng, rng.randint(1, 10)) for _ in range(40)]
+    for system in systems:
+        singletons = Partition.singletons(system.n)
+        assert check(system, singletons).ok
+        assert reduce(system, singletons) is system
+
+
+_RN_TEXT = ("begin model begin init x=1 y=2 end init begin reactions "
+            "x -> y, 1 y -> x, 2 end reactions end model")
+_EXPR_TEXT = ("begin model begin init x=1 y=1 end init "
+              "begin ode d(x) = min(x, y) d(y) = max(y, x) end ode end model")
+
+
+@pytest.mark.parametrize("mode", ["bde", "fde"])
+def test_singleton_shortcut_keeps_the_errors(mode):
+    check = check_bde if mode == "bde" else check_fde
+    reduce = reduce_backward if mode == "bde" else reduce_forward
+    network = parse_model(_RN_TEXT).system
+    for call in (check, reduce):
+        with pytest.raises(TypeError, match="rn_to_ode"):
+            call(network, Partition.singletons(2))
+        with pytest.raises(PartitionMismatch):
+            call(cascade(), Partition.singletons(2))
+        with pytest.raises(PartitionMismatch):
+            call(cascade(), Partition.singletons(4))
+    with pytest.raises(NonPolynomialDrift):
+        check(parse_model(_EXPR_TEXT).system, Partition.singletons(2))
 
 
 def test_reduce_forward_requires_fde():
