@@ -44,7 +44,7 @@ from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition, _Refinable
-from .poly import Monomial, Polynomial, _canon, _from_accumulator
+from .poly import Monomial, Polynomial, _sum_renamed
 from .system import OdeSystem, _by_mode, _require_cover, _require_system
 
 _BRUTE_FORCE_LIMIT = 10
@@ -388,17 +388,13 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     if system.is_polynomial:
         # Replacing x_v by y_b/|B_b| renames v to its block b, then divides
         # each term by prod_b |B_b|^e_b, which keeps the term order.
+        mapping = dict(enumerate(labels))
         sizes = [len(block) for block in part.blocks]
         drifts = []
         for block in part.blocks:
-            acc: dict = {}
-            for v in block:
-                for m in system.drifts[v].terms:
-                    exps = _canon(tuple((labels[w], e) for w, e in m.exps))
-                    prev = acc.get(exps)
-                    acc[exps] = m.coeff if prev is None else prev + m.coeff
+            renamed = _sum_renamed((system.drifts[v] for v in block), mapping)
             terms = []
-            for m in _from_accumulator(acc).terms:
+            for m in renamed.terms:
                 d = prod(sizes[b] ** e for b, e in m.exps)
                 terms.append(m if d == 1 else Monomial(m.coeff / d, m.exps))
             drifts.append(Polynomial(tuple(terms)))

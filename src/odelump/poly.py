@@ -11,7 +11,8 @@ One path reaches that form.  ``_canon`` normalizes raw ``(index, count)``
 pairs; the result is also a reaction multiset of :mod:`odelump.encode`.
 Terms are merged in an ``{exps: coeff}`` accumulator that ``_from_accumulator``
 turns into a polynomial.  :meth:`Polynomial.sum` is that accumulator over
-whole polynomials, and addition and :func:`poly_normalize` go through it.
+whole polynomials, and addition and :func:`poly_normalize` go through it;
+``_sum_renamed`` is that accumulator over renamed polynomials.
 """
 
 from __future__ import annotations
@@ -192,12 +193,7 @@ class Polynomial:
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Substitution restricted to a variable-to-variable map (kept exact and fast)."""
-        acc: dict = {}
-        for m in self.terms:
-            e2 = _canon((mapping.get(v, v), e) for v, e in m.exps)
-            prev = acc.get(e2)
-            acc[e2] = m.coeff if prev is None else prev + m.coeff
-        return _from_accumulator(acc)
+        return _sum_renamed((self,), mapping)
 
     def eval(self, values) -> Fraction:
         """Exact evaluation; ``values`` is a sequence or mapping over variables.
@@ -245,6 +241,17 @@ def _from_accumulator(acc: dict) -> Polynomial:
     terms = [Monomial(c, e) for e, c in acc.items() if c != 0]
     terms.sort(key=lambda m: _term_key(m.exps))
     return Polynomial(tuple(terms))
+
+
+def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int]) -> Polynomial:
+    """Sum of the polynomials after :meth:`Polynomial.rename`, in one accumulator."""
+    acc: dict = {}
+    for p in polys:
+        for m in p.terms:
+            e2 = _canon((mapping.get(v, v), e) for v, e in m.exps)
+            prev = acc.get(e2)
+            acc[e2] = m.coeff if prev is None else prev + m.coeff
+    return _from_accumulator(acc)
 
 
 _POLY_ZERO = Polynomial(())

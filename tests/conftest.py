@@ -1,9 +1,10 @@
 import os
 import shlex
 import shutil
+from fractions import Fraction
 
-from odelump import (OdeSystem, Partition, monomial, parse_polynomial,
-                     poly_normalize)
+from odelump import (OdeSystem, Partition, Polynomial, monomial,
+                     parse_polynomial, poly_normalize)
 
 NAMES3 = ("x1", "x2", "x3")
 
@@ -38,21 +39,36 @@ def cascade_text(k1=1, k2=1, init=(1, 0, 0), extra="") -> str:
 
 
 def random_poly_system(rng, n, max_degree=2, coeff_range=(-3, 3),
-                       max_terms=4) -> OdeSystem:
+                       max_terms=4, max_denominator=1, hidden_fde=False,
+                       observables=None) -> OdeSystem:
+    """Random polynomial system over n variables.  Coefficients are divided
+    by a random 1..max_denominator when that exceeds 1.  With ``hidden_fde``
+    every drift is a random polynomial in the block sums of a random
+    partition, which is then an FDE of the system."""
+    k, sums = n, None
+    if hidden_fde:
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        hidden = Partition.one_block(n).split_by(labels.__getitem__)
+        k = hidden.block_count
+        sums = {b: Polynomial.sum(Polynomial.variable(v) for v in block)
+                for b, block in enumerate(hidden.blocks)}
     drifts = []
     for _ in range(n):
         terms = []
         for _ in range(rng.randint(1, max_terms)):
             coeff = rng.randint(*coeff_range)
+            if max_denominator > 1:
+                coeff = Fraction(coeff, rng.randint(1, max_denominator))
             exps: dict = {}
             for _ in range(rng.randint(0, max_degree)):
-                v = rng.randrange(n)
+                v = rng.randrange(k)
                 exps[v] = exps.get(v, 0) + 1
             terms.append(monomial(coeff, exps))
-        drifts.append(poly_normalize(terms))
+        drift = poly_normalize(terms)
+        drifts.append(drift if sums is None else drift.substitute(sums))
     names = tuple(f"x{i}" for i in range(n))
     init = [rng.randint(0, 2) for _ in range(n)]
-    return OdeSystem.make(names, drifts, init)
+    return OdeSystem.make(names, drifts, init, observables)
 
 
 def permute_system(system: OdeSystem, perm) -> OdeSystem:

@@ -320,39 +320,23 @@ def test_reduce_forward_singletons_is_isomorphic():
     assert reduced.observables == system.observables
 
 
-def _rational_system(rng, n):
+def _rational_system(rng):
     """Random system with n <= 10 variables, degree <= 3 and coefficients
-    p/q, q <= 4.  Half of them are lifted from a random system over the block
-    sums of a hidden partition, which is then an FDE, and a random term may
-    break it on one block; so many coarsest fde results lump something."""
-    def coeff():
-        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
-
-    def poly(k):
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            exps: dict = {}
-            for _ in range(rng.randint(0, 3)):
-                v = rng.randrange(k)
-                exps[v] = exps.get(v, 0) + 1
-            terms.append(monomial(coeff(), exps))
-        return poly_normalize(terms)
-
-    if rng.random() < 0.5:
-        drifts = [poly(n) for _ in range(n)]
-    else:
-        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
-        hidden = Partition.one_block(n).split_by(labels.__getitem__)
-        sums = {b: Polynomial.sum(Polynomial.variable(v) for v in block)
-                for b, block in enumerate(hidden.blocks)}
-        drifts = [poly(hidden.block_count).substitute(sums) for _ in range(n)]
-        if rng.random() < 0.5:
-            v = rng.randrange(n)
-            drifts[v] = drifts[v] + poly(n)
-    names = tuple(f"x{i}" for i in range(n))
+    p/q, q <= 4.  Half of them hide an FDE, which a random extra term may
+    break on one variable, so many coarsest fde results lump something."""
+    n = rng.randint(1, 10)
     observables = rng.sample(range(n), min(n, 2)) if rng.random() < 0.5 else None
-    return OdeSystem.make(names, drifts, [rng.randint(0, 2) for _ in range(n)],
-                          observables)
+    system = random_poly_system(rng, n, max_degree=3, max_terms=3,
+                                max_denominator=4, hidden_fde=rng.random() < 0.5,
+                                observables=observables)
+    if rng.random() < 0.5:
+        v = rng.randrange(n)
+        extra = random_poly_system(rng, n, max_degree=3, max_terms=1,
+                                   max_denominator=4).drifts[v]
+        drifts = list(system.drifts)
+        drifts[v] = drifts[v] + extra
+        system = OdeSystem.make(system.names, drifts, system.init, observables)
+    return system
 
 
 def _reference_forward(system, part):
@@ -383,7 +367,7 @@ def test_reduce_forward_matches_sum_rename_and_scale():
     rng = random.Random(13)
     lumped = 0
     for _ in range(150):
-        system = _rational_system(rng, rng.randint(1, 10))
+        system = _rational_system(rng)
         for seed in _seeds(rng, system, [[v] for v in range(system.n)]):
             part = coarsest_with_trace(system, seed, "fde")[0]
             lumped += part.block_count < system.n
@@ -399,7 +383,7 @@ def test_singleton_partitions_pass_and_reduce_to_the_input(mode):
     reduce = reduce_backward if mode == "bde" else reduce_forward
     rng = random.Random(5)
     systems = [cascade(k1=2, k2=3, observables={1})]
-    systems += [_rational_system(rng, rng.randint(1, 10)) for _ in range(40)]
+    systems += [_rational_system(rng) for _ in range(40)]
     for system in systems:
         singletons = Partition.singletons(system.n)
         assert check(system, singletons).ok
