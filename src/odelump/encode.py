@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import NonPolynomialDrift
@@ -33,6 +34,8 @@ class Reaction:
     rate: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.rate, Fraction):
+            raise TypeError("reaction rates must be Fractions")
         if self.rate == 0:
             raise ValueError("reaction rate must be nonzero")
 
@@ -72,19 +75,23 @@ class ReactionNetwork:
 def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
     """Mass-action semantics: each reaction (rho -> pi, a) adds
     a * (pi(s) - rho(s)) * prod_t x_t^rho(t) to the drift of every species s.
-    The reagents are that monomial's exponents: one accumulator per drift."""
+    The reagents are that monomial's exponents: one accumulator of int
+    numerators per drift, over the common denominator of all rates."""
+    den = lcm(*{r.rate.denominator for r in rn.reactions})
     accs: list = [{} for _ in range(rn.n)]
     for r in rn.reactions:
+        rate = r.rate
+        a = rate.numerator * (den // rate.denominator)
         net = dict(r.products)
         for s, k in r.reagents:
             net[s] = net.get(s, 0) - k
         for s, change in net.items():
             if change:
-                term = r.rate if change == 1 else -r.rate if change == -1 else r.rate * change
+                term = a if change == 1 else -a if change == -1 else a * change
                 acc = accs[s]
                 prev = acc.get(r.reagents)
                 acc[r.reagents] = term if prev is None else prev + term
-    drifts = tuple(_from_accumulator(acc) for acc in accs)
+    drifts = tuple(_from_accumulator(acc, den) for acc in accs)
     return OdeSystem(rn.names, drifts, rn.init, rn.observables)
 
 
@@ -92,17 +99,24 @@ def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
     """Emit one reaction per monomial: c * prod x^rho in drift(s) becomes
     rho -> rho + {s} at rate c.  Reactions are ordered by species, then by
     the drift's canonical term order.  The products are built by merging
-    ``(s, 1)`` into the sorted reagents, which keeps them canonical."""
+    ``(s, 1)`` into the sorted reagents, which keeps them canonical.  Equal
+    rates share one Fraction."""
     if not ode.is_polynomial:
         raise NonPolynomialDrift("reaction form requires polynomial drifts")
     reactions = []
+    rates: dict = {}   # (numerator, denominator) -> rate
+    shared: dict = {}  # rate -> the one Fraction of its value
     for s, drift in enumerate(ode.drifts):
-        for m in drift.terms:
-            exps = m.exps
+        den = drift.den
+        for exps, n in zip(drift.exps, drift.nums):
+            rate = rates.get((n, den))
+            if rate is None:
+                rate = Fraction(n, den)
+                rate = rates[n, den] = shared.setdefault(rate, rate)
             i = bisect_left(exps, (s,))  # first pair with species >= s
             if i < len(exps) and exps[i][0] == s:
                 products = exps[:i] + ((s, exps[i][1] + 1),) + exps[i + 1:]
             else:
                 products = exps[:i] + ((s, 1),) + exps[i:]
-            reactions.append(Reaction(exps, products, m.coeff))
+            reactions.append(Reaction(exps, products, rate))
     return ReactionNetwork(ode.names, tuple(reactions), ode.init, ode.observables)

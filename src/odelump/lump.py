@@ -37,14 +37,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import Optional
 
 from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition, _Refinable
-from .poly import Monomial, Polynomial, _sum_renamed
+from .poly import Polynomial, _sum_renamed
 from .system import OdeSystem, _by_mode, _require_cover, _require_system
 
 _BRUTE_FORCE_LIMIT = 10
@@ -86,29 +86,25 @@ def _require_polynomial(system: OdeSystem,
         raise NonPolynomialDrift(message)
 
 
-def _raw_drifts(system: OdeSystem):
-    """Drift terms as ``(exponents, coefficient)`` pairs, with every
-    coefficient multiplied by the common denominator of all of them.
+def _numerators(system: OdeSystem):
+    """Each drift as its ``(exponent vectors, numerators)``, the numerators
+    over the common denominator of all drifts: a drift whose own denominator
+    differs has its numerators multiplied by one int.
 
     Signatures are only ever compared for equality, which one positive
-    scale factor preserves, and integer sums are far cheaper than rational
-    ones."""
-    scale = 1
-    for d in system.drifts:
-        for m in d.terms:
-            if scale % m.coeff.denominator:
-                scale = lcm(scale, m.coeff.denominator)
-    return [tuple((m.exps, m.coeff.numerator * (scale // m.coeff.denominator))
-                  for m in d.terms) for d in system.drifts]
+    scale factor preserves, so refinement and the checks work on ints."""
+    den = lcm(*[d.den for d in system.drifts])
+    return [(d.exps, d.nums) if d.den == den else
+            (d.exps, tuple([n * (den // d.den) for n in d.nums])) for d in system.drifts]
 
 
 # -- per-variable signatures ----------------------------------------------------
 
 
-def _bde_signature(terms, labels):
+def _bde_signature(drift, labels):
     """Canonical form of one drift with every variable renamed to its block label."""
     acc: dict = {}
-    for exps, c in terms:
+    for exps, c in zip(*drift):
         if not exps:
             key = ()
         elif len(exps) == 1:
@@ -133,12 +129,12 @@ def _fde_signature(per_block):
 
 
 def _block_sum(raw, block):
-    """Nonzero terms of the sum of the drifts of ``block``."""
+    """Nonzero ``(exponents, numerator)`` terms of the sum of the drifts of ``block``."""
     if len(block) == 1:
-        return raw[block[0]]
+        return zip(*raw[block[0]])
     acc: dict = {}
     for v in block:
-        for exps, c in raw[v]:
+        for exps, c in zip(*raw[v]):
             prev = acc.get(exps)
             acc[exps] = c if prev is None else prev + c
     return [(exps, c) for exps, c in acc.items() if c != 0]
@@ -196,8 +192,8 @@ class _BdeSigner:
     def affected(self, moves):
         if self.users is None:
             self.users = [[] for _ in self.raw]
-            for v, terms in enumerate(self.raw):
-                for w in {w for exps, _ in terms for w, _ in exps}:
+            for v, (terms, _) in enumerate(self.raw):
+                for w in {w for exps in terms for w, _ in exps}:
                     self.users[w].append(v)
         users = self.users
         return {u for _, _, part in moves for w in part for u in users[w]}
@@ -233,9 +229,8 @@ class _FdeSigner:
         touched: set = set()
         for a, b, part in moves:
             for w in part:
-                terms = self.raw[w]
-                _add_partials(self.partials, a, terms, True, touched)
-                _add_partials(self.partials, b, terms, False, touched)
+                _add_partials(self.partials, a, zip(*self.raw[w]), True, touched)
+                _add_partials(self.partials, b, zip(*self.raw[w]), False, touched)
         return touched
 
 
@@ -264,7 +259,7 @@ def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckRes
     _require_cover(system, part)
     if part.block_count == system.n:
         return CheckResult(True)  # no same-block pair to compare
-    offending = _unstable(_raw_drifts(system), part, signer_type)
+    offending = _unstable(_numerators(system), part, signer_type)
     if offending is None:
         return CheckResult(True)
     b, i, j = offending
@@ -342,7 +337,7 @@ def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
     signer_type = _by_mode(mode, _BdeSigner, _FdeSigner)
     _require_polynomial(system)
     _require_cover(system, seed)
-    return _refine(_raw_drifts(system), seed, signer_type)
+    return _refine(_numerators(system), seed, signer_type)
 
 
 # -- reduced models -----------------------------------------------------------------
@@ -387,17 +382,11 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
         obs = frozenset(labels[v] for v in system.observables)
     if system.is_polynomial:
         # Replacing x_v by y_b/|B_b| renames v to its block b, then divides
-        # each term by prod_b |B_b|^e_b, which keeps the term order.
+        # each term by prod_b |B_b|^e_b.
         mapping = dict(enumerate(labels))
         sizes = [len(block) for block in part.blocks]
-        drifts = []
-        for block in part.blocks:
-            renamed = _sum_renamed((system.drifts[v] for v in block), mapping)
-            terms = []
-            for m in renamed.terms:
-                d = prod(sizes[b] ** e for b, e in m.exps)
-                terms.append(m if d == 1 else Monomial(m.coeff / d, m.exps))
-            drifts.append(Polynomial(tuple(terms)))
+        drifts = [_sum_renamed((system.drifts[v] for v in block), mapping, sizes)
+                  for block in part.blocks]
     else:
         sigma = {v: Bin("mul",
                         Const(Fraction(1, len(part.blocks[labels[v]]))),
@@ -482,7 +471,7 @@ def brute_force_coarsest(system: OdeSystem, seed: Partition, mode: str) -> Parti
     if system.n > _BRUTE_FORCE_LIMIT:
         raise TooLarge(system.n, _BRUTE_FORCE_LIMIT)
 
-    raw = _raw_drifts(system)
+    raw = _numerators(system)
     per_block = [list(_set_partitions(list(block))) for block in seed.blocks]
     passing = []
     for combo in product(*per_block):
@@ -521,7 +510,7 @@ def _nonzero_point(p: Polynomial) -> Optional[dict]:
     for v in variables:
         if p.eval(point):
             break
-        degree = max((e for m in p.terms for w, e in m.exps if w == v), default=0)
+        degree = max((e for exps in p.exps for w, e in exps if w == v), default=0)
         for t in range(1, degree + 2):
             fixed = p.substitute({v: Polynomial.constant(t)})
             if fixed:

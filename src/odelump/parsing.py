@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
@@ -50,7 +51,7 @@ from .encode import Reaction, ReactionNetwork, multiset, rn_to_ode, ode_to_rn
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable)
 from .partition import Partition
-from .poly import _ONE, Polynomial, _from_accumulator
+from .poly import Polynomial, _from_accumulator
 from .system import OdeSystem
 
 _RESERVED = ("begin", "end")
@@ -393,16 +394,20 @@ class _Parser:
     def parse_sum_of_products(self) -> Optional[Polynomial]:
         """Read a plain sum of products straight into monomials.
 
-        Returns None, with the cursor left where it was, on anything that is
-        not one; the caller then reads the same tokens as a tree.
+        Each term's coefficient is kept as an int fraction num/q, and the
+        terms are accumulated as int numerators over their running common
+        denominator.  Returns None, with the cursor left where it was, on
+        anything that is not a plain sum of products; the caller then reads
+        the same tokens as a tree.
         """
         kinds, texts, index, number = self.kinds, self.texts, self.index, self.number
         i = self.i
         acc: dict = {}
+        den = 1
         sign = 1
         while True:
             # one term: factors joined by "*", each "/" dividing by a numeral
-            coeff = None
+            num = q = 1
             variables = []
             while True:
                 while kinds[i] == "-":
@@ -416,7 +421,8 @@ class _Parser:
                     variables.append(v)
                 elif kind == "number":
                     c = number(texts[i])
-                    coeff = c if coeff is None else coeff * c
+                    num *= c.numerator
+                    q *= c.denominator
                 else:
                     return None
                 i += 1
@@ -430,7 +436,8 @@ class _Parser:
                     c = number(texts[i])
                     if not c:
                         return None
-                    coeff = _ONE / c if coeff is None else coeff / c
+                    num *= c.denominator
+                    q *= c.numerator  # numerals are positive
                     i += 1
                 if kinds[i] != "*":
                     break
@@ -442,12 +449,17 @@ class _Parser:
                 for v in sorted(variables):
                     counts[v] = counts.get(v, 0) + 1
                 exps = tuple(counts.items())
-            if coeff is None:
-                coeff = _ONE
             if sign < 0:
-                coeff = -coeff
+                num = -num
+            if q != den:
+                if den % q:
+                    grow = lcm(den, q) // den
+                    den *= grow
+                    for e in acc:
+                        acc[e] *= grow
+                num *= den // q
             prev = acc.get(exps)
-            acc[exps] = coeff if prev is None else prev + coeff
+            acc[exps] = num if prev is None else prev + num
             kind = kinds[i]
             if kind == "+":
                 sign = 1
@@ -457,7 +469,7 @@ class _Parser:
                 break
             i += 1
         self.i = i
-        return _from_accumulator(acc)
+        return _from_accumulator(acc, den)
 
     def parse_expr(self) -> DriftExpr:
         e = self.parse_term()

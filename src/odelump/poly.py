@@ -1,31 +1,41 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a tuple of monomials kept in a canonical order (descending by
-total degree, lexicographic within a degree), so two polynomials are equal as
-functions on the reals iff their term tuples compare equal.  Coefficients are
-`fractions.Fraction`, exponent maps are sparse sorted ``(variable, exponent)``
-tuples with every stored exponent positive.  The zero polynomial is the empty
-term tuple.
+A polynomial is stored as integer numerators over one common denominator,
+the way FLINT's ``fmpq_poly`` stores its coefficients:
 
-One path reaches that form.  ``_canon`` normalizes raw ``(index, count)``
-pairs; the result is also a reaction multiset of :mod:`odelump.encode`.
-Terms are merged in an ``{exps: coeff}`` accumulator that ``_from_accumulator``
-turns into a polynomial.  :meth:`Polynomial.sum` is that accumulator over
-whole polynomials, and addition and :func:`poly_normalize` go through it;
-``_sum_renamed`` is that accumulator over renamed polynomials.
+* ``exps``, the exponent vectors of its terms in canonical order
+  (descending by total degree, lexicographic within a degree).  An exponent
+  vector is a sorted ``(variable, exponent)`` tuple with every stored
+  exponent positive.
+* ``nums``, one nonzero int numerator per term.
+* ``den``, one positive int, with gcd(den, *nums) == 1.
+
+That form is unique, so two polynomials are equal as functions on the reals
+iff the three fields compare equal.  The zero polynomial has no terms and
+denominator 1.  Sums, products, renames, partials and scaling run on Python
+ints with one ``gcd`` per result, and none when the denominator is 1.
+``terms`` is a read-only view of the same polynomial as ``Monomial(Fraction,
+exps)`` tuples, for callers that want rationals; no hot path reads it.
+
+One path reaches the stored form.  ``_canon`` normalizes raw ``(index,
+count)`` pairs; the result is also a reaction multiset of
+:mod:`odelump.encode`.  Terms are merged in an ``{exps: numerator}``
+accumulator over a known denominator, which ``_from_accumulator`` sorts and
+brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
+whole polynomials, and addition goes through it; :func:`poly_normalize`,
+which the public constructor calls, is that accumulator over monomials;
+``_sum_renamed`` is that accumulator over renamed polynomials.  The drift
+parser and ``rn_to_ode`` fill their own accumulators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 Exps = tuple  # tuple[tuple[int, int], ...], sorted by variable, exponents > 0
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -50,8 +60,8 @@ def _canon(pairs) -> Exps:
     iterable: sorted by index, like indices merged, zero counts dropped.
     Negative indices or counts raise ValueError."""
     if type(pairs) is not tuple:
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        pairs = tuple((v, e) for v, e in items)
+        items = getattr(pairs, "items", None)  # a mapping
+        pairs = tuple(map(tuple, pairs if items is None else items()))
     prev = -1
     for v, e in pairs:
         if e <= 0 or v <= prev:
@@ -74,18 +84,62 @@ def monomial(coeff: RationalLike, exps: Union[Mapping[int, int], Iterable] = ())
     return Monomial(as_fraction(coeff), _canon(exps))
 
 
-def _term_key(exps: Exps):
-    # Descending graded order: higher total degree first, then lexicographic
-    # on the exponent vector (missing variables read as exponent 0).
-    return (-sum(e for _, e in exps), tuple((v, -e) for v, e in exps))
+def _term_key(exps: Exps) -> list:
+    """Sort key of the canonical term order: higher total degree first, then
+    lexicographic on the exponent vector, missing variables read as exponent
+    0.  Flattened as [-degree, v1, -e1, v2, -e2, ...]; within one degree no
+    vector is a prefix of another, so this orders like the pairs would."""
+    if len(exps) == 1:
+        (v, e), = exps
+        return [-e, v, -e]
+    if len(exps) == 2:
+        (v, e), (w, f) = exps
+        return [-e - f, v, -e, w, -f]
+    key = [0]
+    for v, e in exps:
+        key[0] -= e
+        key.append(v)
+        key.append(-e)
+    return key
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Normalized polynomial, built by the helpers below, :func:`poly_normalize`
-    or a term accumulator (see the module docstring)."""
+    """Normalized polynomial (see the module docstring for the stored form).
 
-    terms: tuple = ()
+    ``Polynomial(terms)`` normalizes any iterable of monomials, like
+    :func:`poly_normalize`; the operations below build their results in the
+    stored form directly.  Instances are immutable."""
+
+    __slots__ = ("exps", "nums", "den")
+
+    def __init__(self, terms: Iterable[Monomial] = ()):
+        p = poly_normalize(terms)
+        _setattr(self, "exps", p.exps)
+        _setattr(self, "nums", p.nums)
+        _setattr(self, "den", p.den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polynomial is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _poly, (self.exps, self.nums, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums and self.exps == other.exps
+
+    def __hash__(self) -> int:
+        return hash((self.exps, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(terms={self.terms!r})"
+
+    @property
+    def terms(self) -> tuple:
+        """The terms as ``Monomial(Fraction, exps)``, in canonical order."""
+        den = self.den
+        return tuple(Monomial(Fraction(n, den), e) for e, n in zip(self.exps, self.nums))
 
     # -- constructors ------------------------------------------------------
 
@@ -98,43 +152,46 @@ class Polynomial:
         c = as_fraction(c)
         if c == 0:
             return _POLY_ZERO
-        return Polynomial((Monomial(c, ()),))
+        return _poly(((),), (c.numerator,), c.denominator)
 
     @staticmethod
     def variable(index: int) -> "Polynomial":
         if index < 0:
             raise ValueError(f"negative variable index {index}")
-        return Polynomial((Monomial(_ONE, ((index, 1),)),))
+        return _poly((((index, 1),),), (1,), 1)
 
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
         """Sum in one accumulator; a lone nonzero summand is returned as is."""
-        polys = [p for p in polys if p.terms]
+        polys = [p for p in polys if p.nums]
         if len(polys) <= 1:
             return polys[0] if polys else _POLY_ZERO
+        den = lcm(*[p.den for p in polys])
         acc: dict = {}
+        get = acc.get
         for p in polys:
-            for m in p.terms:
-                prev = acc.get(m.exps)
-                acc[m.exps] = m.coeff if prev is None else prev + m.coeff
-        return _from_accumulator(acc)
+            f = den // p.den
+            for e, n in zip(p.exps, p.nums if f == 1 else [n * f for n in p.nums]):
+                prev = get(e)
+                acc[e] = n if prev is None else prev + n
+        return _from_accumulator(acc, den)
 
     # -- structure ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return self.terms[0].degree()
+        return sum(e for _, e in self.exps[0])
 
     def variables(self) -> frozenset:
-        return frozenset(v for m in self.terms for v, _ in m.exps)
+        return frozenset(v for exps in self.exps for v, _ in exps)
 
     def monomial_count(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     # -- ring operations ----------------------------------------------------
 
@@ -142,54 +199,56 @@ class Polynomial:
         return Polynomial.sum((self, other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(Monomial(-m.coeff, m.exps) for m in self.terms))
+        return _poly(self.exps, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.terms or not other.terms:
+        if not self.nums or not other.nums:
             return _POLY_ZERO
         acc: dict = {}
-        for ma in self.terms:
-            for mb in other.terms:
-                e = _canon(ma.exps + mb.exps)
-                acc[e] = acc.get(e, _ZERO) + ma.coeff * mb.coeff
-        return _from_accumulator(acc)
+        for ea, na in zip(self.exps, self.nums):
+            for eb, nb in zip(other.exps, other.nums):
+                e = _canon(ea + eb)
+                acc[e] = acc.get(e, 0) + na * nb
+        return _from_accumulator(acc, self.den * other.den)
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = as_fraction(c)
         if c == 0:
             return _POLY_ZERO
-        return Polynomial(tuple(Monomial(m.coeff * c, m.exps) for m in self.terms))
+        p = c.numerator
+        return _reduced(self.exps, [n * p for n in self.nums], self.den * c.denominator)
 
     # -- calculus and evaluation --------------------------------------------
 
     def partial(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to variable ``index``."""
         acc: dict = {}
-        for m in self.terms:
-            for pos, (v, e) in enumerate(m.exps):
+        for exps, n in zip(self.exps, self.nums):
+            for pos, (v, e) in enumerate(exps):
                 if v == index:
                     if e == 1:
-                        new = m.exps[:pos] + m.exps[pos + 1:]
+                        new = exps[:pos] + exps[pos + 1:]
                     else:
-                        new = m.exps[:pos] + ((v, e - 1),) + m.exps[pos + 1:]
-                    acc[new] = acc.get(new, _ZERO) + m.coeff * e
+                        new = exps[:pos] + ((v, e - 1),) + exps[pos + 1:]
+                    acc[new] = acc.get(new, 0) + n * e
                     break
-        return _from_accumulator(acc)
+        return _from_accumulator(acc, self.den)
 
     def substitute(self, sigma: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution; variables absent from ``sigma`` stay fixed."""
         products = []
-        for m in self.terms:
-            product = Polynomial.constant(m.coeff)
-            for v, e in m.exps:
+        for exps, n in zip(self.exps, self.nums):
+            product = _poly(((),), (n,), 1)
+            for v, e in exps:
                 factor = sigma[v] if v in sigma else Polynomial.variable(v)
                 for _ in range(e):
                     product = product * factor
             products.append(product)
-        return Polynomial.sum(products)
+        total = Polynomial.sum(products)
+        return total if self.den == 1 else total.scale(Fraction(1, self.den))
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Substitution restricted to a variable-to-variable map (kept exact and fast)."""
@@ -203,58 +262,110 @@ class Polynomial:
         own float evaluators and does not call this.
         """
         lookup = values.__getitem__
-        total = None
-        for m in self.terms:
-            t = m.coeff
-            for v, e in m.exps:
-                t *= lookup(v) ** e
-            total = t if total is None else total + t
-        return _ZERO if total is None else total
+        total = 0
+        for exps, n in zip(self.exps, self.nums):
+            for v, e in exps:
+                n *= lookup(v) ** e
+            total += n
+        return total / Fraction(self.den)
 
     # -- presentation --------------------------------------------------------
 
     def format(self, names: Sequence[str] | None = None) -> str:
         """Render in model-grammar syntax (powers as repeated multiplication)."""
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den = self.den
         parts = []
-        for m in self.terms:
-            factors = []
-            for v, e in m.exps:
-                name = names[v] if names is not None else f"x{v}"
-                factors.extend([name] * e)
-            mag = abs(m.coeff)
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
+        for exps, n in zip(self.exps, self.nums):
+            if names is None:
+                factors = [f"x{v}" for v, e in exps for _ in range(e)]
+            elif len(exps) == 1 and exps[0][1] == 1:
+                factors = [names[exps[0][0]]]
+            else:
+                factors = [names[v] for v, e in exps for _ in range(e)]
+            mag = -n if n < 0 else n
+            if mag != den or not factors:
+                if den == 1:
+                    factors.insert(0, str(mag))
+                else:
+                    g = gcd(mag, den)
+                    factors.insert(0, str(mag // g) if g == den else f"{mag // g}/{den // g}")
             body = "*".join(factors)
             if not parts:
-                parts.append(body if m.coeff > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if m.coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __str__(self) -> str:
         return self.format()
 
 
-def _from_accumulator(acc: dict) -> Polynomial:
-    terms = [Monomial(c, e) for e, c in acc.items() if c != 0]
-    terms.sort(key=lambda m: _term_key(m.exps))
-    return Polynomial(tuple(terms))
+_setattr = object.__setattr__
+_new = object.__new__
 
 
-def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int]) -> Polynomial:
-    """Sum of the polynomials after :meth:`Polynomial.rename`, in one accumulator."""
+def _poly(exps: tuple, nums: tuple, den: int) -> Polynomial:
+    """A polynomial from fields already in the stored form."""
+    p = _new(Polynomial)
+    _setattr(p, "exps", exps)
+    _setattr(p, "nums", nums)
+    _setattr(p, "den", den)
+    return p
+
+
+def _reduced(exps, nums, den: int) -> Polynomial:
+    """The polynomial with terms ``exps`` in canonical order and nonzero
+    numerators ``nums`` over the positive ``den``, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+    return _poly(tuple(exps), tuple(nums), den)
+
+
+def _from_accumulator(acc: dict, den: int = 1) -> Polynomial:
+    """The polynomial sum of n * x^exps / den over the ``{exps: n}`` items of
+    ``acc``, whose numerators are ints and may be zero."""
+    exps = [e for e, n in acc.items() if n]
+    if len(exps) > 1:
+        exps.sort(key=_term_key)
+    return _reduced(exps, [acc[e] for e in exps], den)
+
+
+def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int],
+                 sizes: Sequence[int] | None = None) -> Polynomial:
+    """Sum of the polynomials after :meth:`Polynomial.rename`, in one
+    accumulator.  With ``sizes``, every variable w of that sum is then
+    replaced by w / sizes[w]: each term is divided by prod(sizes[w] ** e)."""
+    polys = [p for p in polys if p.nums]
+    den = lcm(*[p.den for p in polys])
+    get = mapping.get
     acc: dict = {}
     for p in polys:
-        for m in p.terms:
-            e2 = _canon((mapping.get(v, v), e) for v, e in m.exps)
-            prev = acc.get(e2)
-            acc[e2] = m.coeff if prev is None else prev + m.coeff
-    return _from_accumulator(acc)
+        f = den // p.den
+        for exps, n in zip(p.exps, p.nums):
+            if len(exps) == 1:
+                (v, e), = exps
+                exps = ((get(v, v), e),)
+            elif exps:
+                exps = _canon(tuple([(get(v, v), e) for v, e in exps]))
+            prev = acc.get(exps)
+            n *= f
+            acc[exps] = n if prev is None else prev + n
+    if sizes is None:
+        return _from_accumulator(acc, den)
+    terms = [e for e, n in acc.items() if n]
+    terms.sort(key=_term_key)
+    divisors = [prod([sizes[w] ** e for w, e in exps]) for exps in terms]
+    scale = lcm(*divisors)
+    nums = [acc[exps] * (scale // d) for exps, d in zip(terms, divisors)]
+    return _reduced(terms, nums, den * scale)
 
 
-_POLY_ZERO = Polynomial(())
+_POLY_ZERO = _poly((), (), 1)
 
 
 # -- module-level operation surface ------------------------------------------
@@ -263,6 +374,9 @@ _POLY_ZERO = Polynomial(())
 def poly_normalize(terms: Iterable[Monomial]) -> Polynomial:
     """Merge like terms, drop zero coefficients, sort canonically. Idempotent.
     Raw exponent maps are brought to normal form first."""
-    return Polynomial.sum(Polynomial((Monomial(m.coeff, _canon(m.exps)),))
-                          for m in terms if m.coeff)
-
+    pairs = [(as_fraction(m.coeff), _canon(m.exps)) for m in terms if m.coeff]
+    den = lcm(*[c.denominator for c, _ in pairs])
+    acc: dict = {}
+    for c, e in pairs:
+        acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
+    return _from_accumulator(acc, den)

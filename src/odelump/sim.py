@@ -56,11 +56,12 @@ def _compile_polynomials(drifts, n: int):
     powers: dict = {}  # (v, e) with e >= 2 -> its index in the factor values
     slots: list = []   # slot j: (rows, sources) of the monomials' j-th factors
     for i, drift in enumerate(drifts):
-        for m in drift.terms:
+        den = drift.den
+        for exps, num in zip(drift.exps, drift.nums):
             row = len(coef)
-            coef.append(float(m.coeff))
+            coef.append(num / den)  # correctly rounded, like float(Fraction(n, den))
             owner.append(i)
-            for j, (v, e) in enumerate(m.exps):
+            for j, (v, e) in enumerate(exps):
                 if j == len(slots):
                     slots.append(([], []))
                 rows, sources = slots[j]

@@ -166,6 +166,13 @@ def test_zero_rate_rejected():
         Reaction(multiset({0: 1}), (), Fraction(0))
 
 
+@pytest.mark.parametrize("rate", [0.5, 2, "1/2"])
+def test_rate_that_is_not_a_fraction_rejected(rate):
+    # a float rate would reach rn_to_ode's drifts as an inexact coefficient
+    with pytest.raises(TypeError):
+        Reaction(((0, 1),), (), rate)
+
+
 def test_high_degree_monomials_accepted():
     system = OdeSystem.make(("a", "b"),
                             (parse_polynomial("a*a*a*b", ("a", "b")),

@@ -1,11 +1,14 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odelump import Monomial, Polynomial, monomial, poly_normalize
+from odelump import Monomial, Polynomial, monomial, multiset, poly_normalize
 from odelump.parsing import parse_polynomial
 
 NAMES = ("x1", "x2", "x3")
@@ -223,6 +226,27 @@ def test_degree_and_variables():
 def test_monomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
         monomial(1, {0: -1})
+
+
+def test_pairs_as_mapping_list_or_generator_give_one_normal_form():
+    pairs = [(2, 1), (0, 3), (2, 2), (1, 0)]
+    counts = {0: 3, 2: 3, 1: 0}
+
+    def sources():
+        return (counts, MappingProxyType(counts), pairs, (p for p in pairs))
+
+    expected = ((0, 3), (2, 3))
+    assert [monomial(1, s).exps for s in sources()] == [expected] * 4
+    assert [multiset(s) for s in sources()] == [expected] * 4
+
+
+def test_constructor_normalizes_and_instances_are_immutable():
+    p = P("x1*x2 - 3*x3 + 1/2")
+    assert Polynomial(reversed(p.terms)) == p
+    with pytest.raises(AttributeError):
+        p.den = 2
+    assert copy.deepcopy(p) == p
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_float_coefficients_rejected():
