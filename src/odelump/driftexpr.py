@@ -160,7 +160,7 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
     # division: divisor must be a nonzero constant
     if rhs.degree() > 0 or not rhs:
         return None
-    return lhs.scale(Fraction(rhs.den, rhs.nums[0]))
+    return lhs.scale(1 / rhs.terms[0].coeff)
 
 
 def sum_exprs(exprs) -> DriftExpr:

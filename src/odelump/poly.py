@@ -30,6 +30,7 @@ parser and ``rn_to_ode`` fill their own accumulators.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -89,12 +90,6 @@ def _term_key(exps: Exps) -> list:
     lexicographic on the exponent vector, missing variables read as exponent
     0.  Flattened as [-degree, v1, -e1, v2, -e2, ...]; within one degree no
     vector is a prefix of another, so this orders like the pairs would."""
-    if len(exps) == 1:
-        (v, e), = exps
-        return [-e, v, -e]
-    if len(exps) == 2:
-        (v, e), (w, f) = exps
-        return [-e - f, v, -e, w, -f]
     key = [0]
     for v, e in exps:
         key[0] -= e
@@ -103,34 +98,23 @@ def _term_key(exps: Exps) -> list:
     return key
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial:
     """Normalized polynomial (see the module docstring for the stored form).
 
     ``Polynomial(terms)`` normalizes any iterable of monomials, like
     :func:`poly_normalize`; the operations below build their results in the
-    stored form directly.  Instances are immutable."""
+    stored form directly."""
 
-    __slots__ = ("exps", "nums", "den")
+    exps: tuple
+    nums: tuple
+    den: int
 
     def __init__(self, terms: Iterable[Monomial] = ()):
         p = poly_normalize(terms)
         _setattr(self, "exps", p.exps)
         _setattr(self, "nums", p.nums)
         _setattr(self, "den", p.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Polynomial is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return _poly, (self.exps, self.nums, self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash((self.exps, self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial(terms={self.terms!r})"
@@ -280,8 +264,6 @@ class Polynomial:
         for exps, n in zip(self.exps, self.nums):
             if names is None:
                 factors = [f"x{v}" for v, e in exps for _ in range(e)]
-            elif len(exps) == 1 and exps[0][1] == 1:
-                factors = [names[exps[0][0]]]
             else:
                 factors = [names[v] for v, e in exps for _ in range(e)]
             mag = -n if n < 0 else n
@@ -326,7 +308,7 @@ def _reduced(exps, nums, den: int) -> Polynomial:
     return _poly(tuple(exps), tuple(nums), den)
 
 
-def _from_accumulator(acc: dict, den: int = 1) -> Polynomial:
+def _from_accumulator(acc: dict, den: int) -> Polynomial:
     """The polynomial sum of n * x^exps / den over the ``{exps: n}`` items of
     ``acc``, whose numerators are ints and may be zero."""
     exps = [e for e, n in acc.items() if n]
@@ -347,10 +329,7 @@ def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int],
     for p in polys:
         f = den // p.den
         for exps, n in zip(p.exps, p.nums):
-            if len(exps) == 1:
-                (v, e), = exps
-                exps = ((get(v, v), e),)
-            elif exps:
+            if exps:
                 exps = _canon(tuple([(get(v, v), e) for v, e in exps]))
             prev = acc.get(exps)
             n *= f

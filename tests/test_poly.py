@@ -161,6 +161,12 @@ def test_rename_matches_substitute():
         assert p.rename(mapping) == p.substitute(sigma)
 
 
+@pytest.mark.parametrize("text", ["x1", "x1*x1", "x1*x2", "2*x1 + 1"])
+def test_rename_to_negative_index_raises(text):
+    with pytest.raises(ValueError):
+        P(text).rename({0: -1})
+
+
 # -- derivatives ------------------------------------------------------------------------
 
 
