@@ -22,11 +22,9 @@ for c in range(COPIES):
     for r in range(WIDTH):
         me, nxt, nx2 = base + r, base + (r + 1) % WIDTH, base + (r + 2) % WIDTH
         names.append(f"v{c}_{r}")
-        terms = [Monomial(Fraction(-(r + 1)), ((me, 1),)),
-                 Monomial(one, ((nxt, 1),)),
-                 Monomial(one, tuple(sorted(((me, 1), (nx2, 1)))))]
-        terms.sort(key=lambda m: (-m.degree(), tuple((v, -e) for v, e in m.exps)))
-        drifts.append(Polynomial(tuple(terms)))
+        drifts.append(Polynomial([Monomial(Fraction(-(r + 1)), ((me, 1),)),
+                                  Monomial(one, ((nxt, 1),)),
+                                  Monomial(one, ((me, 1), (nx2, 1)))]))
 
 system = OdeSystem(tuple(names), tuple(drifts), (one,) * (COPIES * WIDTH))
 print(f"built {system.n} variables, {system.monomial_count()} monomials")

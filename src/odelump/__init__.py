@@ -22,7 +22,7 @@ from .lump import (CheckResult, brute_force_coarsest, check_bde, check_fde,
 from .parsing import (ModelDocument, parse_expression, parse_model,
                       parse_polynomial, serialize_model)
 from .partition import Partition
-from .poly import Monomial, Polynomial, monomial, poly_normalize
+from .poly import Monomial, Polynomial, monomial
 from .sim import Trajectory, compare_reduction, integrate, read_csv, write_csv
 from .smt import (SolverVerdict, build_phi_bde, build_phi_fde,
                   phi_variable_names, resolve_solver_cmd, smt_emit,
@@ -35,7 +35,7 @@ __all__ = [
     # expressions and polynomials
     "Abs", "Bin", "Const", "DriftExpr", "Var", "drift_eval", "expr_variables",
     "format_expr", "poly_to_expr", "to_polynomial",
-    "Monomial", "Polynomial", "monomial", "poly_normalize",
+    "Monomial", "Polynomial", "monomial",
     # systems and networks
     "OdeSystem", "Reaction", "ReactionNetwork", "multiset", "ode_to_rn",
     "rn_to_ode",

@@ -22,13 +22,13 @@ assigns equal signatures to its merged variables at every pass, so the
 fixpoint is the unique coarsest partition refining the seed.
 
 The refinement is splitter-driven.  A variable's bde signature sees the
-partition only through the blocks of the variables its drift mentions, and
-its fde signature only through the partials of the block sums with respect
-to it.  So after a split only the users of a moved variable (bde) and the
-variables a moved variable's drift mentions (fde) are re-signed, and the
-refinable partition of :mod:`odelump.partition` splits each block from
-those alone.  A brute-force enumeration oracle cross-checks this on small
-systems.
+partition only through the blocks of the variables its drift mentions, and,
+mirroring that, its fde signature only through the blocks of the variables
+whose drifts mention it.  So after a split only the users of a moved
+variable (bde) and the variables a moved variable's drift mentions (fde) are
+re-signed, and the refinable partition of :mod:`odelump.partition` splits
+each block from those alone.  A brute-force enumeration oracle cross-checks
+this on small systems.
 """
 
 from __future__ import annotations
@@ -121,60 +121,6 @@ def _bde_signature(drift, labels):
     return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
 
 
-def _fde_signature(per_block):
-    """Canonical form of one variable's partials of the block-sum drifts,
-    given as block label -> {exponents: nonzero coefficient}."""
-    return tuple(sorted((b, tuple(sorted(partial.items())))
-                        for b, partial in per_block.items()))
-
-
-def _block_sum(raw, block):
-    """Nonzero ``(exponents, numerator)`` terms of the sum of the drifts of ``block``."""
-    if len(block) == 1:
-        return zip(*raw[block[0]])
-    acc: dict = {}
-    for v in block:
-        for exps, c in zip(*raw[v]):
-            prev = acc.get(exps)
-            acc[exps] = c if prev is None else prev + c
-    return [(exps, c) for exps, c in acc.items() if c != 0]
-
-
-def _add_partials(partials, b, terms, negate=False, touched=None):
-    """Add (or, with ``negate``, subtract) the partials of ``terms``, a part of
-    block ``b``'s drift sum, to ``partials[v][b]`` for every variable v whose
-    entry is not None, and collect those variables in ``touched``.  Zero
-    coefficients and empty blocks are dropped, so the entries stay canonical."""
-    for exps, c in terms:
-        if negate:
-            c = -c
-        for pos in range(len(exps)):
-            v, e = exps[pos]
-            per_block = partials[v]
-            if per_block is None:
-                continue
-            if e == 1:
-                dexps = exps[:pos] + exps[pos + 1:]
-                dc = c
-            else:
-                dexps = exps[:pos] + ((v, e - 1),) + exps[pos + 1:]
-                dc = c * e
-            partial = per_block.get(b)
-            if partial is None:
-                partial = per_block[b] = {}
-            prev = partial.get(dexps)
-            if prev is not None:
-                dc += prev
-            if dc:
-                partial[dexps] = dc
-            else:
-                del partial[dexps]
-                if not partial:
-                    del per_block[b]
-            if touched is not None:
-                touched.add(v)
-
-
 class _BdeSigner:
     """bde signatures under the labelling ``labels``, which the caller updates.
 
@@ -200,38 +146,48 @@ class _BdeSigner:
 
 
 class _FdeSigner:
-    """fde signatures from partials of the block-sum drifts, kept per variable
-    of a non-singleton block and keyed by block label.
+    """fde signatures under the labelling ``labels``, which the caller updates.
 
-    Moving w from block a to block b subtracts the partials of w's drift from
-    a's entries and adds them to b's; only the variables that drift mentions
-    see a change.  Variables left alone in their block are dropped for good."""
+    A variable's signature is its partials of the block-sum drifts: the
+    partials of every drift that mentions it, summed by the label of the
+    drift's owner and by exponent vector.  So a label change affects exactly
+    the variables the moved drift mentions.  Partials are taken once, for
+    the members of non-singleton blocks only; each distinct exponent vector
+    gets a number, so that an entry's key is the int ``label * count +
+    number``."""
 
     def __init__(self, raw, blocks, labels):
         self.raw = raw
-        self.blocks = blocks
-        self.partials = [None] * len(raw)
+        self.labels = labels
+        self.partials = partials = [None] * len(raw)
         for block in blocks:
             if len(block) > 1:
                 for v in block:
-                    self.partials[v] = {}
-        for b, block in enumerate(blocks):
-            _add_partials(self.partials, b, _block_sum(raw, block))
+                    partials[v] = []
+        numbers: dict = {}
+        for w, (terms, coeffs) in enumerate(raw):
+            for exps, c in zip(terms, coeffs):
+                for pos, (v, e) in enumerate(exps):
+                    target = partials[v]
+                    if target is not None:
+                        lowered = ((v, e - 1),) if e > 1 else ()
+                        dexps = exps[:pos] + lowered + exps[pos + 1:]
+                        target.append((w, numbers.setdefault(dexps, len(numbers)), c * e))
+        self.count = len(numbers)
 
     def sign(self, v):
-        return _fde_signature(self.partials[v])
+        labels, count = self.labels, self.count
+        acc: dict = {}
+        for w, number, c in self.partials[v]:
+            key = labels[w] * count + number
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+        return tuple(sorted((k, c) for k, c in acc.items() if c))
 
     def affected(self, moves):
-        for a, b, _ in moves:
-            for block in (self.blocks[a], self.blocks[b]):
-                if len(block) == 1:
-                    self.partials[next(iter(block))] = None
-        touched: set = set()
-        for a, b, part in moves:
-            for w in part:
-                _add_partials(self.partials, a, zip(*self.raw[w]), True, touched)
-                _add_partials(self.partials, b, zip(*self.raw[w]), False, touched)
-        return touched
+        raw = self.raw
+        return {v for _, _, part in moves for w in part
+                for exps in raw[w][0] for v, _ in exps}
 
 
 def _unstable(raw, part: Partition, signer_type) -> Optional[tuple]:

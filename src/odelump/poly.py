@@ -22,10 +22,10 @@ count)`` pairs; the result is also a reaction multiset of
 :mod:`odelump.encode`.  Terms are merged in an ``{exps: numerator}``
 accumulator over a known denominator, which ``_from_accumulator`` sorts and
 brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
-whole polynomials, and addition goes through it; :func:`poly_normalize`,
-which the public constructor calls, is that accumulator over monomials;
-``_sum_renamed`` is that accumulator over renamed polynomials.  The drift
-parser and ``rn_to_ode`` fill their own accumulators.
+whole polynomials, and addition goes through it; the public constructor
+is that accumulator over monomials; ``_sum_renamed`` is that accumulator
+over renamed polynomials.  The drift parser and ``rn_to_ode`` fill their
+own accumulators.
 """
 
 from __future__ import annotations
@@ -102,16 +102,22 @@ def _term_key(exps: Exps) -> list:
 class Polynomial:
     """Normalized polynomial (see the module docstring for the stored form).
 
-    ``Polynomial(terms)`` normalizes any iterable of monomials, like
-    :func:`poly_normalize`; the operations below build their results in the
-    stored form directly."""
+    ``Polynomial(terms)`` normalizes any iterable of monomials: it brings raw
+    exponent maps to normal form, merges like terms, drops zero coefficients
+    and sorts canonically, so it is idempotent.  The operations below build
+    their results in the stored form directly."""
 
     exps: tuple
     nums: tuple
     den: int
 
     def __init__(self, terms: Iterable[Monomial] = ()):
-        p = poly_normalize(terms)
+        pairs = [(as_fraction(m.coeff), _canon(m.exps)) for m in terms if m.coeff]
+        den = lcm(*[c.denominator for c, _ in pairs])
+        acc: dict = {}
+        for c, e in pairs:
+            acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
+        p = _from_accumulator(acc, den)
         _setattr(self, "exps", p.exps)
         _setattr(self, "nums", p.nums)
         _setattr(self, "den", p.den)
@@ -345,17 +351,3 @@ def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int],
 
 
 _POLY_ZERO = _poly((), (), 1)
-
-
-# -- module-level operation surface ------------------------------------------
-
-
-def poly_normalize(terms: Iterable[Monomial]) -> Polynomial:
-    """Merge like terms, drop zero coefficients, sort canonically. Idempotent.
-    Raw exponent maps are brought to normal form first."""
-    pairs = [(as_fraction(m.coeff), _canon(m.exps)) for m in terms if m.coeff]
-    den = lcm(*[c.denominator for c, _ in pairs])
-    acc: dict = {}
-    for c, e in pairs:
-        acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
-    return _from_accumulator(acc, den)

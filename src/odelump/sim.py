@@ -108,7 +108,7 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
         raise ValueError("t_end and dt must be positive and finite")
     if not t_end / dt <= MAX_STEPS:
         raise ValueError(f"t_end / dt must be at most {MAX_STEPS} steps")
-    if sample_every < 1:
+    if not isinstance(sample_every, int) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
     f = _compile_system(system)
     x = np.array([float(v) for v in system.init])
@@ -184,10 +184,14 @@ def read_csv(source) -> Trajectory:
     else:
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
+    if not lines:
+        raise ValueError("empty trajectory: no header")
     header = lines[0].split(",")
     if header[0] != "time":
         raise ValueError("first column must be 'time'")
     names = tuple(header[1:])
     data = np.array([[float(cell) for cell in line.split(",")]
                      for line in lines[1:] if line])
+    if not len(data):
+        raise ValueError("trajectory has a header but no rows")
     return Trajectory(data[:, 0], data[:, 1:], names)

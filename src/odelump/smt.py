@@ -122,6 +122,7 @@ def phi_variable_names(system: OdeSystem, mode: str) -> tuple:
 _SMT_RESERVED = frozenset("""
     abs min max div mod rem and or not xor ite true false let forall exists
     as par assert distinct select store to_real to_int is_int
+    _ BINARY DECIMAL HEXADECIMAL NUMERAL STRING match echo exit pop push reset
 """.split())
 
 

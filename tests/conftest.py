@@ -4,7 +4,7 @@ import shutil
 from fractions import Fraction
 
 from odelump import (OdeSystem, Partition, Polynomial, monomial,
-                     parse_polynomial, poly_normalize)
+                     parse_polynomial)
 
 NAMES3 = ("x1", "x2", "x3")
 
@@ -64,7 +64,7 @@ def random_poly_system(rng, n, max_degree=2, coeff_range=(-3, 3),
                 v = rng.randrange(k)
                 exps[v] = exps.get(v, 0) + 1
             terms.append(monomial(coeff, exps))
-        drift = poly_normalize(terms)
+        drift = Polynomial(terms)
         drifts.append(drift if sums is None else drift.substitute(sums))
     names = tuple(f"x{i}" for i in range(n))
     init = [rng.randint(0, 2) for _ in range(n)]

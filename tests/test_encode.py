@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from odelump import (NonPolynomialDrift, OdeSystem, Polynomial, Reaction,
                      ReactionNetwork, monomial, multiset, ode_to_rn,
-                     parse_polynomial, poly_normalize, rn_to_ode)
+                     parse_polynomial, rn_to_ode)
 from conftest import cascade, random_poly_system
 
 NAMES = ("x1", "x2", "x3")
@@ -95,7 +95,7 @@ def test_rn_to_ode_linear_in_reactions():
 
 def test_rn_to_ode_matches_per_monomial_contributions():
     """Each reaction adds rate * (products(s) - reagents(s)) * x^reagents to
-    the drift of every species s; summed by poly_normalize, on networks with
+    the drift of every species s; summed by Polynomial(), on networks with
     multiplicities 0-3 and reactions that cancel each other."""
     rng = random.Random(31)
 
@@ -121,7 +121,7 @@ def test_rn_to_ode_matches_per_monomial_contributions():
             for s in range(n):
                 change = dict(r.products).get(s, 0) - dict(r.reagents).get(s, 0)
                 contributions[s].append(monomial(r.rate * change, r.reagents))
-        expected = tuple(poly_normalize(terms) for terms in contributions)
+        expected = tuple(Polynomial(terms) for terms in contributions)
         assert rn_to_ode(rn).drifts == expected
         cancelled += sum(len({m.exps for m in terms if m.coeff}) > p.monomial_count()
                          for terms, p in zip(contributions, expected))

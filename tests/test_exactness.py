@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from odelump import (OdeSystem, Partition, Polynomial, Reaction, ReactionNetwork,
                      coarsest_with_trace, monomial, multiset, ode_to_rn,
-                     parse_polynomial, poly_normalize, reduce_backward,
+                     parse_polynomial, reduce_backward,
                      reduce_forward, rn_to_ode)
 from conftest import random_poly_system
 
@@ -123,7 +123,7 @@ def render(terms) -> str:
 
 
 def build(terms) -> Polynomial:
-    return poly_normalize(monomial(c, exps) for c, exps in terms)
+    return Polynomial(monomial(c, exps) for c, exps in terms)
 
 
 # -- polynomial operations ------------------------------------------------------

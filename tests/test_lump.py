@@ -14,7 +14,7 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      check_fde, coarsest_with_trace, compare_reduction, drift_eval,
                      integrate, monomial, parse_model, parse_polynomial,
                      phi_variable_names,
-                     poly_normalize, prepartition_from_inits,
+                     prepartition_from_inits,
                      reduce_backward, reduce_forward,
                      symbolic_coarsest_with_trace)
 from odelump.cli import main
@@ -151,7 +151,7 @@ def interleaved_chains(rates, init):
         for v in (2 * i, 2 * i + 1):
             terms = [monomial(-2 * a, {v: 1})] if i == 0 else \
                 [monomial(a, {v - 2: 1}), monomial(-a, {v: 1})]
-            drifts.append(poly_normalize(terms))
+            drifts.append(Polynomial(terms))
     names = tuple(f"{c}{i}" for i in range(len(rates)) for c in "xy")
     return OdeSystem.make(names, tuple(drifts), [x for x in init for _ in "xy"])
 
@@ -231,14 +231,17 @@ def test_deep_refinement_on_interleaved_chains():
 
 
 def test_deep_refinement_on_random_systems():
-    rng = random.Random(77)
-    for _ in range(120):
-        n = rng.randint(2, 12)
-        system = random_poly_system(rng, n, max_degree=3,
-                                    coeff_range=rng.choice(((-3, 3), (0, 2), (-1, 1))))
-        for seed in _seeds(rng, system, [[v] for v in range(n)]):
-            for mode in ("bde", "fde"):
-                _check_refinement(system, seed, mode)
+    # With max_denominator 4 the drifts have different denominators, so they
+    # reach the signers scaled to one common denominator.
+    for rng_seed, max_denominator in ((77, 1), (78, 4)):
+        rng = random.Random(rng_seed)
+        for _ in range(120):
+            n = rng.randint(2, 12)
+            system = random_poly_system(rng, n, max_degree=3, max_denominator=max_denominator,
+                                        coeff_range=rng.choice(((-3, 3), (0, 2), (-1, 1))))
+            for seed in _seeds(rng, system, [[v] for v in range(n)]):
+                for mode in ("bde", "fde"):
+                    _check_refinement(system, seed, mode)
 
 
 def test_resigned_variable_with_unchanged_signature_stays():
@@ -257,10 +260,21 @@ def test_resigned_variable_with_unchanged_signature_stays():
         assert brute_force_coarsest(system, seed, mode) == expected
 
 
+def test_fde_partials_carry_the_exponent():
+    # The block sum a^2 + 2ab + b^2 has equal partials 2a + 2b; without the
+    # exponent of a^2 and b^2 they would read a + 2b and 2a + b.
+    names = ("a", "b")
+    system = OdeSystem.make(names, (parse_polynomial("a*a + b*b", names),
+                                    parse_polynomial("2*a*b", names)), (0, 0))
+    one = Partition.one_block(2)
+    assert coarsest_with_trace(system, one, "fde") == (one, [1])
+    assert check_fde(system, one).ok
+
+
 def test_refinement_scales_to_long_chains():
     n = 2000
-    drifts = [poly_normalize([monomial(-2, {0: 1})])]
-    drifts += [poly_normalize([monomial(1, {i - 1: 1}), monomial(-1, {i: 1})])
+    drifts = [Polynomial([monomial(-2, {0: 1})])]
+    drifts += [Polynomial([monomial(1, {i - 1: 1}), monomial(-1, {i: 1})])
                for i in range(1, n)]
     system = OdeSystem.make(tuple(f"x{i}" for i in range(n)), tuple(drifts), (0,) * n)
     seed = Partition.one_block(n)
@@ -287,7 +301,7 @@ def test_permutation_equivariance():
 def test_normalization_invariance():
     # same drifts written with split and reordered monomials
     plain = cascade(k1=2, k2=3)
-    messy_drift = poly_normalize([
+    messy_drift = Polynomial([
         monomial(1, {0: 1}), monomial(-1, {1: 1}), monomial(1, {0: 1}),
     ])
     messy = OdeSystem.make(NAMES, (plain.drifts[0], messy_drift, plain.drifts[2]),
@@ -353,7 +367,7 @@ def _reference_forward(system, part):
         names.append(name)
         renamed = Polynomial.sum(system.drifts[v] for v in block) \
             .rename(dict(enumerate(labels)))
-        drifts.append(poly_normalize(
+        drifts.append(Polynomial(
             monomial(m.coeff / prod(sizes[b] ** e for b, e in m.exps), m.exps)
             for m in renamed.terms))
     init = [sum((system.init[v] for v in block), Fraction(0)) for block in part.blocks]
@@ -594,7 +608,7 @@ _witness_terms = st.lists(
     st.builds(monomial, st.integers(-3, 3).filter(bool),
               st.lists(st.integers(0, WIDTH - 1), max_size=3)
               .map(lambda vs: {v: vs.count(v) for v in vs})),
-    min_size=1, max_size=5).map(poly_normalize)
+    min_size=1, max_size=5).map(Polynomial)
 # Factors (x_v - c) make the polynomial vanish on the first grid points.
 _vanishing_factors = st.lists(st.tuples(st.integers(0, WIDTH - 1), st.integers(1, 2)),
                               max_size=2)

@@ -11,8 +11,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odelump import (OdeSystem, monomial, parse_expression, parse_model,
-                     parse_polynomial, poly_normalize, serialize_model)
+from odelump import (OdeSystem, Polynomial, monomial, parse_expression, parse_model,
+                     parse_polynomial, serialize_model)
 from odelump.cli import main
 from odelump.driftexpr import Bin, Const, Var, to_polynomial
 
@@ -122,7 +122,7 @@ def systems(draw):
         terms = draw(st.lists(
             st.tuples(_COEFFS, st.lists(st.integers(0, n - 1), max_size=3)),
             max_size=4))
-        drifts.append(poly_normalize(
+        drifts.append(Polynomial(
             [monomial(c, [(v, 1) for v in vs]) for c, vs in terms]))
     init = draw(st.lists(_COEFFS, min_size=n, max_size=n))
     return OdeSystem.make([f"v{i}" for i in range(n)], drifts, init)

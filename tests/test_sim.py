@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from odelump import (DivisionByZero, GridMismatch, NonFiniteState, OdeSystem,
                      Partition, Polynomial, Trajectory, compare_reduction,
                      integrate, monomial, parse_model, parse_polynomial,
-                     poly_normalize, read_csv, reduce_backward, reduce_forward,
+                     read_csv, reduce_backward, reduce_forward,
                      write_csv)
 from odelump import sim
 from conftest import cascade
@@ -147,7 +147,7 @@ coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter
 monomials = st.builds(monomial, coefficients,
                       st.dictionaries(st.integers(0, len(NAMES) - 1), st.integers(1, 4),
                                       max_size=3))
-polynomials = st.lists(monomials, max_size=6).map(poly_normalize)  # may be zero
+polynomials = st.lists(monomials, max_size=6).map(Polynomial)  # may be zero
 inits = st.fractions(min_value=-2, max_value=2, max_denominator=16)
 
 
@@ -280,6 +280,12 @@ def test_csv_round_trip(tmp_path):
     assert np.max(np.abs(again.times - traj.times)) <= 1e-9
 
 
+@pytest.mark.parametrize("text", ["", "time,x1,x2\n", "time,x1\n\n"])
+def test_read_csv_without_rows_raises_value_error(text):
+    with pytest.raises(ValueError):
+        read_csv(io.StringIO(text))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), ("x",))
@@ -294,3 +300,9 @@ def test_integrate_argument_validation():
                                     (1e200, 1e-100, 1), (1.0, 1e-8, 1)]:
         with pytest.raises(ValueError):
             integrate(decay_system(), t_end=t_end, dt=dt, sample_every=sample_every)
+
+
+@pytest.mark.parametrize("sample_every", [1.5, 2.0, "2", None])
+def test_sample_every_must_be_an_int(sample_every):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        integrate(decay_system(), t_end=1.0, dt=0.1, sample_every=sample_every)

@@ -4,9 +4,15 @@ The scripts are what a solver sees, so a change in their text is a change in
 behaviour even when every formula still has the right structure.
 """
 
+import shlex
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from odelump import Partition, parse_model, phi_variable_names, smt_emit
+from odelump import (OdeSystem, Partition, Polynomial, parse_model, phi_variable_names,
+                     smt_emit, solver_invoke)
 from odelump.smt import _block_drift_sums_across_copies, _pair_swap_formula, phi_script
 from conftest import cascade
 
@@ -15,6 +21,11 @@ H_SPLIT = Partition([[0], [1, 2]])
 DIVISION = parse_model(
     "begin model begin init x=1 y=2 end init "
     "begin ode d(x) = x/y d(y) = x/y end ode end model").system
+# SMT-LIB 2.6 reserves `_`, `match`, NUMERAL and the like, and the command
+# names; a solver rejects them as plain symbols, so they are quoted.
+RESERVED = parse_model(
+    "begin model begin init _=1 match=1 NUMERAL=1 end init "
+    "begin ode d(_) = match d(match) = _ d(NUMERAL) = NUMERAL end ode end model").system
 MIN_ABS = parse_model(
     "begin model begin init x=1 y=1 end init "
     "begin ode d(x) = min(x, y) d(y) = abs(x) end ode end model").system
@@ -56,6 +67,13 @@ CASES = {
         lambda: phi_script(MIN_ABS, Partition.one_block(2), "bde")[0],
         HEAD_XY + "(assert (not (=> (= x y) "
                   "(= (ite (<= x y) x y) (ite (>= x 0) x (- x))))))\n" + TAIL),
+    "reserved_words": (
+        lambda: phi_script(RESERVED, Partition.one_block(3), "bde")[0],
+        "(set-logic QF_NRA)\n"
+        "(declare-const |_| Real)\n(declare-const |match| Real)\n"
+        "(declare-const |NUMERAL| Real)\n"
+        "(assert (not (=> (and (= |_| |match|) (= |_| |NUMERAL|)) "
+        "(and (= |match| |_|) (= |match| |NUMERAL|)))))\n" + TAIL),
     "pair_swap": (
         _swap_script,
         HEAD3 + PRIMED3 + "(assert (not (=> (and (= (+ x2 x3) (+ x2_p x3_p)) (= x1 x1_p)) "
@@ -67,3 +85,24 @@ CASES = {
 def test_emitted_script_text(case):
     build, expected = CASES[case]
     assert build() == expected
+
+
+@pytest.mark.parametrize("name", ["BINARY", "DECIMAL", "HEXADECIMAL", "STRING",
+                                  "echo", "exit", "pop", "push", "reset"])
+def test_other_reserved_words_are_quoted(name):
+    system = OdeSystem.make((name, "y"), (Polynomial.variable(1), Polynomial.variable(0)),
+                            (1, 1))
+    text = phi_script(system, Partition.one_block(2), "bde")[0]
+    assert text.startswith(f"(set-logic QF_NRA)\n(declare-const |{name}| Real)\n")
+    assert f"(= |{name}| y)" in text
+
+
+def test_quoted_model_names_read_back_plain(tmp_path):
+    reply = tmp_path / "reply.txt"
+    reply.write_text("sat\n((define-fun |match| () Real 1) (define-fun |_| () Real (/ 1 2)))\n")
+    cmd = " ".join(shlex.quote(p) for p in (
+        sys.executable, str(Path(__file__).parent / "fakesolver.py"), "reply", str(reply)))
+    script = phi_script(RESERVED, Partition.one_block(3), "bde")[0]
+    verdict = solver_invoke(script, cmd)
+    assert verdict.kind == "sat"
+    assert verdict.model == {"match": 1, "_": Fraction(1, 2), "NUMERAL": 0}
