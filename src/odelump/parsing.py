@@ -22,9 +22,28 @@ drift; a zero reaction rate is rejected.
 
 How the text is read:
 
-* One regex sweep splits the text into token strings; each distinct string
-  is classified once.  Tokens carry no position: the line and column of an
-  error are worked out when it is raised, by sweeping the text again.
+* The line reader comes first.  It reads the text one line at a time, with
+  one whole-line regex match each, and takes a document only if it knows
+  every line.  It knows the section keyword lines, blank lines and lines
+  that hold only a ``//`` comment, and one statement per line:
+  ``name = [-]p[/q]`` in init; ``d(x) = `` then terms as
+  ``Polynomial.format`` writes them in ode (an optional ``p`` or ``p/q``,
+  then ``*``-joined variables, at least one factor, terms joined by ``+`` or
+  ``-`` with only spaces around them, a lone ``0`` for zero); ``[k*]A + ...
+  -> ..., [-]p[/q]`` in reactions, ``0`` for an empty side; and a partition
+  or observe section whose list is one line, as ``serialize_model`` writes
+  them.  Terms go into the same accumulator as on the token path below.
+* The line reader declines everything else: a statement split across lines
+  or followed by a comment, any other drift syntax, duplicate or reserved
+  names, undeclared names, zero denominators, zero rates, multiplicities
+  that are not positive integers, a second drift for one variable, and a
+  partition that does not cover the variables.  It never raises; when it
+  declines, the whole text goes to the token parser, which is the only
+  source of errors and of expression drifts.
+* The token parser splits the text into token strings with one regex sweep;
+  each distinct string is classified once.  Tokens carry no position: the
+  line and column of an error are worked out when it is raised, by sweeping
+  the text again.
 * A drift that is a plain sum of products -- terms ``[-] factor {* factor}``
   joined by ``+``/``-``, where a factor is a declared variable or a numeral
   (either may carry unary ``-``) and ``/`` may only divide by a nonzero
@@ -52,13 +71,12 @@ from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError
                      UndeclaredVariable)
 from .partition import Partition
 from .poly import Polynomial, _from_accumulator
-from .system import OdeSystem
+from .system import _IDENT, _RESERVED, OdeSystem
 
-_RESERVED = ("begin", "end")
-
+_NUMBER = r"\d+(?:\.\d+)?"
 _KINDS = (
-    ("number", r"\d+(?:\.\d+)?"),
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("number", _NUMBER),
+    ("ident", _IDENT.pattern),
     ("arrow", r"->"),
     ("sym", r"[=(){},+\-*/]"),
 )
@@ -96,10 +114,16 @@ def _tokenize(text: str):
 
 
 class _Numerals(dict):
-    """One exact Fraction per distinct numeral text."""
+    """One exact value per distinct text ``[-]p[/q]`` of numerals p and q;
+    None when q is zero."""
 
     def __missing__(self, text):
-        value = self[text] = Fraction(text)
+        num, _, den = text.partition("/")
+        value = Fraction(num)
+        if den:
+            den = Fraction(den)
+            value = value / den if den else None
+        self[text] = value
         return value
 
 
@@ -117,6 +141,55 @@ class ModelDocument:
                 f"system has {self.system.n}")
 
 
+def _cover(blocks, n: int) -> Partition:
+    """The partition of 0..n-1 into ``blocks``; ValueError if it is not one."""
+    part = Partition(blocks)
+    if part.size != n:
+        raise ValueError("partition must cover every declared variable")
+    return part
+
+
+def _document(names, inits, section, observables, partition) -> ModelDocument:
+    """The document of a read model.  ``section`` holds the reactions as a
+    list, or the drifts as a dict by variable index, a missing drift being
+    zero."""
+    names, inits = tuple(names), tuple(inits)
+    if isinstance(section, list):
+        system = ReactionNetwork(names, tuple(section), inits, observables)
+    else:
+        zero = Polynomial.zero()
+        drifts = tuple(section.get(i, zero) for i in range(len(names)))
+        system = OdeSystem(names, drifts, inits, observables)
+    return ModelDocument(system, partition)
+
+
+def _product(variables: list) -> tuple:
+    """The exponent vector of the product of ``variables``, given as variable
+    indices that may repeat."""
+    if len(variables) == 1:
+        return ((variables[0], 1),)
+    counts: dict = {}
+    for v in sorted(variables):
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(counts.items())
+
+
+def _add_term(acc: dict, den: int, exps: tuple, num: int, q: int) -> int:
+    """Add the term num/q * x^exps, q > 0, to ``acc``, an ``{exps: numerator}``
+    accumulator over ``den``.  Returns the accumulator's denominator, grown
+    to a multiple of q when it was not one."""
+    if q != den:
+        if den % q:
+            grow = lcm(den, q) // den
+            den *= grow
+            for e in acc:
+                acc[e] *= grow
+        num *= den // q
+    prev = acc.get(exps)
+    acc[exps] = num if prev is None else prev + num
+    return den
+
+
 class _Parser:
     def __init__(self, text: str, names=()):
         self.text = text
@@ -125,7 +198,6 @@ class _Parser:
         self.names: list = list(names)
         self.index: dict = {nm: i for i, nm in enumerate(self.names)}
         self.number = _Numerals().__getitem__
-        self.quotients: dict = {}  # (p, q) numeral texts -> p/q
         if None in self.kinds:
             self.fail("valid token", self.kinds.index(None))
 
@@ -192,18 +264,14 @@ class _Parser:
 
     def parse_rational(self) -> Fraction:
         neg = self.accept("-")
-        num = self.texts[self.expect("number", "number")]
-        value = self.number(num)
+        at = self.expect("number", "number")
+        text = self.texts[at]
         if self.accept("/"):
-            den_at = self.expect("number", "number")
-            key = (num, self.texts[den_at])
-            quotient = self.quotients.get(key)
-            if quotient is None:
-                den = self.number(key[1])
-                if den == 0:
-                    self.fail("nonzero denominator", den_at)
-                quotient = self.quotients[key] = value / den
-            value = quotient
+            at = self.expect("number", "number")
+            text += "/" + self.texts[at]
+        value = self.number(text)
+        if value is None:
+            self.fail("nonzero denominator", at)
         return -value if neg else value
 
     # -- sections ------------------------------------------------------------
@@ -239,26 +307,18 @@ class _Parser:
         if self.kinds[self.i] != "eof":
             self.fail("end of input")
 
-        if system_kind == "ode":
-            system: Union[OdeSystem, ReactionNetwork] = OdeSystem(
-                tuple(self.names), self.finish_drifts(drifts, starts),
-                tuple(self.inits), observables)
-        else:
-            system = ReactionNetwork(
-                tuple(self.names), tuple(reactions), tuple(self.inits), observables)
-
         user_partition = None
         if user_blocks is not None:
             try:
-                user_partition = Partition(user_blocks)
+                user_partition = _cover(user_blocks, len(self.names))
             except ValueError as exc:
                 raise PartitionCoverageError(
                     str(exc), *self.where(partition_at)) from None
-            if user_partition.size != len(self.names):
-                raise PartitionCoverageError(
-                    "partition must cover every declared variable",
-                    *self.where(partition_at))
-        return ModelDocument(system, user_partition)
+        if system_kind == "ode":
+            section = self.finish_drifts(drifts, starts)
+        else:
+            section = reactions
+        return _document(self.names, self.inits, section, observables, user_partition)
 
     def parse_init(self):
         self.expect_word("begin")
@@ -300,20 +360,18 @@ class _Parser:
         self.expect_word("ode")
         return drifts, starts
 
-    def finish_drifts(self, drifts: dict, starts: dict) -> tuple:
-        n = len(self.names)
+    def finish_drifts(self, drifts: dict, starts: dict) -> dict:
         if all(isinstance(d, Polynomial) for d in drifts.values()):
-            zero = Polynomial.zero()
-            return tuple(drifts.get(i, zero) for i in range(n))
+            return drifts
         # an expression model: every drift keeps the tree its text spells
-        trees = []
-        for i in range(n):
+        trees = {}
+        for i in range(len(self.names)):
             if i in starts:
                 self.i = starts[i]
-                trees.append(self.parse_expr())
+                trees[i] = self.parse_expr()
             else:
-                trees.append(Const(Fraction(0)))
-        return tuple(trees)
+                trees[i] = Const(Fraction(0))
+        return trees
 
     def parse_reactions(self) -> list:
         reactions = []
@@ -442,24 +500,7 @@ class _Parser:
                 if kinds[i] != "*":
                     break
                 i += 1
-            if len(variables) == 1:
-                exps = ((variables[0], 1),)
-            else:
-                counts: dict = {}
-                for v in sorted(variables):
-                    counts[v] = counts.get(v, 0) + 1
-                exps = tuple(counts.items())
-            if sign < 0:
-                num = -num
-            if q != den:
-                if den % q:
-                    grow = lcm(den, q) // den
-                    den *= grow
-                    for e in acc:
-                        acc[e] *= grow
-                num *= den // q
-            prev = acc.get(exps)
-            acc[exps] = num if prev is None else prev + num
+            den = _add_term(acc, den, _product(variables), -num if sign < 0 else num, q)
             kind = kinds[i]
             if kind == "+":
                 sign = 1
@@ -525,9 +566,194 @@ class _Parser:
         self.fail("a number, variable or '('", at)
 
 
+# -- the line reader ------------------------------------------------------------
+# Each pattern is one whole line.  A section's line pattern also takes the
+# line that ends the section (its last group) and blank or comment-only lines
+# (every group None).
+
+_ID = _IDENT.pattern
+_RATIONAL = rf"-?{_NUMBER}(?:/{_NUMBER})?"
+_TERM = rf"(?:{_NUMBER}(?:/{_NUMBER})?|{_ID})(?:\*{_ID})*"
+_SIDE = rf"0|(?:[1-9]\d*\*)?{_ID}(?:\s*\+\s*(?:[1-9]\d*\*)?{_ID})*"
+_BLOCK = rf"\{{\s*{_ID}(?:\s*,\s*{_ID})*\s*\}}"
+
+
+def _section_line(item: str, section: str):
+    return re.compile(rf"\s*(?:{item}|(end\s+{section})|//.*)?\s*")
+
+
+_BLANK_LINE = re.compile(r"\s*(?://.*)?")
+_KEYWORD_LINE = re.compile(r"\s*(begin|end)\s+([a-z]+)\s*")
+_INIT_LINE = _section_line(rf"({_ID})\s*=\s*({_RATIONAL})", "init")
+# spaces are the only blanks inside a drift, which lets it be split by str methods
+_DRIFT_LINE = _section_line(
+    rf"d\s*\(\s*({_ID})\s*\)\s*=\s*(-? *{_TERM}(?: *[+-] *{_TERM})*)", "ode")
+_REACTION_LINE = _section_line(
+    rf"({_SIDE})\s*->\s*({_SIDE})\s*,\s*({_RATIONAL})", "reactions")
+_PARTITION_LINE = re.compile(rf"\s*{_BLOCK}(?:\s*,\s*{_BLOCK})*\s*")
+_OBSERVE_LINE = re.compile(rf"\s*{_ID}(?:\s*,\s*{_ID})*\s*")
+
+
+def _read_lines(text: str) -> Optional[ModelDocument]:
+    """The document ``text`` spells if the line reader knows every one of its
+    lines (see the module docstring), else None.  Never raises."""
+    try:
+        return _read_known_lines(text)
+    except KeyError:  # a name that was not declared
+        return None
+
+
+def _read_known_lines(text: str) -> Optional[ModelDocument]:
+    lines = iter(text.split("\n"))
+    number = _Numerals().__getitem__
+
+    def content() -> str:
+        """The next line that is not blank or a comment; "" after the last."""
+        for line in lines:
+            if not _BLANK_LINE.fullmatch(line):
+                return line
+        return ""
+
+    def keyword() -> Optional[str]:
+        m = _KEYWORD_LINE.fullmatch(content())
+        return m and f"{m[1]} {m[2]}"
+
+    if keyword() != "begin model" or keyword() != "begin init":
+        return None
+    names: list = []
+    inits: list = []
+    index: dict = {}
+    for line in lines:
+        m = _INIT_LINE.fullmatch(line)
+        if m is None:
+            return None
+        name, value, end = m.groups()
+        if end:
+            break
+        if name is not None:
+            value = number(value)
+            if value is None or name in index or name in _RESERVED:
+                return None
+            index[name] = len(names)
+            names.append(name)
+            inits.append(value)
+    else:
+        return None
+    if not names:
+        return None
+
+    kind = keyword()
+    if kind == "begin ode":
+        section = _read_drifts(lines, index, number)
+    elif kind == "begin reactions":
+        section = _read_reactions(lines, index, number)
+    else:
+        return None
+    if section is None:
+        return None
+
+    after = keyword()
+    partition = None
+    if after == "begin partition":
+        line = content()
+        if not _PARTITION_LINE.fullmatch(line) or keyword() != "end partition":
+            return None
+        blocks = [[index[nm] for nm in _IDENT.findall(chunk)]
+                  for chunk in line.split("}")[:-1]]
+        try:
+            partition = _cover(blocks, len(names))
+        except ValueError:
+            return None
+        after = keyword()
+    observables = None
+    if after == "begin observe":
+        line = content()
+        if not _OBSERVE_LINE.fullmatch(line) or keyword() != "end observe":
+            return None
+        observables = frozenset([index[nm] for nm in _IDENT.findall(line)])
+        after = keyword()
+    if after != "end model" or content():
+        return None
+    return _document(names, inits, section, observables, partition)
+
+
+def _read_drifts(lines, index: dict, number) -> Optional[dict]:
+    """The drifts of an ode section by variable index, up to its end line."""
+    drifts: dict = {}
+    for line in lines:
+        m = _DRIFT_LINE.fullmatch(line)
+        if m is None:
+            return None
+        name, body, end = m.groups()
+        if end:
+            return drifts
+        if name is None:
+            continue
+        v = index[name]
+        if v in drifts:
+            return None
+        acc: dict = {}
+        den = 1
+        # the terms, each negative one led by "-"; a leading "-" leaves an
+        # empty text first
+        for term in body.replace(" ", "").replace("-", "+-").split("+"):
+            if not term:
+                continue
+            neg = term[0] == "-"
+            factors = (term[1:] if neg else term).split("*")
+            num = q = 1
+            if factors[0][0].isdigit():
+                c = number(factors.pop(0))
+                if c is None:
+                    return None
+                num, q = c.numerator, c.denominator
+            if neg:
+                num = -num
+            if len(factors) == 1:
+                exps = ((index[factors[0]], 1),)
+            else:
+                exps = _product([index[f] for f in factors])
+            den = _add_term(acc, den, exps, num, q)
+        drifts[v] = _from_accumulator(acc, den)
+    return None
+
+
+def _read_reactions(lines, index: dict, number) -> Optional[list]:
+    """The reactions of a reactions section, up to its end line."""
+    reactions = []
+    sides: dict = {}  # side text -> its multiset
+
+    def side(text: str):
+        ms = sides.get(text)
+        if ms is None:
+            items = []
+            if text != "0":
+                for item in text.split("+"):
+                    mult, _, name = item.strip().rpartition("*")
+                    items.append((index[name], int(mult) if mult else 1))
+            ms = sides[text] = multiset(items)
+        return ms
+
+    for line in lines:
+        m = _REACTION_LINE.fullmatch(line)
+        if m is None:
+            return None
+        reagents, products, rate, end = m.groups()
+        if end:
+            return reactions
+        if reagents is None:
+            continue
+        rate = number(rate)
+        if not rate:  # a zero rate, or a zero denominator
+            return None
+        reactions.append(Reaction(side(reagents), side(products), rate))
+    return None
+
+
 def parse_model(text: str) -> ModelDocument:
     """Parse model text into a document; numbers become exact rationals."""
-    return _Parser(text).parse_model()
+    doc = _read_lines(text)
+    return _Parser(text).parse_model() if doc is None else doc
 
 
 def parse_expression(text: str, names) -> DriftExpr:

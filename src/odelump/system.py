@@ -4,6 +4,7 @@ the one choice between the forward (fde) and backward (bde) equivalence."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -14,12 +15,23 @@ from .errors import PartitionMismatch
 from .poly import Polynomial, as_fraction
 
 
+# A variable name, as the model grammar spells it; the reserved words are not
+# names.  The model tokenizer and line reader use the same pattern.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_RESERVED = ("begin", "end")
+
+
 def check_container(names, init, observables) -> None:
-    """What every model container requires: at least one name, unique names,
-    one Fraction initial value per name, observables (or None) in range."""
+    """What every model container requires: at least one name, every name an
+    identifier of the model grammar and not reserved, unique names, one
+    Fraction initial value per name, observables (or None) in range."""
     n = len(names)
     if n == 0:
         raise ValueError("a model needs at least one variable")
+    for name in names:
+        if not _IDENT.fullmatch(name) or name in _RESERVED:
+            raise ValueError(f"variable name {name!r} is not an identifier "
+                             "[A-Za-z_][A-Za-z0-9_]* other than begin or end")
     if len(init) != n:
         raise ValueError("init must assign every variable")
     if len(set(names)) != n:

@@ -3,8 +3,17 @@ import shlex
 import shutil
 from fractions import Fraction
 
+from hypothesis import settings
+
 from odelump import (OdeSystem, Partition, Polynomial, monomial,
                      parse_polynomial)
+
+# Tests that leave max_examples unset take it from the profile that
+# HYPOTHESIS_PROFILE names: "default" keeps hypothesis' own count, "ci" runs
+# ten times as many examples.
+settings.register_profile("default", max_examples=100)
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 NAMES3 = ("x1", "x2", "x3")
 

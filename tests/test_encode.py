@@ -191,6 +191,16 @@ def test_containers_reject_out_of_range_observables(build):
         build([5], [1, 0])
 
 
+@pytest.mark.parametrize("build", [
+    lambda names: OdeSystem.make(names, (Polynomial.zero(),) * 2, (1, 0)),
+    lambda names: ReactionNetwork.make(names, (), (1, 0)),
+], ids=["system", "network"])
+@pytest.mark.parametrize("bad", ["a|b", "x y", "begin", "end", "1x", ""])
+def test_containers_reject_names_outside_the_grammar(build, bad):
+    with pytest.raises(ValueError, match="is not an identifier"):
+        build(("ok", bad))
+
+
 def test_network_rejects_non_fraction_init():
     with pytest.raises(TypeError, match="initial values must be Fractions"):
         ReactionNetwork(("a", "b"), (), (1, 0))
