@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DivisionByZero
-from .poly import Polynomial
+from .poly import Polynomial, _add_term, _from_accumulator, _product
 
 _BIN_OPS = ("add", "sub", "mul", "div", "min", "max")
 
@@ -135,32 +135,74 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
     """Lower to a polynomial when possible, else None.
 
     Division is accepted only by a subexpression that lowers to a nonzero
-    constant; min/max/abs never lower.
+    constant; min/max/abs never lower.  It does not recurse over sums: the
+    chain of add/sub nodes is walked with a loop, and every summand that is
+    a product of constants and variables goes straight into one term
+    accumulator.  Only other summands are lowered recursively.
     """
-    if isinstance(expr, Const):
-        return Polynomial.constant(expr.value)
-    if isinstance(expr, Var):
-        return Polynomial.variable(expr.index)
-    if isinstance(expr, Abs):
-        return None
-    if expr.op in ("min", "max"):
-        return None
-    lhs = to_polynomial(expr.lhs)
-    if lhs is None:
-        return None
-    rhs = to_polynomial(expr.rhs)
-    if rhs is None:
-        return None
-    if expr.op == "add":
-        return lhs + rhs
-    if expr.op == "sub":
-        return lhs - rhs
-    if expr.op == "mul":
-        return lhs * rhs
-    # division: divisor must be a nonzero constant
-    if rhs.degree() > 0 or not rhs:
-        return None
-    return lhs.scale(1 / rhs.terms[0].coeff)
+    acc: dict = {}
+    den = 1
+    others = []
+    summands = [(expr, 1)]
+    while summands:
+        e, sign = summands.pop()
+        if isinstance(e, Bin) and e.op in ("add", "sub"):
+            summands.append((e.lhs, sign))
+            summands.append((e.rhs, -sign if e.op == "sub" else sign))
+            continue
+        term = _product_term(e)
+        if term is not None:
+            num, q, variables = term
+            den = _add_term(acc, den, _product(variables), sign * num, q)
+            continue
+        if isinstance(e, Abs) or e.op in ("min", "max"):
+            return None
+        lhs = to_polynomial(e.lhs)
+        if lhs is None:
+            return None
+        rhs = to_polynomial(e.rhs)
+        if rhs is None:
+            return None
+        if e.op == "mul":
+            p = lhs * rhs
+        elif rhs.degree() == 0:  # division by a nonzero constant
+            p = lhs.scale(1 / rhs.terms[0].coeff)
+        else:
+            return None
+        others.append(p if sign > 0 else -p)
+    return Polynomial.sum([_from_accumulator(acc, den), *others])
+
+
+def _product_term(expr: DriftExpr):
+    """``(num, q, variables)`` when ``expr`` is num/q, q > 0, times the
+    product of ``variables``: a product of constants and variables, with
+    unary minus, in which ``/`` divides only by a nonzero constant.  None
+    for anything else."""
+    num = q = 1
+    variables = []
+    factors = [expr]
+    while factors:
+        e = factors.pop()
+        if isinstance(e, Var):
+            variables.append(e.index)
+        elif isinstance(e, Const):
+            num *= e.value.numerator
+            q *= e.value.denominator
+        elif not isinstance(e, Bin):
+            return None
+        elif e.op == "mul":
+            factors.append(e.lhs)
+            factors.append(e.rhs)
+        elif e.op == "sub" and isinstance(e.lhs, Const) and not e.lhs.value:
+            num = -num  # unary minus
+            factors.append(e.rhs)
+        elif e.op == "div" and isinstance(e.rhs, Const) and e.rhs.value:
+            num *= e.rhs.value.denominator
+            q *= e.rhs.value.numerator
+            factors.append(e.lhs)
+        else:
+            return None
+    return (num, q, variables) if q > 0 else (-num, -q, variables)
 
 
 def sum_exprs(exprs) -> DriftExpr:

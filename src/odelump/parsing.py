@@ -32,7 +32,7 @@ How the text is read:
   ``-`` with only spaces around them, a lone ``0`` for zero); ``[k*]A + ...
   -> ..., [-]p[/q]`` in reactions, ``0`` for an empty side; and a partition
   or observe section whose list is one line, as ``serialize_model`` writes
-  them.  Terms go into the same accumulator as on the token path below.
+  them.  Terms go into the same accumulator as the lowering of trees.
 * The line reader declines everything else: a statement split across lines
   or followed by a comment, any other drift syntax, duplicate or reserved
   names, undeclared names, zero denominators, zero rates, multiplicities
@@ -44,16 +44,10 @@ How the text is read:
   each distinct string is classified once.  Tokens carry no position: the
   line and column of an error are worked out when it is raised, by sweeping
   the text again.
-* A drift that is a plain sum of products -- terms ``[-] factor {* factor}``
-  joined by ``+``/``-``, where a factor is a declared variable or a numeral
-  (either may carry unary ``-``) and ``/`` may only divide by a nonzero
-  numeral, as in ``4/3*x`` or ``x/2`` -- is read straight into monomials.
-* Any other drift (parentheses, ``min``/``max``/``abs``, division by
-  anything but a nonzero numeral, or text that is not a valid drift at all)
-  is read again from its first token as a drift-expression tree and lowered
-  to a polynomial when it can be, so its errors come from the tree parser.
-* If some drift stays a tree, the model is an expression model and every
-  drift is re-read as a tree, so subtraction and division keep their nodes.
+* Every drift is read once, as a drift-expression tree, and lowered to a
+  polynomial.  If some drift does not lower, the model is an expression
+  model and every drift keeps its tree, so subtraction and division keep
+  their nodes.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
@@ -70,7 +63,7 @@ from .encode import Reaction, ReactionNetwork, multiset, rn_to_ode, ode_to_rn
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable)
 from .partition import Partition
-from .poly import Polynomial, _from_accumulator
+from .poly import Polynomial, _add_term, _from_accumulator, _product
 from .system import _IDENT, _RESERVED, OdeSystem
 
 _NUMBER = r"\d+(?:\.\d+)?"
@@ -161,33 +154,6 @@ def _document(names, inits, section, observables, partition) -> ModelDocument:
         drifts = tuple(section.get(i, zero) for i in range(len(names)))
         system = OdeSystem(names, drifts, inits, observables)
     return ModelDocument(system, partition)
-
-
-def _product(variables: list) -> tuple:
-    """The exponent vector of the product of ``variables``, given as variable
-    indices that may repeat."""
-    if len(variables) == 1:
-        return ((variables[0], 1),)
-    counts: dict = {}
-    for v in sorted(variables):
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(counts.items())
-
-
-def _add_term(acc: dict, den: int, exps: tuple, num: int, q: int) -> int:
-    """Add the term num/q * x^exps, q > 0, to ``acc``, an ``{exps: numerator}``
-    accumulator over ``den``.  Returns the accumulator's denominator, grown
-    to a multiple of q when it was not one."""
-    if q != den:
-        if den % q:
-            grow = lcm(den, q) // den
-            den *= grow
-            for e in acc:
-                acc[e] *= grow
-        num *= den // q
-    prev = acc.get(exps)
-    acc[exps] = num if prev is None else prev + num
-    return den
 
 
 class _Parser:
@@ -285,7 +251,7 @@ class _Parser:
         if self.at_word("ode"):
             self.i += 1
             system_kind = "ode"
-            drifts, starts = self.parse_odes()
+            drifts = self.parse_odes()
         elif self.at_word("reactions"):
             self.i += 1
             system_kind = "reactions"
@@ -315,7 +281,11 @@ class _Parser:
                 raise PartitionCoverageError(
                     str(exc), *self.where(partition_at)) from None
         if system_kind == "ode":
-            section = self.finish_drifts(drifts, starts)
+            section = {i: to_polynomial(tree) for i, tree in drifts.items()}
+            if None in section.values():
+                # an expression model: every drift keeps the tree its text spells
+                zero = Const(Fraction(0))
+                section = {i: drifts.get(i, zero) for i in range(len(self.names))}
         else:
             section = reactions
         return _document(self.names, self.inits, section, observables, user_partition)
@@ -339,10 +309,9 @@ class _Parser:
             self.fail("at least one variable declaration")
         self.expect_word("init")
 
-    def parse_odes(self):
-        """Drifts by variable index, and the token index each drift starts at."""
+    def parse_odes(self) -> dict:
+        """The drift trees by variable index."""
         drifts: dict = {}
-        starts: dict = {}
         while not self.at_section_end():
             d_at = self.expect("ident", "'d('")
             if self.texts[d_at] != "d":
@@ -354,24 +323,10 @@ class _Parser:
                 self.fail(f"a single drift for variable '{self.texts[name_at]}'", name_at)
             self.expect(")", "')'")
             self.expect("=", "'='")
-            starts[idx] = self.i
-            drifts[idx] = self.parse_drift()
+            drifts[idx] = self.parse_expr()
         self.expect_word("end")
         self.expect_word("ode")
-        return drifts, starts
-
-    def finish_drifts(self, drifts: dict, starts: dict) -> dict:
-        if all(isinstance(d, Polynomial) for d in drifts.values()):
-            return drifts
-        # an expression model: every drift keeps the tree its text spells
-        trees = {}
-        for i in range(len(self.names)):
-            if i in starts:
-                self.i = starts[i]
-                trees[i] = self.parse_expr()
-            else:
-                trees[i] = Const(Fraction(0))
-        return trees
+        return drifts
 
     def parse_reactions(self) -> list:
         reactions = []
@@ -439,78 +394,6 @@ class _Parser:
         return frozenset(indices)
 
     # -- drifts -----------------------------------------------------------------
-
-    def parse_drift(self) -> Union[Polynomial, DriftExpr]:
-        """One drift: a Polynomial when it lowers to one, else its tree."""
-        poly = self.parse_sum_of_products()
-        if poly is not None:
-            return poly
-        expr = self.parse_expr()
-        poly = to_polynomial(expr)
-        return expr if poly is None else poly
-
-    def parse_sum_of_products(self) -> Optional[Polynomial]:
-        """Read a plain sum of products straight into monomials.
-
-        Each term's coefficient is kept as an int fraction num/q, and the
-        terms are accumulated as int numerators over their running common
-        denominator.  Returns None, with the cursor left where it was, on
-        anything that is not a plain sum of products; the caller then reads
-        the same tokens as a tree.
-        """
-        kinds, texts, index, number = self.kinds, self.texts, self.index, self.number
-        i = self.i
-        acc: dict = {}
-        den = 1
-        sign = 1
-        while True:
-            # one term: factors joined by "*", each "/" dividing by a numeral
-            num = q = 1
-            variables = []
-            while True:
-                while kinds[i] == "-":
-                    sign = -sign
-                    i += 1
-                kind = kinds[i]
-                if kind == "ident":
-                    v = index.get(texts[i])
-                    if v is None or kinds[i + 1] == "(":
-                        return None
-                    variables.append(v)
-                elif kind == "number":
-                    c = number(texts[i])
-                    num *= c.numerator
-                    q *= c.denominator
-                else:
-                    return None
-                i += 1
-                while kinds[i] == "/":
-                    i += 1
-                    while kinds[i] == "-":
-                        sign = -sign
-                        i += 1
-                    if kinds[i] != "number":
-                        return None
-                    c = number(texts[i])
-                    if not c:
-                        return None
-                    num *= c.denominator
-                    q *= c.numerator  # numerals are positive
-                    i += 1
-                if kinds[i] != "*":
-                    break
-                i += 1
-            den = _add_term(acc, den, _product(variables), -num if sign < 0 else num, q)
-            kind = kinds[i]
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
-                break
-            i += 1
-        self.i = i
-        return _from_accumulator(acc, den)
 
     def parse_expr(self) -> DriftExpr:
         e = self.parse_term()
@@ -767,13 +650,10 @@ def parse_expression(text: str, names) -> DriftExpr:
 
 def parse_polynomial(text: str, names) -> Polynomial:
     """Parse an expression that must lower to a polynomial (for tests, demos)."""
-    parser = _Parser(text, names)
-    drift = parser.parse_drift()
-    if parser.kinds[parser.i] != "eof":
-        parser.fail("end of input")
-    if not isinstance(drift, Polynomial):
+    poly = to_polynomial(parse_expression(text, names))
+    if poly is None:
         raise ValueError(f"not a polynomial: {text!r}")
-    return drift
+    return poly
 
 
 # -- serialization -------------------------------------------------------------

@@ -24,8 +24,8 @@ accumulator over a known denominator, which ``_from_accumulator`` sorts and
 brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
 whole polynomials, and addition goes through it; the public constructor
 is that accumulator over monomials; ``_sum_renamed`` is that accumulator
-over renamed polynomials.  The drift parser and ``rn_to_ode`` fill their
-own accumulators.
+over renamed polynomials.  The line reader and ``to_polynomial`` add
+their terms one at a time with ``_add_term``; ``rn_to_ode`` fills its own.
 """
 
 from __future__ import annotations
@@ -321,6 +321,33 @@ def _from_accumulator(acc: dict, den: int) -> Polynomial:
     if len(exps) > 1:
         exps.sort(key=_term_key)
     return _reduced(exps, [acc[e] for e in exps], den)
+
+
+def _product(variables: list) -> Exps:
+    """The exponent vector of the product of ``variables``, given as variable
+    indices that may repeat."""
+    if len(variables) == 1:
+        return ((variables[0], 1),)
+    counts: dict = {}
+    for v in sorted(variables):
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(counts.items())
+
+
+def _add_term(acc: dict, den: int, exps: Exps, num: int, q: int) -> int:
+    """Add the term num/q * x^exps, q > 0, to ``acc``, an ``{exps: numerator}``
+    accumulator over ``den``.  Returns the accumulator's denominator, grown
+    to a multiple of q when it was not one."""
+    if q != den:
+        if den % q:
+            grow = lcm(den, q) // den
+            den *= grow
+            for e in acc:
+                acc[e] *= grow
+        num *= den // q
+    prev = acc.get(exps)
+    acc[exps] = num if prev is None else prev + num
+    return den
 
 
 def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int],

@@ -1,20 +1,23 @@
-"""The two drift paths of the parser agree.
+"""Every drift is read as a tree and lowered to a polynomial.
 
-A plain sum of products is read straight into monomials; anything else is
-read as a drift-expression tree.  These tests hold the first path to the
-second on random drift texts, pin the tree shapes of a model that mixes
-both, and check that serialization is a fixpoint of parsing.
+These tests hold the lowering to exact evaluation of the tree on random
+drift texts, check that long sums lower without recursion, pin the tree
+shapes of a model whose drifts do not all lower, and check that
+serialization is a fixpoint of parsing.
 """
 
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odelump import (OdeSystem, Polynomial, monomial, parse_expression, parse_model,
                      parse_polynomial, serialize_model)
 from odelump.cli import main
-from odelump.driftexpr import Bin, Const, Var, to_polynomial
+from odelump.driftexpr import Bin, Const, Var, drift_eval, to_polynomial
+from odelump.parsing import _read_lines
 
 NAMES = ("a", "b", "c")
 
@@ -30,8 +33,8 @@ def _factor():
 
 
 _TERMS = st.lists(_factor(), min_size=1, max_size=4).map("*".join)
-# a few shapes that leave the sum-of-products path: parentheses, division by a
-# variable or by zero, and min/abs calls
+# a few shapes that are not products of constants and variables: parentheses,
+# division by a variable or by zero, and min/abs calls
 _OTHER = st.sampled_from(["(a + 1)", "a/b", "a/0", "min(a, b)", "abs(c)", "2*(b - c)"])
 
 
@@ -45,10 +48,65 @@ def drift_texts(draw, other=False):
     return out
 
 
-@given(drift_texts())
-@settings(max_examples=300, deadline=None)
-def test_sum_of_products_matches_tree(text):
-    assert parse_polynomial(text, NAMES) == to_polynomial(parse_expression(text, NAMES))
+# shapes that lower although they are not products of constants and variables
+_NESTED = st.sampled_from(["(a + 1)", "2*(b - c)", "(a - b)*(a + b)/3",
+                           "-(a*b - 1/2)", "c/(1 + 1)", "a/-4"])
+# shapes that divide by zero or by a variable, or call min/abs: never lower
+_NOT_LOWERING = st.sampled_from(["a/b", "a/0", "b/(c - c)", "1/(a*0)",
+                                 "min(a, b)", "abs(c)"])
+_JOINS = st.sampled_from([" + ", " - ", "*"])
+POINTS = ((Fraction(1, 2), Fraction(-3), Fraction(5, 7)),
+          (Fraction(-7, 5), Fraction(11, 2), Fraction(3)),
+          (Fraction(2), Fraction(1, 3), Fraction(-4, 9)))
+
+
+@given(drift_texts(), st.lists(st.tuples(_JOINS, _NESTED), max_size=2),
+       st.one_of(st.none(), st.tuples(_JOINS, _NOT_LOWERING)))
+@settings(deadline=None)
+def test_sum_of_products_matches_tree(text, nested, spoiler):
+    """A lowered drift takes the tree's exact values; a drift that divides by
+    zero or by a variable, or calls min or abs, does not lower."""
+    text += "".join(join + piece for join, piece in nested)
+    if spoiler is not None:
+        text += "".join(spoiler)
+    tree = parse_expression(text, NAMES)
+    poly = to_polynomial(tree)
+    if spoiler is not None:
+        assert poly is None
+        with pytest.raises(ValueError):
+            parse_polynomial(text, NAMES)
+        return
+    assert parse_polynomial(text, NAMES) == poly
+    for point in POINTS:
+        assert poly.eval(point) == drift_eval(tree, point)
+
+
+LONG_NAMES = tuple(f"x{i}" for i in range(100))
+# 5000 distinct terms 3*xi*xj, i <= j, alternately added and subtracted
+LONG_PAIRS = [(i, j) for i in range(100) for j in range(i, 100)][:5000]
+LONG_SUM = "3*x0*x0" + "".join(
+    f" {'-' if k % 2 else '+'} 3*x{i}*x{j}" for k, (i, j) in enumerate(LONG_PAIRS) if k)
+
+
+def test_long_sum_lowers():
+    poly = to_polynomial(parse_expression(LONG_SUM, LONG_NAMES))
+    assert poly.monomial_count() == 5000
+    point = [Fraction(i + 1, 7) for i in range(100)]
+    assert poly.eval(point) == sum(
+        (-3 if k % 2 else 3) * point[i] * point[j] for k, (i, j) in enumerate(LONG_PAIRS))
+
+
+def test_long_drift_in_a_declined_text_reads_as_on_the_line_reader():
+    text = ("begin model\nbegin init\n"
+            + "".join(f"  {nm} = 1\n" for nm in LONG_NAMES)
+            + f"end init\nbegin ode\n  d(x0) = {LONG_SUM}\nend ode\nend model\n")
+    commented = text.replace("begin model\n", "begin model  // one long drift\n", 1)
+    expected = _read_lines(text)
+    assert expected is not None and _read_lines(commented) is None
+    start = time.perf_counter()
+    doc = parse_model(commented)
+    assert time.perf_counter() - start < 1.0
+    assert doc == expected
 
 
 @given(drift_texts(other=True))
