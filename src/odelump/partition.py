@@ -4,6 +4,12 @@ A partition stores pairwise-disjoint non-empty blocks of sorted indices that
 cover ``{0..n-1}``; blocks are ordered by their minimum element.  Partitions
 are immutable and hashable, so they serve directly as dictionary keys in the
 enumeration oracle.
+
+A partition that :func:`odelump.lump.coarsest_with_trace` returned carries a
+private proof of its stability, ``_stable``: the system object and the
+signer type it is a refinement fixpoint for, so that the checks of that
+system and mode pass it without signing.  Every other partition has
+``_stable`` None.  Equality, hashing and ``repr`` ignore it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from .errors import GroundSetMismatch
 
 
 class Partition:
-    __slots__ = ("blocks", "_labels")
+    __slots__ = ("blocks", "_labels", "_stable")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else -1)
@@ -31,6 +37,7 @@ class Partition:
             raise ValueError("blocks must be disjoint and cover 0..n-1")
         self.blocks: tuple = tuple(canon)
         self._labels = None
+        self._stable = None
 
     # -- constructors --------------------------------------------------------
 

@@ -116,6 +116,18 @@ def test_check_passes_and_fails(tmp_path, capsys):
     assert "(x2, x3)" in err
 
 
+def test_reduce_refines_a_failing_file_partition(tmp_path, capsys):
+    # The file's partition only seeds the refinement: reduce splits it and
+    # succeeds (test_check_passes_and_fails rejects it as written).
+    model = tmp_path / "bad.ode"
+    model.write_text(cascade_text(k1=1, k2=2, extra=PARTITION_BLOCK))
+    out = tmp_path / "red.ode"
+    for mode, blocks in (("bde", "2 -> 3 blocks"), ("fde", "2 -> 2 blocks")):
+        assert main(["reduce", "--mode", mode, "--in", str(model), "--out", str(out),
+                     "--partition", "file"]) == 0
+        assert blocks in capsys.readouterr().out
+
+
 def test_check_requires_partition(tmp_path):
     model = tmp_path / "m.ode"
     model.write_text(cascade_text())

@@ -17,8 +17,9 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      prepartition_from_inits,
                      reduce_backward, reduce_forward,
                      symbolic_coarsest_with_trace)
+from odelump import lump
 from odelump.cli import main
-from odelump.lump import _nonzero_point
+from odelump.lump import _bde_signature, _nonzero_point
 from odelump.smt import phi_script
 from conftest import (cascade, permute_partition, permute_system,
                       random_poly_system)
@@ -122,8 +123,9 @@ def test_coarsest_results_are_sound_and_refine_seed():
         seed = Partition.one_block(system.n)
         bde = coarsest_with_trace(system, seed, "bde")[0]
         fde = coarsest_with_trace(system, seed, "fde")[0]
-        assert check_bde(system, bde).ok
-        assert check_fde(system, fde).ok
+        # Copies without the stability proof, so the checks really sign.
+        assert check_bde(system, Partition(bde.blocks)).ok
+        assert check_fde(system, Partition(fde.blocks)).ok
         assert bde.refines(seed)
         assert fde.refines(seed)
 
@@ -209,7 +211,7 @@ def _check_refinement(system, seed, mode, known=None):
         assert part == brute_force_coarsest(system, seed, mode)
     else:
         check = check_bde if mode == "bde" else check_fde
-        assert check(system, part).ok
+        assert check(system, Partition(part.blocks)).ok
         if known is not None:
             assert part == known
     return trace
@@ -269,6 +271,32 @@ def test_fde_partials_carry_the_exponent():
     one = Partition.one_block(2)
     assert coarsest_with_trace(system, one, "fde") == (one, [1])
     assert check_fde(system, one).ok
+
+
+def _folded_signature(drift, labels):
+    """Reference bde signature: every monomial's exponents folded by label
+    through a dict, as the general branch of _bde_signature does."""
+    acc: dict = {}
+    for exps, c in zip(*drift):
+        folded: dict = {}
+        for v, e in exps:
+            folded[labels[v]] = folded.get(labels[v], 0) + e
+        key = tuple(sorted(folded.items()))
+        acc[key] = acc.get(key, 0) + c
+    return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+
+
+# Canonical exponent vectors of up to three variables out of six, exponents
+# >= 1; three labels make both variables of a pair share a block often.
+_exponent_vectors = st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_size=3) \
+    .map(lambda exps: tuple(sorted(exps.items())))
+
+
+@given(st.dictionaries(_exponent_vectors, st.integers(-3, 3).filter(bool), max_size=6),
+       st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_bde_signature_matches_the_general_fold(terms, labels):
+    drift = (tuple(terms), tuple(terms.values()))
+    assert _bde_signature(drift, labels) == _folded_signature(drift, labels)
 
 
 def test_refinement_scales_to_long_chains():
@@ -532,6 +560,105 @@ def test_expression_reductions_track_the_original(mode, inits):
     orig = integrate(system, t_end=2.0, dt=0.01)
     red = integrate(reduced, t_end=2.0, dt=0.01)
     assert compare_reduction(orig, red, part, mode) < 1e-9
+
+
+# -- the stability proof of refined partitions ---------------------------------------------
+
+
+def _refinable_system(rng):
+    """A random rational system: one of _rational_system, one with small
+    coefficient ranges, whose drifts agree often enough that refinement
+    takes three passes now and then, or interleaved chains, which take one
+    pass per position."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _rational_system(rng)
+    if kind == 1:
+        return random_poly_system(rng, rng.randint(2, 12), max_degree=3, max_denominator=4,
+                                  coeff_range=rng.choice(((0, 2), (-1, 1))))
+    length = rng.randint(2, 8)
+    rates = [Fraction(rng.choice((2, 3, 5, 7)), 4) for _ in range(length)]
+    return interleaved_chains(rates, [rng.randint(0, 1) for _ in range(length)])
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_refined_partitions_pass_the_full_check(rng):
+    # The reducers trust a refined partition without signing it, so the
+    # refinement's fixpoint must pass the full check on a copy without proof.
+    system = _refinable_system(rng)
+    for seed in _seeds(rng, system, [[v] for v in range(system.n)]):
+        for mode, check in (("bde", check_bde), ("fde", check_fde)):
+            part = coarsest_with_trace(system, seed, mode)[0]
+            assert part.refines(seed)
+            assert check(system, Partition(part.blocks)).ok
+
+
+@pytest.mark.parametrize("mode", ["bde", "fde"])
+def test_refined_partition_is_reduced_without_signing(mode, monkeypatch):
+    check = check_bde if mode == "bde" else check_fde
+    reduce = reduce_backward if mode == "bde" else reduce_forward
+    system = cascade(k1=1, k2=1)
+    part = coarsest_with_trace(system, H_ONE, mode)[0]
+    assert part == H_SPLIT
+    expected = reduce(system, Partition(part.blocks))
+
+    def unstable(*args):
+        raise AssertionError("signed a refined partition")
+
+    monkeypatch.setattr(lump, "_unstable", unstable)
+    assert check(system, part).ok
+    assert reduce(system, part) == expected
+
+
+@pytest.mark.parametrize("mode", ["bde", "fde"])
+def test_stability_proof_covers_only_its_system_and_mode(mode, monkeypatch):
+    check = check_bde if mode == "bde" else check_fde
+    other = check_fde if mode == "bde" else check_bde
+    system = cascade(k1=1, k2=1)
+    part = coarsest_with_trace(system, H_ONE, mode)[0]
+    equal_system = cascade(k1=1, k2=1)
+    assert equal_system == system and equal_system is not system
+    # A seed that is already a fixpoint gets no proof: the result is a new
+    # partition.
+    seed = Partition(part.blocks)
+    assert coarsest_with_trace(system, seed, mode)[0] is not seed
+
+    signed = []
+    original = lump._unstable
+
+    def unstable(*args):
+        signed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lump, "_unstable", unstable)
+    for call, target, candidate in ((check, system, Partition(part.blocks)),
+                                    (check, system, seed),
+                                    (check, equal_system, part),
+                                    (other, system, part)):
+        before = len(signed)
+        assert call(target, candidate).ok
+        assert len(signed) == before + 1
+
+
+def test_refined_partition_of_the_other_mode_is_fully_checked():
+    # bde {x1}, {x2, x3} of this system is no FDE: the block sum x2 of {x1}
+    # has partials 1 and 0 in x2 and x3.
+    system = OdeSystem.make(NAMES, tuple(parse_polynomial(t, NAMES)
+                                         for t in ("x2", "x1 - x2", "x1 - x3")), (1, 0, 0))
+    bde = coarsest_with_trace(system, H_ONE, "bde")[0]
+    assert bde == H_SPLIT
+    with pytest.raises(NotAnFde) as err:
+        reduce_forward(system, bde)
+    assert err.value.counterexample.pair == (1, 2)
+    # fde {x1}, {x2, x3} of the cascade with unequal rates is no BDE.
+    system = cascade(k1=1, k2=2)
+    fde = coarsest_with_trace(system, H_ONE, "fde")[0]
+    assert fde == H_SPLIT
+    with pytest.raises(NotABde) as err:
+        reduce_backward(system, fde)
+    assert str(err.value) == ("partition is not a BDE: counterexample: pair (x2, x3) "
+                              "in block 1, difference -x1, witness point ('1', '1', '1')")
 
 
 # -- initial partitions ---------------------------------------------------------------------
