@@ -15,7 +15,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import NonPolynomialDrift
-from .poly import _canon, _from_accumulator, as_fraction
+from .poly import _canon, _from_accumulator, _new, _setattr, as_fraction
 from .system import OdeSystem, check_container
 
 Multiset = tuple  # tuple[tuple[int, int], ...]: sorted (species, multiplicity >= 1)
@@ -40,6 +40,17 @@ class Reaction:
             raise ValueError("reaction rate must be nonzero")
 
 
+def _reaction(reagents: Multiset, products: Multiset, rate: Fraction) -> Reaction:
+    """A reaction from canonical sides and a nonzero Fraction rate, which the
+    caller guarantees; the checks of ``Reaction(...)`` are skipped.  The
+    result equals, hashes like and is as frozen as the checked one."""
+    r = _new(Reaction)
+    _setattr(r, "reagents", reagents)
+    _setattr(r, "products", products)
+    _setattr(r, "rate", rate)
+    return r
+
+
 @dataclass(frozen=True)
 class ReactionNetwork:
     names: tuple
@@ -50,8 +61,12 @@ class ReactionNetwork:
     def __post_init__(self):
         check_container(self.names, self.init, self.observables)
         n = len(self.names)
+        checked = set()  # distinct sides recur across reactions; check each once
         for r in self.reactions:
             for side in (r.reagents, r.products):
+                if side in checked:
+                    continue
+                checked.add(side)
                 prev = -1
                 for s, k in side:
                     if not prev < s < n or k < 1:
@@ -76,21 +91,26 @@ def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
     """Mass-action semantics: each reaction (rho -> pi, a) adds
     a * (pi(s) - rho(s)) * prod_t x_t^rho(t) to the drift of every species s.
     The reagents are that monomial's exponents: one accumulator of int
-    numerators per drift, over the common denominator of all rates."""
+    numerators per drift, over the common denominator of all rates.  Each
+    reaction adds -a * rho(s) for every reagent and a * pi(s) for every
+    product straight into those accumulators; a species whose net change is
+    zero is left with a zero entry, which the accumulator drops."""
     den = lcm(*{r.rate.denominator for r in rn.reactions})
     accs: list = [{} for _ in range(rn.n)]
     for r in rn.reactions:
         rate = r.rate
         a = rate.numerator * (den // rate.denominator)
-        net = dict(r.products)
-        for s, k in r.reagents:
-            net[s] = net.get(s, 0) - k
-        for s, change in net.items():
-            if change:
-                term = a if change == 1 else -a if change == -1 else a * change
-                acc = accs[s]
-                prev = acc.get(r.reagents)
-                acc[r.reagents] = term if prev is None else prev + term
+        exps = r.reagents
+        for s, k in exps:
+            acc = accs[s]
+            prev = acc.get(exps)
+            term = -a if k == 1 else -a * k
+            acc[exps] = term if prev is None else prev + term
+        for s, k in r.products:
+            acc = accs[s]
+            prev = acc.get(exps)
+            term = a if k == 1 else a * k
+            acc[exps] = term if prev is None else prev + term
     drifts = tuple(_from_accumulator(acc, den) for acc in accs)
     return OdeSystem(rn.names, drifts, rn.init, rn.observables)
 
@@ -118,5 +138,5 @@ def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
                 products = exps[:i] + ((s, exps[i][1] + 1),) + exps[i + 1:]
             else:
                 products = exps[:i] + ((s, 1),) + exps[i:]
-            reactions.append(Reaction(exps, products, rate))
+            reactions.append(_reaction(exps, products, rate))
     return ReactionNetwork(ode.names, tuple(reactions), ode.init, ode.observables)

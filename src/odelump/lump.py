@@ -44,7 +44,7 @@ from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition, _Refinable
-from .poly import Polynomial, _sum_renamed
+from .poly import Polynomial, _fold_renamed, _sum_renamed
 from .system import OdeSystem, _by_mode, _require_cover, _require_system
 
 _BRUTE_FORCE_LIMIT = 10
@@ -104,30 +104,8 @@ def _numerators(system: OdeSystem):
 def _bde_signature(drift, labels):
     """Canonical form of one drift with every variable renamed to its block label."""
     acc: dict = {}
-    for exps, c in zip(*drift):
-        if not exps:
-            key = ()
-        elif len(exps) == 1:
-            v, e = exps[0]
-            key = ((labels[v], e),)
-        elif len(exps) == 2:
-            (v, e), (w, f) = exps
-            a, b = labels[v], labels[w]
-            if a < b:
-                key = ((a, e), (b, f))
-            elif b < a:
-                key = ((b, f), (a, e))
-            else:
-                key = ((a, e + f),)
-        else:
-            folded: dict = {}
-            for v, e in exps:
-                b = labels[v]
-                folded[b] = folded.get(b, 0) + e
-            key = tuple(sorted(folded.items()))
-        prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
-    return tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+    _fold_renamed(acc, drift[0], drift[1], labels)
+    return tuple(sorted([item for item in acc.items() if item[1]]))
 
 
 class _BdeSigner:
@@ -163,7 +141,9 @@ class _FdeSigner:
     the variables the moved drift mentions.  Partials are taken once, for
     the members of non-singleton blocks only; each distinct exponent vector
     gets a number, so that an entry's key is the int ``label * count +
-    number``."""
+    number``.  One-variable monomials, and two-variable ones with both
+    exponents 1, are differentiated directly; the rest by slicing their
+    exponent vectors.  Both give the same entries in the same order."""
 
     def __init__(self, raw, blocks, labels):
         self.raw = raw
@@ -174,14 +154,31 @@ class _FdeSigner:
                 for v in block:
                     partials[v] = []
         numbers: dict = {}
+        number = numbers.setdefault
         for w, (terms, coeffs) in enumerate(raw):
             for exps, c in zip(terms, coeffs):
-                for pos, (v, e) in enumerate(exps):
+                k = len(exps)
+                if k == 1:
+                    (v, e), = exps
                     target = partials[v]
                     if target is not None:
-                        lowered = ((v, e - 1),) if e > 1 else ()
-                        dexps = exps[:pos] + lowered + exps[pos + 1:]
-                        target.append((w, numbers.setdefault(dexps, len(numbers)), c * e))
+                        dexps = ((v, e - 1),) if e > 1 else ()
+                        target.append((w, number(dexps, len(numbers)), c * e))
+                elif k == 2 and exps[0][1] == 1 == exps[1][1]:
+                    first, second = exps
+                    target = partials[first[0]]
+                    if target is not None:
+                        target.append((w, number((second,), len(numbers)), c))
+                    target = partials[second[0]]
+                    if target is not None:
+                        target.append((w, number((first,), len(numbers)), c))
+                else:
+                    for pos, (v, e) in enumerate(exps):
+                        target = partials[v]
+                        if target is not None:
+                            lowered = ((v, e - 1),) if e > 1 else ()
+                            dexps = exps[:pos] + lowered + exps[pos + 1:]
+                            target.append((w, number(dexps, len(numbers)), c * e))
         self.count = len(numbers)
 
     def sign(self, v):
@@ -191,7 +188,7 @@ class _FdeSigner:
             key = labels[w] * count + number
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
-        return tuple(sorted((k, c) for k, c in acc.items() if c))
+        return tuple(sorted([item for item in acc.items() if item[1]]))
 
     def affected(self, moves):
         raw = self.raw
@@ -244,8 +241,8 @@ def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckRes
 
 def _bde_witness(system: OdeSystem, part: Partition, i: int, j: int):
     reps = [part.blocks[b][0] for b in part.labels]
-    rep_map = dict(enumerate(reps))
-    return system.drifts[i].rename(rep_map) - system.drifts[j].rename(rep_map), reps
+    return (_sum_renamed((system.drifts[i],), reps)
+            - _sum_renamed((system.drifts[j],), reps)), reps
 
 
 def _fde_witness(system: OdeSystem, part: Partition, i: int, j: int):
@@ -370,9 +367,8 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     if system.is_polynomial:
         # Replacing x_v by y_b/|B_b| renames v to its block b, then divides
         # each term by prod_b |B_b|^e_b.
-        mapping = dict(enumerate(labels))
         sizes = [len(block) for block in part.blocks]
-        drifts = [_sum_renamed((system.drifts[v] for v in block), mapping, sizes)
+        drifts = [_sum_renamed((system.drifts[v] for v in block), labels, sizes)
                   for block in part.blocks]
     else:
         sigma = {v: Bin("mul",
@@ -404,17 +400,20 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
             return system
     labels = part.labels
     reps = part.representatives()
-    mapping = dict(enumerate(labels))
+    init = system.init
     for block in part.blocks:
-        inits = {system.init[v] for v in block}
+        # int pairs, not Fractions, whose hash is computed in Python
+        inits = {(init[v].numerator, init[v].denominator) for v in block}
         if len(inits) > 1:
             members = ", ".join(system.names[v] for v in block)
+            values = sorted(Fraction(p, q) for p, q in inits)
             warnings.warn(InitMismatchWarning(
-                f"block {{{members}}} has unequal initial values {sorted(inits)}; "
+                f"block {{{members}}} has unequal initial values {values}; "
                 "the reduced model does not preserve the original dynamics"))
     if system.is_polynomial:
-        drifts = tuple(system.drifts[rep].rename(mapping) for rep in reps)
+        drifts = tuple(_sum_renamed((system.drifts[rep],), labels) for rep in reps)
     else:
+        mapping = dict(enumerate(labels))
         drifts = tuple(rename_vars(system.drifts[rep], mapping) for rep in reps)
     init = tuple(system.init[rep] for rep in reps)
     names = tuple(system.names[rep] for rep in reps)
@@ -429,7 +428,13 @@ def prepartition_from_inits(system: OdeSystem, seed: Partition) -> Partition:
     additionally isolated into singleton blocks."""
     _require_cover(system, seed)
     obs = system.observables or frozenset()
-    return seed.split_by(lambda v: (system.init[v], v if v in obs else -1))
+    init = system.init
+
+    def key(v):  # ints, not a Fraction, whose hash is computed in Python
+        value = init[v]
+        return value.numerator, value.denominator, v if v in obs else -1
+
+    return seed.split_by(key)
 
 
 # -- brute-force oracle ---------------------------------------------------------------

@@ -59,7 +59,7 @@ from itertools import islice
 from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
-from .encode import Reaction, ReactionNetwork, multiset, rn_to_ode, ode_to_rn
+from .encode import Reaction, ReactionNetwork, _reaction, multiset, rn_to_ode, ode_to_rn
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable)
 from .partition import Partition
@@ -629,7 +629,7 @@ def _read_reactions(lines, index: dict, number) -> Optional[list]:
         rate = number(rate)
         if not rate:  # a zero rate, or a zero denominator
             return None
-        reactions.append(Reaction(side(reagents), side(products), rate))
+        reactions.append(_reaction(side(reagents), side(products), rate))
     return None
 
 

@@ -26,6 +26,13 @@ whole polynomials, and addition goes through it; the public constructor
 is that accumulator over monomials; ``_sum_renamed`` is that accumulator
 over renamed polynomials.  The line reader and ``to_polynomial`` add
 their terms one at a time with ``_add_term``; ``rn_to_ode`` fills its own.
+
+One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
+terms to an accumulator with every variable renamed by a label table.  It
+relabels one- and two-variable vectors directly and longer ones through
+``_canon``, and raises ``_canon``'s ValueError on a negative label for
+every shape.  ``_sum_renamed`` (renames and block sums) and the bde
+signatures of :mod:`odelump.lump` both call it.
 """
 
 from __future__ import annotations
@@ -73,10 +80,14 @@ def _canon(pairs) -> Exps:
     merged: dict = {}
     for v, e in pairs:
         if e < 0 or v < 0:
-            raise ValueError(f"negative index or count in ({v}, {e})")
+            raise _negative(v, e)
         if e:
             merged[v] = merged.get(v, 0) + e
     return tuple(sorted(merged.items()))
+
+
+def _negative(v: int, e: int) -> ValueError:
+    return ValueError(f"negative index or count in ({v}, {e})")
 
 
 def monomial(coeff: RationalLike, exps: Union[Mapping[int, int], Iterable] = ()) -> Monomial:
@@ -242,7 +253,7 @@ class Polynomial:
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Substitution restricted to a variable-to-variable map (kept exact and fast)."""
-        return _sum_renamed((self,), mapping)
+        return _sum_renamed((self,), _Renaming(mapping))
 
     def eval(self, values) -> Fraction:
         """Exact evaluation; ``values`` is a sequence or mapping over variables.
@@ -350,23 +361,60 @@ def _add_term(acc: dict, den: int, exps: Exps, num: int, q: int) -> int:
     return den
 
 
-def _sum_renamed(polys: Iterable[Polynomial], mapping: Mapping[int, int],
+class _Renaming(dict):
+    """A variable renaming that leaves the variables it does not name fixed."""
+
+    def __missing__(self, v: int) -> int:
+        return v
+
+
+def _fold_renamed(acc: dict, exps_seq, nums, labels) -> None:
+    """Add each term n * x^exps of ``zip(exps_seq, nums)``, with every
+    variable v renamed to ``labels[v]``, to the ``{exps: numerator}``
+    accumulator ``acc``.  Renamed variables that coincide merge their
+    exponents.  One- and two-variable vectors are relabelled directly,
+    longer ones go through ``_canon``; a negative label raises ValueError
+    for every shape."""
+    for exps, n in zip(exps_seq, nums):
+        k = len(exps)
+        if k == 1:
+            (v, e), = exps
+            a = labels[v]
+            if a < 0:
+                raise _negative(a, e)
+            key = ((a, e),)
+        elif k == 2:
+            (v, e), (w, f) = exps
+            a = labels[v]
+            b = labels[w]
+            if a < 0 or b < 0:  # the first negative pair, as _canon reports it
+                raise _negative(a, e) if a < 0 else _negative(b, f)
+            if a < b:
+                key = ((a, e), (b, f))
+            elif b < a:
+                key = ((b, f), (a, e))
+            else:
+                key = ((a, e + f),)
+        elif k:
+            key = _canon(tuple([(labels[v], e) for v, e in exps]))
+        else:
+            key = ()
+        prev = acc.get(key)
+        acc[key] = n if prev is None else prev + n
+
+
+def _sum_renamed(polys: Iterable[Polynomial], labels,
                  sizes: Sequence[int] | None = None) -> Polynomial:
-    """Sum of the polynomials after :meth:`Polynomial.rename`, in one
-    accumulator.  With ``sizes``, every variable w of that sum is then
-    replaced by w / sizes[w]: each term is divided by prod(sizes[w] ** e)."""
+    """Sum of the polynomials with every variable v renamed to ``labels[v]``
+    (a sequence, or a :class:`_Renaming`), in one accumulator.  With
+    ``sizes``, every variable w of that sum is then replaced by
+    w / sizes[w]: each term is divided by prod(sizes[w] ** e)."""
     polys = [p for p in polys if p.nums]
     den = lcm(*[p.den for p in polys])
-    get = mapping.get
     acc: dict = {}
     for p in polys:
         f = den // p.den
-        for exps, n in zip(p.exps, p.nums):
-            if exps:
-                exps = _canon(tuple([(get(v, v), e) for v, e in exps]))
-            prev = acc.get(exps)
-            n *= f
-            acc[exps] = n if prev is None else prev + n
+        _fold_renamed(acc, p.exps, p.nums if f == 1 else [n * f for n in p.nums], labels)
     if sizes is None:
         return _from_accumulator(acc, den)
     terms = [e for e, n in acc.items() if n]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from odelump import (NonPolynomialDrift, OdeSystem, Polynomial, Reaction,
                      ReactionNetwork, monomial, multiset, ode_to_rn,
                      parse_polynomial, rn_to_ode)
+from odelump.parsing import _read_lines
 from conftest import cascade, random_poly_system
 
 NAMES = ("x1", "x2", "x3")
@@ -126,6 +128,87 @@ def test_rn_to_ode_matches_per_monomial_contributions():
         cancelled += sum(len({m.exps for m in terms if m.coeff}) > p.monomial_count()
                          for terms, p in zip(contributions, expected))
     assert cancelled >= 100
+
+
+def _net_dict_drifts(rn):
+    """Reference mass action: one net-change dict per reaction, and every
+    nonzero net change a Fraction monomial summed by ``Polynomial()``."""
+    terms = [[] for _ in range(rn.n)]
+    for r in rn.reactions:
+        net = dict(r.products)
+        for s, k in r.reagents:
+            net[s] = net.get(s, 0) - k
+        for s, change in net.items():
+            if change:
+                terms[s].append(monomial(r.rate * change, r.reagents))
+    return tuple(Polynomial(t) for t in terms)
+
+
+# Sides over four species with multiplicities up to 3; the empty side is "0".
+_sides = st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=3).map(multiset)
+
+
+@st.composite
+def _reactions(draw):
+    reagents, products = draw(_sides), draw(_sides)
+    if draw(st.booleans()):  # the reagents reappear among the products: catalysts
+        products = multiset(list(reagents) + list(products))
+    rate = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    return Reaction(reagents, products, rate)
+
+
+@given(st.lists(_reactions(), max_size=8))
+def test_rn_to_ode_matches_a_net_dict_reference(reactions):
+    rn = ReactionNetwork.make(("a", "b", "c", "d"), reactions, (0,) * 4)
+    assert rn_to_ode(rn).drifts == _net_dict_drifts(rn)
+
+
+READABLE_NETWORK = """\
+begin model
+begin init
+  A = 1
+  B = 0
+end init
+begin reactions
+  A + B -> 2*B, 3/2
+  A + B -> 2*B, 3/2
+  0 -> A, -1
+  2*A -> 0, 2
+end reactions
+end model
+"""
+
+
+def _assert_same_checked_reactions(reactions):
+    """Each reaction equals, and hashes like, the one the public constructor
+    builds from its fields, and refuses attribute assignment."""
+    for r in reactions:
+        checked = Reaction(r.reagents, r.products, r.rate)
+        assert type(r) is Reaction
+        assert r == checked and hash(r) == hash(checked)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.rate = Fraction(1)
+
+
+def test_line_reader_and_ode_to_rn_build_checked_reactions():
+    doc = _read_lines(READABLE_NETWORK)
+    assert doc is not None  # the line reader, not the token parser, read it
+    assert doc.system.reactions == (
+        Reaction(((0, 1), (1, 1)), ((1, 2),), Fraction(3, 2)),
+        Reaction(((0, 1), (1, 1)), ((1, 2),), Fraction(3, 2)),
+        Reaction((), ((0, 1),), Fraction(-1)),
+        Reaction(((0, 2),), (), Fraction(2)))
+    _assert_same_checked_reactions(doc.system.reactions)
+    _assert_same_checked_reactions(ode_to_rn(cascade(k1=Fraction(1, 3))).reactions)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((1, 1), (0, 1)), "canonical multiset"), (((2, 1),), "species index 2 out of range")])
+def test_network_checks_a_bad_side_after_repeated_good_ones(bad, message):
+    good = ((0, 1),)
+    reactions = [Reaction(good, good, Fraction(1))] * 3 + [Reaction(good, bad, Fraction(1))]
+    with pytest.raises(ValueError, match=message):
+        ReactionNetwork.make(("a", "b"), reactions, [0, 0])
 
 
 @pytest.mark.parametrize("bad", [((1, 1), (0, 1)), ((0, 1), (0, 2)),

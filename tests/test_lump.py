@@ -299,6 +299,40 @@ def test_bde_signature_matches_the_general_fold(terms, labels):
     assert _bde_signature(drift, labels) == _folded_signature(drift, labels)
 
 
+def _sliced_partials(raw, blocks):
+    """Reference fde partial entries: every term's partial in every variable
+    by slicing its exponent vector, for the members of non-singleton blocks
+    only, with exponent vectors numbered in order of first use."""
+    partials = [None] * len(raw)
+    for block in blocks:
+        if len(block) > 1:
+            for v in block:
+                partials[v] = []
+    numbers: dict = {}
+    for w, (terms, coeffs) in enumerate(raw):
+        for exps, c in zip(terms, coeffs):
+            for pos, (v, e) in enumerate(exps):
+                if partials[v] is not None:
+                    lowered = ((v, e - 1),) if e > 1 else ()
+                    dexps = exps[:pos] + lowered + exps[pos + 1:]
+                    partials[v].append((w, numbers.setdefault(dexps, len(numbers)), c * e))
+    return partials, len(numbers)
+
+
+@given(st.lists(st.dictionaries(_exponent_vectors, st.integers(-3, 3).filter(bool),
+                                max_size=6), min_size=6, max_size=6),
+       st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_fde_partials_match_the_sliced_formula(drifts, labels):
+    """Squares, three-variable monomials and members of singleton blocks
+    (four labels over six variables leave some) take the general branch or
+    none; one-variable and two-variable linear monomials take the direct
+    ones.  Entries, and the numbering of exponent vectors, must agree."""
+    raw = [(tuple(terms), tuple(terms.values())) for terms in drifts]
+    part = Partition.one_block(6).split_by(labels.__getitem__)
+    signer = lump._FdeSigner(raw, part.blocks, part.labels)
+    assert (signer.partials, signer.count) == _sliced_partials(raw, part.blocks)
+
+
 def test_refinement_scales_to_long_chains():
     n = 2000
     drifts = [Polynomial([monomial(-2, {0: 1})])]

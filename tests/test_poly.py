@@ -1,15 +1,18 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
+from math import prod
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odelump import Monomial, Polynomial, monomial, multiset
 from odelump.parsing import parse_polynomial
+from odelump.poly import _canon, _sum_renamed
 
 NAMES = ("x1", "x2", "x3")
 
@@ -161,10 +164,62 @@ def test_rename_matches_substitute():
         assert p.rename(mapping) == p.substitute(sigma)
 
 
-@pytest.mark.parametrize("text", ["x1", "x1*x1", "x1*x2", "2*x1 + 1"])
-def test_rename_to_negative_index_raises(text):
-    with pytest.raises(ValueError):
-        P(text).rename({0: -1})
+def _renamed_reference(polys, labels, sizes=None):
+    """Sum of ``polys`` renamed term by term through the public constructor,
+    which brings every renamed exponent vector to normal form with
+    ``_canon``; with ``sizes``, each term is divided by prod(sizes[w] ** e)
+    over its renamed vector."""
+    terms = []
+    for p in polys:
+        for m in p.terms:
+            exps = _canon([(labels[v], e) for v, e in m.exps])
+            divisor = prod([sizes[w] ** e for w, e in exps]) if sizes else 1
+            terms.append(Monomial(m.coeff / divisor, exps))
+    return Polynomial(terms)
+
+
+# Polynomials over x0..x4 with up to three variables per term, exponents up
+# to 3, constant terms and denominators up to 4.
+_polys_st = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(1, 4),
+              st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=3)),
+    max_size=6,
+).map(lambda items: Polynomial([monomial(Fraction(c, q), e) for c, q, e in items]))
+
+
+@given(st.lists(_polys_st, max_size=3),
+       st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5))
+@example([Polynomial([monomial(2, {0: 1, 1: 2}), monomial(-1, {3: 1, 4: 1}),
+                      monomial(3, {})])], [1] * 5, [2] * 5)
+def test_sum_renamed_matches_the_canon_reference(polys, labels, sizes):
+    """Total maps onto three labels, so both variables of a term often merge
+    onto one label and their exponents add."""
+    assert _sum_renamed(polys, labels) == _renamed_reference(polys, labels)
+    assert _sum_renamed(polys, labels, sizes) == _renamed_reference(polys, labels, sizes)
+
+
+@given(_polys_st, st.dictionaries(st.integers(0, 4), st.integers(0, 4), max_size=5))
+def test_rename_matches_the_canon_reference(p, mapping):
+    """Partial maps: the variables the map does not name stay fixed."""
+    labels = [mapping.get(v, v) for v in range(5)]
+    assert p.rename(mapping) == _renamed_reference([p], labels)
+
+
+@pytest.mark.parametrize("text, mapping", [
+    pytest.param(text, {0: -1}, id=text) for text in ("x1", "x1*x1", "x1*x2", "2*x1 + 1")
+] + [
+    ("x1*x2", {1: -2}), ("x1*x2", {0: -1, 1: -2}), ("x1*x2", {0: -2, 1: -1}),
+    ("x1*x2", {0: -1, 1: -1}), ("x1*x1*x2", {1: -1}), ("x1*x2*x3", {2: -1}),
+    ("x1*x2*x3", {0: -1, 2: -3}),
+])
+def test_rename_to_negative_index_raises(text, mapping):
+    """Every term shape raises the ValueError of ``_canon``, with its message."""
+    p = P(text)
+    with pytest.raises(ValueError) as expected:
+        _renamed_reference([p], [mapping.get(v, v) for v in range(3)])
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        p.rename(mapping)
 
 
 # -- derivatives ------------------------------------------------------------------------
