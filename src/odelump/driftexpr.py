@@ -4,10 +4,17 @@ The drift language covers exactly: rational constants, variables, the four
 arithmetic operators, binary min/max, and unary absolute value.  Subtraction
 and division are kept as primitive nodes rather than rewritten, so emitted
 solver scripts mirror the source text.
+
+Trees are walked only by ``_nodes`` (pre-order) and ``_fold`` (post-order),
+on an explicit stack, here and in ``smt`` and ``sim``, so drifts of any depth
+work.  Still recursive: ``to_polynomial`` on summands that are not plain
+products, ``==``, ``hash`` and ``repr`` of trees, and the closures ``sim``
+evaluates drifts with, at most ``sim._DEPTH`` calls deep.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -47,88 +54,84 @@ class Abs:
 DriftExpr = Union[Const, Var, Bin, Abs]
 
 
-def compile_expr(expr: DriftExpr, number):
-    """Compile ``expr`` to a function of the values (a sequence or mapping
-    over variable indices); ``number`` converts the constants: ``Fraction``
-    for exact evaluation, ``float`` for integration.  A division whose ``/``
-    raises ZeroDivisionError raises :class:`DivisionByZero` naming the
+def _nodes(expr: DriftExpr, right_first=False):
+    """A list of every node of ``expr`` in pre-order, left child first (or
+    right child first), built on an explicit stack."""
+    order, stack = [], [expr]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        if isinstance(e, Bin):
+            stack += (e.lhs, e.rhs) if right_first else (e.rhs, e.lhs)
+        elif isinstance(e, Abs):
+            stack.append(e.arg)
+    return order
+
+
+def _fold(expr: DriftExpr, leaf, node):
+    """Post-order fold, left operand first: ``leaf(e)`` for a Const or Var,
+    ``node(e, a, b)`` for a Bin or Abs (``b`` None) from its operands'
+    results.  The right-first pre-order, reversed, is that post-order."""
+    results = []
+    for e in reversed(_nodes(expr, right_first=True)):
+        if isinstance(e, Bin):
+            b = results.pop()
+            results[-1] = node(e, results[-1], b)
+        elif isinstance(e, Abs):
+            results[-1] = node(e, results[-1], None)
+        else:
+            results.append(leaf(e))
+    return results[0]
+
+
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv, "min": min, "max": max}
+
+
+def _apply(node, a, b):
+    """The value of ``node`` from its operands' values.  A division whose
+    ``/`` raises ZeroDivisionError raises :class:`DivisionByZero` naming the
     subexpression; numpy's own division rules are left as they are."""
-    if isinstance(expr, Const):
-        c = number(expr.value)
-        return lambda x: c
-    if isinstance(expr, Var):
-        i = expr.index
-        return lambda x: x[i]
-    if isinstance(expr, Abs):
-        f = compile_expr(expr.arg, number)
-        return lambda x: abs(f(x))
-    fa = compile_expr(expr.lhs, number)
-    fb = compile_expr(expr.rhs, number)
-    if expr.op == "div":
-        def div(x):
-            try:
-                return fa(x) / fb(x)
-            except ZeroDivisionError:
-                raise DivisionByZero(format_expr(expr)) from None
-        return div
-    return {
-        "add": lambda x: fa(x) + fb(x),
-        "sub": lambda x: fa(x) - fb(x),
-        "mul": lambda x: fa(x) * fb(x),
-        "min": lambda x: min(fa(x), fb(x)),
-        "max": lambda x: max(fa(x), fb(x)),
-    }[expr.op]
+    try:
+        return abs(a) if isinstance(node, Abs) else _OPS[node.op](a, b)
+    except ZeroDivisionError:
+        raise DivisionByZero(format_expr(node)) from None
 
 
 def drift_eval(expr: DriftExpr, values) -> Fraction:
     """Exact evaluation over rationals; min/max/abs are set-theoretic.
-    Raises :class:`DivisionByZero` naming the subexpression whose denominator
-    evaluates to zero.  ``values`` is a sequence or mapping over indices."""
-    return compile_expr(expr, Fraction)(values)
+    Raises :class:`DivisionByZero` naming the first, left to right, of the
+    subexpressions whose denominator evaluates to zero.  ``values`` is a
+    sequence or mapping over indices."""
+    return _fold(expr, lambda e: values[e.index] if isinstance(e, Var) else Fraction(e.value),
+                 _apply)
 
 
 def expr_variables(expr: DriftExpr) -> frozenset:
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Var):
-        return frozenset((expr.index,))
-    if isinstance(expr, Abs):
-        return expr_variables(expr.arg)
-    return expr_variables(expr.lhs) | expr_variables(expr.rhs)
-
-
-def rename_vars(expr: DriftExpr, mapping: Mapping[int, int]) -> DriftExpr:
-    """Replace variable indices per ``mapping`` (identity when absent)."""
-    return substitute_exprs(expr, {v: Var(w) for v, w in mapping.items()})
+    return frozenset(e.index for e in _nodes(expr) if isinstance(e, Var))
 
 
 def substitute_exprs(expr: DriftExpr, sigma: Mapping[int, DriftExpr]) -> DriftExpr:
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        return sigma.get(expr.index, expr)
-    if isinstance(expr, Abs):
-        return Abs(substitute_exprs(expr.arg, sigma))
-    return Bin(expr.op,
-               substitute_exprs(expr.lhs, sigma),
-               substitute_exprs(expr.rhs, sigma))
+    """Replace each variable whose index ``sigma`` maps by its image."""
+    return _fold(expr, lambda e: sigma.get(e.index, e) if isinstance(e, Var) else e,
+                 lambda e, a, b: Abs(a) if b is None else Bin(e.op, a, b))
 
 
-def denominators(expr: DriftExpr) -> list:
-    """All syntactic denominators, outermost first (duplicates removed)."""
-    found: list = []
+def _shape(expr: DriftExpr) -> str:
+    """A text that two trees share exactly when they are equal (==)."""
+    return _fold(expr, lambda e: f"v{e.index}" if isinstance(e, Var) else f"c{Fraction(e.value)}",
+                 lambda e, a, b: f"abs({a})" if b is None else f"{e.op}({a}, {b})")
 
-    def walk(e):
-        if isinstance(e, Abs):
-            walk(e.arg)
-        elif isinstance(e, Bin):
-            if e.op == "div" and e.rhs not in found:
-                found.append(e.rhs)
-            walk(e.lhs)
-            walk(e.rhs)
 
-    walk(expr)
-    return found
+def denominators(*exprs: DriftExpr) -> list:
+    """All syntactic denominators of ``exprs``, outermost first and left
+    before right, duplicates removed."""
+    found: dict = {}
+    for expr in exprs:
+        for e in _nodes(expr):
+            if isinstance(e, Bin) and e.op == "div":
+                found.setdefault(_shape(e.rhs), e.rhs)
+    return list(found.values())
 
 
 def to_polynomial(expr: DriftExpr) -> Polynomial | None:
@@ -230,36 +233,32 @@ def poly_to_expr(p: Polynomial) -> DriftExpr:
     return sum_exprs(product(m) for m in p.terms)
 
 
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2}
+_ATOM = 3  # variables, constants of at least 0, and calls never need parentheses
 
 
 def format_expr(expr: DriftExpr, names=None) -> str:
     """Render in model-grammar syntax."""
 
-    def name_of(i):
-        return names[i] if names is not None else f"x{i}"
-
-    def go(e, parent_prec):
-        if isinstance(e, Const):
-            v = e.value
-            s = str(v)
-            if v < 0 and parent_prec > 0:
-                return f"({s})"
-            return s
+    def leaf(e):
         if isinstance(e, Var):
-            return name_of(e.index)
-        if isinstance(e, Abs):
-            return f"abs({go(e.arg, 0)})"
-        if e.op in ("min", "max"):
-            return f"{e.op}({go(e.lhs, 0)}, {go(e.rhs, 0)})"
-        prec = _PRECEDENCE[e.op]
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-        left = go(e.lhs, prec)
-        # right operand of - and / needs parens at equal precedence
-        right = go(e.rhs, prec + (1 if e.op in ("sub", "div") else 0))
-        out = f"{left} {sym} {right}"
-        if prec < parent_prec:
-            return f"({out})"
-        return out
+            return names[e.index] if names is not None else f"x{e.index}", _ATOM
+        # a negative constant is parenthesized as an operand of any operator
+        return str(e.value), 0 if e.value < 0 else _ATOM
 
-    return go(expr, 0)
+    def node(e, a, b):
+        if isinstance(e, Abs):
+            return f"abs({a[0]})", _ATOM
+        if e.op in ("min", "max"):
+            return f"{e.op}({a[0]}, {b[0]})", _ATOM
+        prec = _PRECEDENCE[e.op]
+        (left, p), (right, q) = a, b
+        if p < prec:
+            left = f"({left})"
+        # the right operand of - and / needs parentheses at equal precedence
+        if q < prec or q == prec and e.op in ("sub", "div"):
+            right = f"({right})"
+        return f"{left} {_SYMBOLS[e.op]} {right}", prec
+
+    return _fold(expr, leaf, node)[0]

@@ -40,7 +40,7 @@ from itertools import product
 from math import lcm
 from typing import Optional
 
-from .driftexpr import Bin, Const, Var, rename_vars, substitute_exprs, sum_exprs
+from .driftexpr import Bin, Const, Var, substitute_exprs, sum_exprs
 from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
                      NotABde, NotAnFde, TooLarge)
 from .partition import Partition, _Refinable
@@ -413,8 +413,8 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     if system.is_polynomial:
         drifts = tuple(_sum_renamed((system.drifts[rep],), labels) for rep in reps)
     else:
-        mapping = dict(enumerate(labels))
-        drifts = tuple(rename_vars(system.drifts[rep], mapping) for rep in reps)
+        mapping = {v: Var(b) for v, b in enumerate(labels)}
+        drifts = tuple(substitute_exprs(system.drifts[rep], mapping) for rep in reps)
     init = tuple(system.init[rep] for rep in reps)
     names = tuple(system.names[rep] for rep in reps)
     obs = None

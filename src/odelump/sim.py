@@ -12,7 +12,9 @@ and the value each of them multiplies by.  A factor is ``x[v]`` for
 exponent 1, or ``x[v] ** e`` computed once per stage for each distinct
 ``(v, e)``.  An RK4 stage gathers each slot, multiplies it into the terms
 in place, and sums the terms per drift with ``np.bincount``.  Expression
-drifts are evaluated per drift by :func:`odelump.driftexpr.compile_expr`.
+drifts compile, by ``driftexpr._fold``, to one closure per node; a node
+``_DEPTH`` deep is computed first, so calls never nest deeper than that.  A
+zero divisor raises ZeroDivisionError or numpy's FloatingPointError.
 
 The arrays give the same floats, to the last bit, as evaluating each
 monomial in Python as ``coeff * f1 * f2 * ...`` in exponent-vector order
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 import numpy as np
 
-from .driftexpr import compile_expr
+from .driftexpr import Bin, Const, _fold
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
 from .partition import Partition
 from .system import OdeSystem, _by_mode, _require_system
@@ -83,13 +86,44 @@ def _compile_polynomials(drifts, n: int):
     return f
 
 
+# The closure of a node, from its operands' closures.
+_FLOAT_NODES = {
+    "add": lambda fa, fb: lambda x: fa(x) + fb(x),
+    "sub": lambda fa, fb: lambda x: fa(x) - fb(x),
+    "mul": lambda fa, fb: lambda x: fa(x) * fb(x),
+    "div": lambda fa, fb: lambda x: fa(x) / fb(x),
+    "min": lambda fa, fb: lambda x: min(fa(x), fb(x)),
+    "max": lambda fa, fb: lambda x: max(fa(x), fb(x)),
+    "abs": lambda fa, fb: lambda x: abs(fa(x)),
+}
+_DEPTH = 40
+
+
 def _compile_system(system: OdeSystem):
     if system.is_polynomial:
         return _compile_polynomials(system.drifts, system.n)
-    parts = [compile_expr(d, float) for d in system.drifts]
+    spilled, t = [], []  # closures of the subtrees _DEPTH deep, in fold order; their values
+
+    def leaf(e):
+        c = float(e.value) if isinstance(e, Const) else None
+        return (itemgetter(e.index) if c is None else lambda x: c), 1
+
+    def node(e, a, b):
+        (fa, da), (fb, db) = a, b or a
+        g = _FLOAT_NODES[e.op if isinstance(e, Bin) else "abs"](fa, fb)
+        depth = (da if da > db else db) + 1
+        if depth < _DEPTH:
+            return g, depth
+        spilled.append(g)
+        return (lambda x, k=len(spilled) - 1: t[k]), 1
+
+    outs = [_fold(d, leaf, node)[0] for d in system.drifts]
 
     def f(x):
-        return np.array([g(x) for g in parts])
+        t[:] = ()
+        for g in spilled:
+            t.append(g(x))
+        return np.array([g(x) for g in outs])
 
     return f
 
@@ -126,7 +160,7 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
                 k3 = f(x + half * k2)
                 k4 = f(x + dt * k3)
                 x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (DivisionByZero, FloatingPointError):
+        except (ZeroDivisionError, FloatingPointError):
             raise DivisionByZero(f"t = {t}") from None
         except OverflowError:
             raise NonFiniteState(t) from None

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .driftexpr import (Abs, Bin, Const, DriftExpr, Var, denominators,
-                        poly_to_expr, rename_vars, sum_exprs)
+from .driftexpr import (_SYMBOLS, Abs, Bin, Const, DriftExpr, Var, _fold,
+                        denominators, poly_to_expr, substitute_exprs, sum_exprs)
 from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
                      SolverTimeout, SolverUnknown)
 from .partition import Partition
@@ -83,8 +83,8 @@ def _block_drift_sums_across_copies(system: OdeSystem, part: Partition) -> tuple
     copy's, where the primed copy of variable i is variable n + i."""
     n = system.n
     drifts = _expr_drifts(system)
-    shift = {i: n + i for i in range(n)}
-    primed = [rename_vars(d, shift) for d in drifts]
+    shift = {i: Var(n + i) for i in range(n)}
+    primed = [substitute_exprs(d, shift) for d in drifts]
     return tuple((sum_exprs(drifts[v] for v in block), sum_exprs(primed[v] for v in block))
                  for block in part.blocks)
 
@@ -139,21 +139,18 @@ def _emit_rational(value: Fraction) -> str:
 
 
 def _emit_expr(e: DriftExpr, names: Sequence[str]) -> str:
-    if isinstance(e, Const):
-        return _emit_rational(e.value)
-    if isinstance(e, Var):
-        return _symbol(names[e.index])
+    return _fold(e, lambda leaf: _emit_rational(leaf.value) if isinstance(leaf, Const)
+                 else _symbol(names[leaf.index]), _emit_node)
+
+
+def _emit_node(e, a, b) -> str:
     if isinstance(e, Abs):
-        a = _emit_expr(e.arg, names)
         return f"(ite (>= {a} 0) {a} (- {a}))"
-    a = _emit_expr(e.lhs, names)
-    b = _emit_expr(e.rhs, names)
     if e.op == "min":
         return f"(ite (<= {a} {b}) {a} {b})"
     if e.op == "max":
         return f"(ite (>= {a} {b}) {a} {b})"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
-    return f"({sym} {a} {b})"
+    return f"({_SYMBOLS[e.op]} {a} {b})"
 
 
 def _emit_conjunction(parts: list) -> str:
@@ -175,8 +172,8 @@ def smt_emit(phi: Phi, names: Sequence[str]) -> str:
 
     body = "true"
     if phi.consequent:
-        guards = dict.fromkeys(d for eq in phi.antecedent + phi.consequent
-                               for side in eq for d in denominators(side))
+        guards = denominators(*(side for eq in phi.antecedent + phi.consequent
+                                for side in eq))
         antecedent = [equation(*eq) for eq in phi.antecedent]
         antecedent.extend(f"(not {equation(d, Const(Fraction(0)))})" for d in guards)
         consequent = [equation(*eq) for eq in phi.consequent]

@@ -4,7 +4,7 @@ import pytest
 
 from odelump import (Abs, Bin, Const, DivisionByZero, Polynomial, Var,
                      drift_eval, expr_variables, poly_to_expr, to_polynomial)
-from odelump.driftexpr import denominators, format_expr, rename_vars
+from odelump.driftexpr import denominators, format_expr, substitute_exprs
 from odelump.parsing import parse_expression, parse_polynomial
 
 NAMES = ("x1", "x2", "x3")
@@ -51,7 +51,7 @@ def test_denominators_collects_unique():
 
 
 def test_rename_vars():
-    e = rename_vars(E("min(x1, x2)"), {0: 2, 1: 0})
+    e = substitute_exprs(E("min(x1, x2)"), {0: Var(2), 1: Var(0)})
     assert drift_eval(e, F(7, 0, 3)) == 3
 
 
