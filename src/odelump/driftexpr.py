@@ -7,9 +7,10 @@ solver scripts mirror the source text.
 
 Trees are walked only by ``_nodes`` (pre-order) and ``_fold`` (post-order),
 on an explicit stack, here and in ``smt`` and ``sim``, so drifts of any depth
-work.  Still recursive: ``to_polynomial`` on summands that are not plain
-products, ``==``, ``hash`` and ``repr`` of trees, and the closures ``sim``
-evaluates drifts with, at most ``sim._DEPTH`` calls deep.
+work; ``==`` and ``hash`` compare pre-orders, and ``repr`` is built on a
+stack too.  Still recursive: ``to_polynomial`` on summands that are not
+plain products, and the closures ``sim`` evaluates drifts with, at most
+``sim._DEPTH`` calls deep.
 """
 
 from __future__ import annotations
@@ -35,8 +36,40 @@ class Var:
     index: int
 
 
-@dataclass(frozen=True)
-class Bin:
+class _Node:
+    """``==``, ``hash`` and the dataclass ``repr`` of Bin and Abs, without
+    recursion.  A tree is keyed on its pre-order, each leaf as itself and each
+    operator by its name: that sequence spells exactly one tree."""
+
+    def _key(self) -> tuple:
+        return tuple(e if isinstance(e, (Const, Var)) else getattr(e, "op", "abs")
+                     for e in _nodes(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Bin):
+                out.append(f"Bin(op={e.op!r}, lhs=")
+                stack += (")", e.rhs, ", rhs=", e.lhs)
+            elif isinstance(e, Abs):
+                out.append("Abs(arg=")
+                stack += (")", e.arg)
+            else:
+                out.append(e if isinstance(e, str) else repr(e))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Bin(_Node):
     op: str
     lhs: "DriftExpr"
     rhs: "DriftExpr"
@@ -46,8 +79,8 @@ class Bin:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(frozen=True, eq=False, repr=False)
+class Abs(_Node):
     arg: "DriftExpr"
 
 
@@ -117,21 +150,11 @@ def substitute_exprs(expr: DriftExpr, sigma: Mapping[int, DriftExpr]) -> DriftEx
                  lambda e, a, b: Abs(a) if b is None else Bin(e.op, a, b))
 
 
-def _shape(expr: DriftExpr) -> str:
-    """A text that two trees share exactly when they are equal (==)."""
-    return _fold(expr, lambda e: f"v{e.index}" if isinstance(e, Var) else f"c{Fraction(e.value)}",
-                 lambda e, a, b: f"abs({a})" if b is None else f"{e.op}({a}, {b})")
-
-
 def denominators(*exprs: DriftExpr) -> list:
     """All syntactic denominators of ``exprs``, outermost first and left
     before right, duplicates removed."""
-    found: dict = {}
-    for expr in exprs:
-        for e in _nodes(expr):
-            if isinstance(e, Bin) and e.op == "div":
-                found.setdefault(_shape(e.rhs), e.rhs)
-    return list(found.values())
+    return list(dict.fromkeys(e.rhs for expr in exprs for e in _nodes(expr)
+                              if isinstance(e, Bin) and e.op == "div"))
 
 
 def to_polynomial(expr: DriftExpr) -> Polynomial | None:

@@ -101,13 +101,6 @@ def _numerators(system: OdeSystem):
 # -- per-variable signatures ----------------------------------------------------
 
 
-def _bde_signature(drift, labels):
-    """Canonical form of one drift with every variable renamed to its block label."""
-    acc: dict = {}
-    _fold_renamed(acc, drift[0], drift[1], labels)
-    return tuple(sorted([item for item in acc.items() if item[1]]))
-
-
 class _BdeSigner:
     """bde signatures under the labelling ``labels``, which the caller updates.
 
@@ -120,7 +113,12 @@ class _BdeSigner:
         self.users = None
 
     def sign(self, v):
-        return _bde_signature(self.raw[v], self.labels)
+        """Canonical form of v's drift with every variable renamed to its
+        block label."""
+        acc: dict = {}
+        exps, nums = self.raw[v]
+        _fold_renamed(acc, exps, nums, self.labels)
+        return tuple(sorted([item for item in acc.items() if item[1]]))
 
     def affected(self, moves):
         if self.users is None:

@@ -22,32 +22,33 @@ drift; a zero reaction rate is rejected.
 
 How the text is read:
 
-* The line reader comes first.  It reads the text one line at a time, with
-  one whole-line regex match each, and takes a document only if it knows
-  every line.  It knows the section keyword lines, blank lines and lines
-  that hold only a ``//`` comment, and one statement per line:
-  ``name = [-]p[/q]`` in init; ``d(x) = `` then terms as
-  ``Polynomial.format`` writes them in ode (an optional ``p`` or ``p/q``,
-  then ``*``-joined variables, at least one factor, terms joined by ``+`` or
-  ``-`` with only spaces around them, a lone ``0`` for zero); ``[k*]A + ...
-  -> ..., [-]p[/q]`` in reactions, ``0`` for an empty side; and a partition
-  or observe section whose list is one line, as ``serialize_model`` writes
-  them.  Terms go into the same accumulator as the lowering of trees.
-* The line reader declines everything else: a statement split across lines
-  or followed by a comment, any other drift syntax, duplicate or reserved
-  names, undeclared names, zero denominators, zero rates, multiplicities
-  that are not positive integers, a second drift for one variable, and a
-  partition that does not cover the variables.  It never raises; when it
-  declines, the whole text goes to the token parser, which is the only
-  source of errors and of expression drifts.
-* The token parser splits the text into token strings with one regex sweep;
-  each distinct string is classified once.  Tokens carry no position: the
-  line and column of an error are worked out when it is raised, by sweeping
-  the text again.
-* Every drift is read once, as a drift-expression tree, and lowered to a
-  polynomial.  If some drift does not lower, the model is an expression
-  model and every drift keeps its tree, so subtraction and division keep
-  their nodes.
+* One reader, ``_Parser``, reads every text.  Its scanner splits the text
+  with one regex sweep.  Where a regex can read a whole statement, the
+  statement is one token: ``name = [-]p[/q]`` (init); ``d(x) = `` then
+  terms as ``Polynomial.format`` writes them (ode: an optional ``p`` or
+  ``p/q``, then ``*``-joined variables, at least one factor, terms joined by
+  ``+`` or ``-`` with only spaces around them); ``[k*]A + ... -> ...,
+  [-]p[/q]`` (reactions, ``0`` for an empty side).  A whole statement ends
+  where the token parser would end it, so a comment or a line break between
+  statements, or inside one where the regex allows blanks, changes nothing.
+  Every other statement, every keyword and the partition and observe
+  sections are read token by token.  Each distinct single-token string is
+  classified once.
+* The section methods read each run of whole statements in one loop, drift
+  terms straight into the term accumulator that also lowers trees.  A
+  whole statement that fails a check (a reserved, duplicate or undeclared
+  name, a zero denominator or rate, a second drift for one variable), or
+  any error at all, makes this read decline, and the text is read again
+  with plain tokens only.  That read returns the document or raises the
+  error with its line and column, worked out when it is raised by sweeping
+  the text again.  Statement tokens are taken only where a section expects
+  a statement; anywhere else no rule accepts them, so they cannot change
+  the document, only decline.
+* Every drift not read whole is read once, as a drift-expression tree, and
+  lowered to a polynomial.  If some drift does not lower, the model is an
+  expression model and every drift keeps its tree, so subtraction and
+  division keep their nodes; a drift read whole has no tree, so such a
+  model is read again with plain tokens.
 """
 
 from __future__ import annotations
@@ -66,21 +67,39 @@ from .partition import Partition
 from .poly import Polynomial, _add_term, _from_accumulator, _product
 from .system import _IDENT, _RESERVED, OdeSystem
 
-_NUMBER = r"\d+(?:\.\d+)?"
+# Every quantifier is possessive: a match never gives back what it read, so
+# the `//c` of a trailing `x //c` cannot be re-read as `/`, `/`, `c`, a whole
+# statement cannot end inside a name or numeral, and no backtracking state is
+# kept, which makes the sweep faster.
+_NUMBER = r"\d++(?:\.\d++)?+"
+_ID = _IDENT.pattern + "+"
 _KINDS = (
     ("number", _NUMBER),
-    ("ident", _IDENT.pattern),
+    ("ident", _ID),
     ("arrow", r"->"),
     ("sym", r"[=(){},+\-*/]"),
 )
+_SKIP = r"(?:\s++|//[^\n]*+)*+"
 # Skip whitespace and comments, then take one token; any other character is
 # taken alone and rejected by the parser.  At the end of input the token group
-# matches nothing.  The skip is possessive: it never gives back what it read,
-# so the `//c` of a trailing `x //c` cannot be re-read as `/`, `/`, `c`, and it
-# keeps no backtracking state, which makes the sweep faster.
-_TOKEN_RE = re.compile(
-    r"(?:\s+|//[^\n]*)*+(" + "|".join(p for _, p in _KINDS) + r"|.)?", re.DOTALL)
+# matches nothing.
+_SINGLE = "(" + "|".join(p for _, p in _KINDS) + r"|.)?+"
+_TOKEN_RE = re.compile(_SKIP + _SINGLE, re.DOTALL)
 _KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _KINDS))
+
+_RATIONAL = rf"-?+{_NUMBER}(?:/{_NUMBER})?+(?!{_SKIP}/)"
+_TERM = rf"(?:{_NUMBER}(?:/{_NUMBER})?+|{_ID})(?:\*{_ID})*+"
+_SIDE = rf"0|(?:[1-9]\d*+\*)?+{_ID}(?:\s*+\+\s*+(?:[1-9]\d*+\*)?+{_ID})*+"
+# Whole statements before single tokens; each ends where the token parser
+# would end it.  Spaces are the only blanks inside a drift's terms, which
+# lets them be split by str methods.  Groups: drift name and terms, init name
+# and value, reagents, products and rate, single token.
+_STATEMENT_RE = re.compile(
+    _SKIP + rf"(?:d\s*+\(\s*+({_ID})\s*+\)\s*+=\s*+"
+    rf"(-?+ *+{_TERM}(?: *+[+-] *+{_TERM})*+)(?!{_SKIP}[-+*/(])"
+    rf"|({_ID})\s*+=\s*+({_RATIONAL})"
+    rf"|({_SIDE})\s*+->\s*+({_SIDE})\s*+,\s*+({_RATIONAL})|" + _SINGLE + ")",
+    re.DOTALL)
 
 
 def _kind(token: str) -> Optional[str]:
@@ -91,19 +110,34 @@ def _kind(token: str) -> Optional[str]:
     return token if m.lastgroup == "sym" else m.lastgroup
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, whole: bool = False):
     """Parallel lists of token kinds and texts, ending with an "eof" token.
 
-    The kind of an invalid character is None.
+    The kind of an invalid character is None.  With ``whole``, a statement
+    that ``_STATEMENT_RE`` reads is one token, of kind "drift", "init" or
+    "reaction", whose text is the tuple of the pattern's groups.
     """
-    texts = _TOKEN_RE.findall(text)
-    while texts and not texts[-1]:
-        texts.pop()
-    kind_of = {t: _kind(t) for t in set(texts)}
-    kinds = list(map(kind_of.__getitem__, texts))
+    if whole:
+        found = _STATEMENT_RE.findall(text)
+        while found and not any(found[-1]):
+            found.pop()
+        kind_of = {t: _kind(t) for t in {t[7] for t in found}}
+        kinds = ["drift" if t[0] else "init" if t[2] else "reaction" if t[4]
+                 else kind_of[t[7]] for t in found]
+        texts = [t[7] or t for t in found]
+    else:
+        texts = _TOKEN_RE.findall(text)
+        while texts and not texts[-1]:
+            texts.pop()
+        kind_of = {t: _kind(t) for t in set(texts)}
+        kinds = list(map(kind_of.__getitem__, texts))
     kinds.append("eof")
     texts.append("")
     return kinds, texts
+
+
+class _Declined(Exception):
+    """The statement read declines the text; the plain read decides it."""
 
 
 class _Numerals(dict):
@@ -157,9 +191,10 @@ def _document(names, inits, section, observables, partition) -> ModelDocument:
 
 
 class _Parser:
-    def __init__(self, text: str, names=()):
+    def __init__(self, text: str, names=(), whole: bool = False):
         self.text = text
-        self.kinds, self.texts = _tokenize(text)
+        self.whole = whole
+        self.kinds, self.texts = _tokenize(text, whole)
         self.i = 0
         self.names: list = list(names)
         self.index: dict = {nm: i for i, nm in enumerate(self.names)}
@@ -172,7 +207,10 @@ class _Parser:
     # last token is "eof" and the cursor never moves past it.
 
     def where(self, at: int):
-        """Line and column of token ``at``, found by sweeping the text again."""
+        """Line and column of token ``at``, found by sweeping the text again.
+        A statement read has no positions: it declines instead."""
+        if self.whole:
+            raise _Declined
         m = next(islice(_TOKEN_RE.finditer(self.text), at, None), None)
         pos = len(self.text) if m is None or m.start(1) < 0 else m.start(1)
         return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
@@ -213,6 +251,18 @@ class _Parser:
 
     def at_section_end(self) -> bool:
         return self.kinds[self.i] == "eof" or self.at_word("end")
+
+    def run(self, kind: str):
+        """The group tuples of the whole statements of ``kind`` from the
+        cursor on, moving the cursor past each; the token list lets go of
+        each tuple, so a statement is held only while it is read."""
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        while kinds[i] == kind:
+            t = texts[i]
+            texts[i] = kind
+            self.i = i = i + 1
+            yield t
 
     # -- atoms ----------------------------------------------------------------
 
@@ -281,9 +331,12 @@ class _Parser:
                 raise PartitionCoverageError(
                     str(exc), *self.where(partition_at)) from None
         if system_kind == "ode":
-            section = {i: to_polynomial(tree) for i, tree in drifts.items()}
+            section = {i: d if isinstance(d, Polynomial) else to_polynomial(d)
+                       for i, d in drifts.items()}
             if None in section.values():
                 # an expression model: every drift keeps the tree its text spells
+                if any(isinstance(d, Polynomial) for d in drifts.values()):
+                    raise _Declined  # a drift read whole has no tree
                 zero = Const(Fraction(0))
                 section = {i: drifts.get(i, zero) for i in range(len(self.names))}
         else:
@@ -294,25 +347,43 @@ class _Parser:
         self.expect_word("begin")
         self.expect_word("init")
         self.inits: list = []
+        names, index, inits = self.names, self.index, self.inits
         while not self.at_section_end():
+            if self.kinds[self.i] == "init":
+                for t in self.run("init"):
+                    name, value = t[2], self.number(t[3])
+                    if value is None or name in index or name in _RESERVED:
+                        raise _Declined
+                    index[name] = len(names)
+                    names.append(name)
+                    inits.append(value)
+                continue
             name_at = self.parse_ident("variable declaration")
             name = self.texts[name_at]
-            if name in self.index:
+            if name in index:
                 raise DuplicateVariable(name, *self.where(name_at))
             self.expect("=", "'='")
             value = self.parse_rational()
-            self.index[name] = len(self.names)
-            self.names.append(name)
-            self.inits.append(value)
+            index[name] = len(names)
+            names.append(name)
+            inits.append(value)
         self.expect_word("end")
-        if not self.names:
+        if not names:
             self.fail("at least one variable declaration")
         self.expect_word("init")
 
     def parse_odes(self) -> dict:
-        """The drift trees by variable index."""
+        """The drifts by variable index: the polynomial of a statement read
+        whole, the tree of any other."""
         drifts: dict = {}
         while not self.at_section_end():
+            if self.kinds[self.i] == "drift":
+                for t in self.run("drift"):
+                    v = self.index.get(t[0])
+                    if v is None or v in drifts:
+                        raise _Declined
+                    drifts[v] = _terms(t[1], self.index, self.number)
+                continue
             d_at = self.expect("ident", "'d('")
             if self.texts[d_at] != "d":
                 self.fail("'d('", d_at)
@@ -330,7 +401,16 @@ class _Parser:
 
     def parse_reactions(self) -> list:
         reactions = []
+        sides: dict = {}
         while not self.at_section_end():
+            if self.kinds[self.i] == "reaction":
+                for t in self.run("reaction"):
+                    rate = self.number(t[6])
+                    if not rate:  # a zero rate, or a zero denominator
+                        raise _Declined
+                    reactions.append(_reaction(_side(t[4], self.index, sides),
+                                               _side(t[5], self.index, sides), rate))
+                continue
             reagents = self.parse_mset()
             self.expect("arrow", "'->'")
             products = self.parse_mset()
@@ -449,194 +529,62 @@ class _Parser:
         self.fail("a number, variable or '('", at)
 
 
-# -- the line reader ------------------------------------------------------------
-# Each pattern is one whole line.  A section's line pattern also takes the
-# line that ends the section (its last group) and blank or comment-only lines
-# (every group None).
-
-_ID = _IDENT.pattern
-_RATIONAL = rf"-?{_NUMBER}(?:/{_NUMBER})?"
-_TERM = rf"(?:{_NUMBER}(?:/{_NUMBER})?|{_ID})(?:\*{_ID})*"
-_SIDE = rf"0|(?:[1-9]\d*\*)?{_ID}(?:\s*\+\s*(?:[1-9]\d*\*)?{_ID})*"
-_BLOCK = rf"\{{\s*{_ID}(?:\s*,\s*{_ID})*\s*\}}"
+# -- statements read whole -----------------------------------------------------
 
 
-def _section_line(item: str, section: str):
-    return re.compile(rf"\s*(?:{item}|(end\s+{section})|//.*)?\s*")
-
-
-_BLANK_LINE = re.compile(r"\s*(?://.*)?")
-_KEYWORD_LINE = re.compile(r"\s*(begin|end)\s+([a-z]+)\s*")
-_INIT_LINE = _section_line(rf"({_ID})\s*=\s*({_RATIONAL})", "init")
-# spaces are the only blanks inside a drift, which lets it be split by str methods
-_DRIFT_LINE = _section_line(
-    rf"d\s*\(\s*({_ID})\s*\)\s*=\s*(-? *{_TERM}(?: *[+-] *{_TERM})*)", "ode")
-_REACTION_LINE = _section_line(
-    rf"({_SIDE})\s*->\s*({_SIDE})\s*,\s*({_RATIONAL})", "reactions")
-_PARTITION_LINE = re.compile(rf"\s*{_BLOCK}(?:\s*,\s*{_BLOCK})*\s*")
-_OBSERVE_LINE = re.compile(rf"\s*{_ID}(?:\s*,\s*{_ID})*\s*")
-
-
-def _read_lines(text: str) -> Optional[ModelDocument]:
-    """The document ``text`` spells if the line reader knows every one of its
-    lines (see the module docstring), else None.  Never raises."""
-    try:
-        return _read_known_lines(text)
-    except KeyError:  # a name that was not declared
-        return None
-
-
-def _read_known_lines(text: str) -> Optional[ModelDocument]:
-    lines = iter(text.split("\n"))
-    number = _Numerals().__getitem__
-
-    def content() -> str:
-        """The next line that is not blank or a comment; "" after the last."""
-        for line in lines:
-            if not _BLANK_LINE.fullmatch(line):
-                return line
-        return ""
-
-    def keyword() -> Optional[str]:
-        m = _KEYWORD_LINE.fullmatch(content())
-        return m and f"{m[1]} {m[2]}"
-
-    if keyword() != "begin model" or keyword() != "begin init":
-        return None
-    names: list = []
-    inits: list = []
-    index: dict = {}
-    for line in lines:
-        m = _INIT_LINE.fullmatch(line)
-        if m is None:
-            return None
-        name, value, end = m.groups()
-        if end:
-            break
-        if name is not None:
-            value = number(value)
-            if value is None or name in index or name in _RESERVED:
-                return None
-            index[name] = len(names)
-            names.append(name)
-            inits.append(value)
-    else:
-        return None
-    if not names:
-        return None
-
-    kind = keyword()
-    if kind == "begin ode":
-        section = _read_drifts(lines, index, number)
-    elif kind == "begin reactions":
-        section = _read_reactions(lines, index, number)
-    else:
-        return None
-    if section is None:
-        return None
-
-    after = keyword()
-    partition = None
-    if after == "begin partition":
-        line = content()
-        if not _PARTITION_LINE.fullmatch(line) or keyword() != "end partition":
-            return None
-        blocks = [[index[nm] for nm in _IDENT.findall(chunk)]
-                  for chunk in line.split("}")[:-1]]
-        try:
-            partition = _cover(blocks, len(names))
-        except ValueError:
-            return None
-        after = keyword()
-    observables = None
-    if after == "begin observe":
-        line = content()
-        if not _OBSERVE_LINE.fullmatch(line) or keyword() != "end observe":
-            return None
-        observables = frozenset([index[nm] for nm in _IDENT.findall(line)])
-        after = keyword()
-    if after != "end model" or content():
-        return None
-    return _document(names, inits, section, observables, partition)
-
-
-def _read_drifts(lines, index: dict, number) -> Optional[dict]:
-    """The drifts of an ode section by variable index, up to its end line."""
-    drifts: dict = {}
-    for line in lines:
-        m = _DRIFT_LINE.fullmatch(line)
-        if m is None:
-            return None
-        name, body, end = m.groups()
-        if end:
-            return drifts
-        if name is None:
+def _terms(body: str, index: dict, number) -> Polynomial:
+    """The polynomial of the terms of a drift read whole."""
+    acc: dict = {}
+    den = 1
+    # the terms, each negative one led by "-"; a leading "-" leaves an empty
+    # text first
+    for term in body.replace(" ", "").replace("-", "+-").split("+"):
+        if not term:
             continue
-        v = index[name]
-        if v in drifts:
-            return None
-        acc: dict = {}
-        den = 1
-        # the terms, each negative one led by "-"; a leading "-" leaves an
-        # empty text first
-        for term in body.replace(" ", "").replace("-", "+-").split("+"):
-            if not term:
-                continue
-            neg = term[0] == "-"
-            factors = (term[1:] if neg else term).split("*")
-            num = q = 1
-            if factors[0][0].isdigit():
-                c = number(factors.pop(0))
-                if c is None:
-                    return None
-                num, q = c.numerator, c.denominator
-            if neg:
-                num = -num
+        neg = term[0] == "-"
+        factors = (term[1:] if neg else term).split("*")
+        num = q = 1
+        if factors[0][0].isdigit():
+            c = number(factors.pop(0))
+            if c is None:
+                raise _Declined
+            num, q = c.numerator, c.denominator
+        if neg:
+            num = -num
+        try:
             if len(factors) == 1:
                 exps = ((index[factors[0]], 1),)
             else:
                 exps = _product([index[f] for f in factors])
-            den = _add_term(acc, den, exps, num, q)
-        drifts[v] = _from_accumulator(acc, den)
-    return None
+        except KeyError:  # a name that was not declared
+            raise _Declined from None
+        den = _add_term(acc, den, exps, num, q)
+    return _from_accumulator(acc, den)
 
 
-def _read_reactions(lines, index: dict, number) -> Optional[list]:
-    """The reactions of a reactions section, up to its end line."""
-    reactions = []
-    sides: dict = {}  # side text -> its multiset
-
-    def side(text: str):
-        ms = sides.get(text)
-        if ms is None:
-            items = []
-            if text != "0":
-                for item in text.split("+"):
-                    mult, _, name = item.strip().rpartition("*")
-                    items.append((index[name], int(mult) if mult else 1))
-            ms = sides[text] = multiset(items)
-        return ms
-
-    for line in lines:
-        m = _REACTION_LINE.fullmatch(line)
-        if m is None:
-            return None
-        reagents, products, rate, end = m.groups()
-        if end:
-            return reactions
-        if reagents is None:
-            continue
-        rate = number(rate)
-        if not rate:  # a zero rate, or a zero denominator
-            return None
-        reactions.append(_reaction(side(reagents), side(products), rate))
-    return None
+def _side(text: str, index: dict, sides: dict):
+    """The multiset of a reaction side read whole, cached in ``sides`` by its
+    text."""
+    ms = sides.get(text)
+    if ms is None:
+        items = []
+        if text != "0":
+            for item in text.split("+"):
+                mult, _, name = item.strip().rpartition("*")
+                v = index.get(name)
+                if v is None:
+                    raise _Declined
+                items.append((v, int(mult) if mult else 1))
+        ms = sides[text] = multiset(items)
+    return ms
 
 
 def parse_model(text: str) -> ModelDocument:
     """Parse model text into a document; numbers become exact rationals."""
-    doc = _read_lines(text)
-    return _Parser(text).parse_model() if doc is None else doc
+    try:
+        return _Parser(text, whole=True).parse_model()
+    except _Declined:
+        return _Parser(text).parse_model()
 
 
 def parse_expression(text: str, names) -> DriftExpr:

@@ -24,8 +24,9 @@ accumulator over a known denominator, which ``_from_accumulator`` sorts and
 brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
 whole polynomials, and addition goes through it; the public constructor
 is that accumulator over monomials; ``_sum_renamed`` is that accumulator
-over renamed polynomials.  The line reader and ``to_polynomial`` add
-their terms one at a time with ``_add_term``; ``rn_to_ode`` fills its own.
+over renamed polynomials.  The parser, for drifts it reads whole, and
+``to_polynomial`` add their terms one at a time with ``_add_term``;
+``rn_to_ode`` fills its own.
 
 One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
 terms to an accumulator with every variable renamed by a label table.  It

@@ -8,9 +8,12 @@ bindings are used, so any conforming QF_NRA solver can be substituted.
 Division is guarded: for every syntactic denominator d the antecedent gains
 ``(not (= d 0))``.  SMT-LIB leaves x/0 underspecified, so an unguarded
 encoding could report spurious witnesses; the guarded one trades completeness
-near the zero-denominator locus for soundness.  Witness values are parsed as
-exact rationals; algebraic (root-form) model values are reported as unknown
-rather than rounded, because splitting on rounded values can be unsound.
+near the zero-denominator locus for soundness.  A guard that vanishes on the
+block equalities (``1/(x - y)`` with x and y in one block) makes the query
+vacuous: its antecedent never holds, so the solver answers unsat and the loop
+accepts that block.  Witness values are parsed as exact rationals; algebraic
+(root-form) model values are reported as unknown rather than rounded,
+because splitting on rounded values can be unsound.
 """
 
 from __future__ import annotations

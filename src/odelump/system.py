@@ -16,7 +16,7 @@ from .poly import Polynomial, as_fraction
 
 
 # A variable name, as the model grammar spells it; the reserved words are not
-# names.  The model tokenizer and line reader use the same pattern.
+# names.  The model scanner uses the same pattern.
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = ("begin", "end")
 

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from odelump import (OdeSystem, Partition, Polynomial, monomial,
                      parse_polynomial)
+from odelump.parsing import _Parser
 
 # Tests that leave max_examples unset take it from the profile that
 # HYPOTHESIS_PROFILE names: "default" keeps hypothesis' own count, "ci" runs
@@ -99,6 +100,15 @@ def permute_system(system: OdeSystem, perm) -> OdeSystem:
 
 def permute_partition(part: Partition, perm) -> Partition:
     return Partition([[perm[v] for v in block] for block in part.blocks])
+
+
+def read_whole(text: str):
+    """The document the statement read gives ``text``, which must read every
+    init, drift and reaction statement as one token: a statement read token
+    by token leaves an ``=`` or ``->`` token."""
+    parser = _Parser(text, whole=True)
+    assert "=" not in parser.kinds and "arrow" not in parser.kinds, text
+    return parser.parse_model()
 
 
 def solver_available() -> bool:

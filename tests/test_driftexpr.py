@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from odelump import (Abs, Bin, Const, DivisionByZero, Polynomial, Var,
+from odelump import (Abs, Bin, Const, DivisionByZero, OdeSystem, Polynomial, Var,
                      drift_eval, expr_variables, poly_to_expr, to_polynomial)
 from odelump.driftexpr import denominators, format_expr, substitute_exprs
 from odelump.parsing import parse_expression, parse_polynomial
@@ -97,3 +97,33 @@ def test_unary_abs_structure():
     e = E("abs(x2)")
     assert isinstance(e, Abs)
     assert e.arg == Var(1)
+
+
+def test_equality_hash_and_repr_follow_the_tree():
+    tree = Bin("add", Var(0), Abs(Bin("min", Const(Fraction(2)), Var(1))))
+    assert repr(tree) == ("Bin(op='add', lhs=Var(index=0), rhs=Abs(arg=Bin(op='min', "
+                          "lhs=Const(value=Fraction(2, 1)), rhs=Var(index=1))))")
+    same = Bin("add", Var(0), Abs(Bin("min", Const(2), Var(1))))
+    assert tree == same and hash(tree) == hash(same)
+    for other in (Bin("add", Var(0), Abs(Bin("max", Const(2), Var(1)))),
+                  Bin("add", Abs(Bin("min", Const(2), Var(1))), Var(0)),
+                  Bin("add", Var(0), Bin("min", Const(2), Var(1))), Abs(tree), Var(0)):
+        assert tree != other
+
+
+def _deep(depth):
+    """A tree ``depth`` operators deep, nested on both sides in turn."""
+    e = Var(0)
+    for i in range(depth):
+        e = Bin("sub", Const(Fraction(i)), e) if i % 2 else Abs(Bin("div", e, Var(1)))
+    return e
+
+
+def test_deep_trees_compare_hash_and_repr():
+    a, b = _deep(5000), _deep(5000)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and repr(a).startswith("Bin(op='sub', lhs=Const(value=")
+    assert a != _deep(4999)
+    names = ("x", "y")
+    assert (OdeSystem(names, (a, Var(0)), (Fraction(1), Fraction(2)))
+            == OdeSystem(names, (b, Var(0)), (Fraction(1), Fraction(2))))

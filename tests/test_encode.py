@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from odelump import (NonPolynomialDrift, OdeSystem, Polynomial, Reaction,
                      ReactionNetwork, monomial, multiset, ode_to_rn,
                      parse_polynomial, rn_to_ode)
-from odelump.parsing import _read_lines
-from conftest import cascade, random_poly_system
+from conftest import cascade, random_poly_system, read_whole
 
 NAMES = ("x1", "x2", "x3")
 
@@ -190,9 +189,8 @@ def _assert_same_checked_reactions(reactions):
             r.rate = Fraction(1)
 
 
-def test_line_reader_and_ode_to_rn_build_checked_reactions():
-    doc = _read_lines(READABLE_NETWORK)
-    assert doc is not None  # the line reader, not the token parser, read it
+def test_statement_read_and_ode_to_rn_build_checked_reactions():
+    doc = read_whole(READABLE_NETWORK)  # every reaction read whole
     assert doc.system.reactions == (
         Reaction(((0, 1), (1, 1)), ((1, 2),), Fraction(3, 2)),
         Reaction(((0, 1), (1, 1)), ((1, 2),), Fraction(3, 2)),

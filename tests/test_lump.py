@@ -19,7 +19,7 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      symbolic_coarsest_with_trace)
 from odelump import lump
 from odelump.cli import main
-from odelump.lump import _bde_signature, _nonzero_point
+from odelump.lump import _BdeSigner, _nonzero_point
 from odelump.smt import phi_script
 from conftest import (cascade, permute_partition, permute_system,
                       random_poly_system)
@@ -275,7 +275,7 @@ def test_fde_partials_carry_the_exponent():
 
 def _folded_signature(drift, labels):
     """Reference bde signature: every monomial's exponents folded by label
-    through a dict, as the general branch of _bde_signature does."""
+    through a dict, as the general branch of _BdeSigner.sign does."""
     acc: dict = {}
     for exps, c in zip(*drift):
         folded: dict = {}
@@ -296,7 +296,8 @@ _exponent_vectors = st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_si
        st.lists(st.integers(0, 2), min_size=6, max_size=6))
 def test_bde_signature_matches_the_general_fold(terms, labels):
     drift = (tuple(terms), tuple(terms.values()))
-    assert _bde_signature(drift, labels) == _folded_signature(drift, labels)
+    signer = _BdeSigner([drift], None, labels)
+    assert signer.sign(0) == _folded_signature(drift, labels)
 
 
 def _sliced_partials(raw, blocks):

@@ -17,7 +17,8 @@ from odelump import (OdeSystem, Polynomial, monomial, parse_expression, parse_mo
                      parse_polynomial, serialize_model)
 from odelump.cli import main
 from odelump.driftexpr import Bin, Const, Var, drift_eval, to_polynomial
-from odelump.parsing import _read_lines
+from odelump.parsing import _Parser
+from conftest import read_whole
 
 NAMES = ("a", "b", "c")
 
@@ -96,13 +97,13 @@ def test_long_sum_lowers():
         (-3 if k % 2 else 3) * point[i] * point[j] for k, (i, j) in enumerate(LONG_PAIRS))
 
 
-def test_long_drift_in_a_declined_text_reads_as_on_the_line_reader():
+def test_long_drift_in_a_commented_text_is_read_whole():
     text = ("begin model\nbegin init\n"
             + "".join(f"  {nm} = 1\n" for nm in LONG_NAMES)
             + f"end init\nbegin ode\n  d(x0) = {LONG_SUM}\nend ode\nend model\n")
     commented = text.replace("begin model\n", "begin model  // one long drift\n", 1)
-    expected = _read_lines(text)
-    assert expected is not None and _read_lines(commented) is None
+    expected = _Parser(text).parse_model()
+    assert read_whole(commented) == expected
     start = time.perf_counter()
     doc = parse_model(commented)
     assert time.perf_counter() - start < 1.0

@@ -106,3 +106,20 @@ def test_quoted_model_names_read_back_plain(tmp_path):
     verdict = solver_invoke(script, cmd)
     assert verdict.kind == "sat"
     assert verdict.model == {"match": 1, "_": Fraction(1, 2), "NUMERAL": 0}
+
+
+VANISHING_GUARD = parse_model(
+    "begin model begin init x=1 y=1 z=1 end init "
+    "begin ode d(x) = 1/(x - y) d(y) = z end ode end model").system
+
+
+def test_guard_that_vanishes_on_the_block_makes_the_query_vacuous():
+    """Under {x, y}, {z} the guard x - y != 0 contradicts x = y, so the
+    antecedent never holds, every solver answers unsat and the loop accepts
+    the block: the guarded encoding says nothing where a denominator
+    vanishes on the block equalities."""
+    script = phi_script(VANISHING_GUARD, Partition([[0, 1], [2]]), "bde")[0]
+    assert script == ("(set-logic QF_NRA)\n(declare-const x Real)\n(declare-const y Real)\n"
+                      "(declare-const z Real)\n"
+                      "(assert (not (=> (and (= x y) (not (= (- x y) 0))) "
+                      "(= (/ 1 (- x y)) z))))\n" + TAIL)

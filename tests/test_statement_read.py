@@ -1,13 +1,16 @@
-"""The line reader of ``parsing`` agrees with the token parser, or declines.
+"""The statement read of ``parsing`` agrees with the plain read, or declines.
 
-``parse_model`` first offers the text to ``_read_lines``, which reads one
-statement per line and returns None on anything else; the token parser then
-reads the whole text.  A model text drawn from a grammar generator must
-either be declined or read into the same document as ``_Parser`` reads it.
-The files odelump writes must not be declined, or they would silently take
-the slow path.
+``parse_model`` first reads the text with whole-statement tokens, and on any
+failure (``_Declined``) reads it again with plain tokens only.  A model text
+drawn from a grammar generator, re-spaced with blanks, line breaks and
+comments at token boundaries, must either be declined or read into the same
+document as the plain read gives it, and every text the plain read rejects
+must be declined.  The files odelump writes, and the benchmark shapes, must
+be read with every statement whole, also with comments, blank lines and
+line breaks added, or they would silently take the slow path.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odelump import OdeLumpError, parse_model, serialize_model
-from odelump.parsing import _Parser, _read_lines
+from odelump.parsing import _TOKEN_RE, _Declined, _Parser
+from conftest import read_whole
+from test_parse_paths import drift_texts
 from test_parser import ERROR_CASES
 
 GOLDEN = sorted(Path(__file__).parent.glob("golden/*.ode"))
@@ -94,8 +99,18 @@ def _line(draw, statement):
     return text
 
 
+def _other_drift(draw, declared):
+    """A drift of ``drift_texts(other=True)``, which may call min or abs,
+    divide or nest, over the declared names."""
+    text = draw(drift_texts(other=True))
+    renamed = {nm: draw(st.sampled_from(declared)) for nm in "abc"}
+    return re.sub(r"\b[abc]\b", lambda m: renamed[m[0]], text)
+
+
 @st.composite
-def model_texts(draw):
+def model_texts(draw, other=False):
+    """Model texts, rarely invalid; with ``other``, some drifts are spliced
+    in from ``drift_texts(other=True)``."""
     names = draw(st.lists(st.sampled_from(ODD_NAMES), min_size=1, max_size=4,
                           unique=draw(st.integers(0, 9)) > 0))
     declared = [nm for nm in names if nm != "zz"] or ["a"]
@@ -110,7 +125,9 @@ def model_texts(draw):
         if heads and draw(st.integers(0, 9)) == 0:
             heads.append(heads[0])  # a second drift for one variable
         for nm in heads:
-            lines.append(_line(draw, f"d({nm}) = {draw(drifts(declared))}"))
+            body = (_other_drift(draw, declared) if other and draw(st.booleans())
+                    else draw(drifts(declared)))
+            lines.append(_line(draw, f"d({nm}) = {body}"))
         lines.append("end ode")
     else:
         lines.append("begin reactions")
@@ -137,66 +154,106 @@ def model_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n", "\r\n"]))
 
 
-@given(model_texts())
-@settings(deadline=None)
-def test_line_reader_declines_or_agrees(text):
-    doc = _read_lines(text)
+def _agrees_or_declines(text):
+    """The statement read gives the plain read's document or declines, and
+    declines every text the plain read rejects; parse_model agrees."""
     try:
         expected = _Parser(text).parse_model()
     except OdeLumpError:
-        assert doc is None
+        with pytest.raises(_Declined):
+            _Parser(text, whole=True).parse_model()
         return
-    assert doc is None or doc == expected
+    try:
+        assert _Parser(text, whole=True).parse_model() == expected
+    except _Declined:
+        pass
+    assert parse_model(text) == expected
 
 
-def test_line_reader_declines_every_error_case():
+@given(model_texts())
+@settings(deadline=None)
+def test_statement_read_declines_or_agrees(text):
+    _agrees_or_declines(text)
+
+
+SEPARATORS = [" ", "\n", "\t", " // c\n"]
+
+
+@st.composite
+def respaced(draw):
+    """A model text with the blanks between each pair of its tokens replaced,
+    or put where there were none, by a space, a line break, a tab or a
+    comment."""
+    text = draw(model_texts(other=True))
+    out, end = [], 0
+    for m in _TOKEN_RE.finditer(text):
+        gap = m.start(1) > m.start() if m[1] else m.end() > m.start()
+        if gap or draw(st.integers(0, 3)) == 0:
+            out.append(draw(st.sampled_from(SEPARATORS)))
+        out.append(m[1] or "")
+        end = m.end()
+    assert end == len(text)
+    return "".join(out)
+
+
+@given(respaced())
+@settings(deadline=None)
+def test_respaced_statement_read_declines_or_agrees(text):
+    _agrees_or_declines(text)
+
+
+def test_statement_read_declines_every_error_case():
     assert len(ERROR_CASES) == 27
     for text, *_ in ERROR_CASES:
-        assert _read_lines(text) is None, text
+        with pytest.raises(_Declined):
+            _Parser(text, whole=True).parse_model()
 
 
-# (init lines, the ode or reactions line) of texts the token parser reads or
-# rejects, and the line reader declines
+# (init lines, the ode or reactions line) of texts that the statement read
+# declines: the plain read rejects them, or reads an expression model, whose
+# trees a drift read whole lacks, or a whole-statement token starts inside a
+# statement read token by token (the multiplicities)
 DECLINED = {
     "duplicate": ("x = 1\n  x = 2", ""),
     "reserved": ("x = 1\n  end = 2", ""),
     "zero denominator": ("x = 1/0", ""),
-    "trailing comment": ("x = 1 // one", ""),
-    "split statement": ("x =\n  1", ""),
     "undeclared": ("x = 1", "d(x) = y"),
     "drift twice": ("x = 1", "d(x) = x\n  d(x) = 1"),
     "zero denominator in a drift": ("x = 1", "d(x) = 1/0*x"),
-    "division by a variable": ("x = 1", "d(x) = 1/x"),
-    "tab inside a drift": ("x = 1", "d(x) = x\t- 1"),
+    "whole drift in an expression model": ("x = 1\n  y = 2", "d(x) = x\n  d(y) = 1/x"),
     "zero rate": ("x = 1", "x -> 0, 0"),
     "zero multiplicity": ("x = 1", "0*x -> 0, 1"),
     "decimal multiplicity": ("x = 1", "2.0*x -> 0, 1"),
+    "spaced multiplicity": ("x = 1", "x + 2 * x -> 0, 1"),
+}
+# texts the statement read takes, with some statements token by token
+AGREES = {
+    "trailing comment": ("x = 1 // one", ""),
+    "split statement": ("x =\n  1", ""),
+    "division by a variable": ("x = 1", "d(x) = 1/x"),
+    "tab inside a drift": ("x = 1", "d(x) = x\t- 1"),
+    "spaces around a product": ("x = 1", "d(x) = 2 * x"),
+    "spaced fraction": ("x = 1 / 2", "d(x) = x"),
+    "call after a term": ("x = 1", "d(x) = 2*x + min\n  (x, 1)"),
 }
 
 
-@pytest.mark.parametrize("init, line", DECLINED.values(), ids=DECLINED.keys())
-def test_line_reader_declines(init, line):
+def _model(init, line):
     kind = "reactions" if "->" in line else "ode"
-    text = (f"begin model\nbegin init\n  {init}\nend init\n"
+    return (f"begin model\nbegin init\n  {init}\nend init\n"
             f"begin {kind}\n  {line}\nend {kind}\nend model\n")
-    assert _read_lines(text) is None
 
 
-def _assert_fast(text):
-    doc = _read_lines(text)
-    assert doc is not None, text
-    assert doc == _Parser(text).parse_model()
+@pytest.mark.parametrize("init, line", DECLINED.values(), ids=DECLINED.keys())
+def test_statement_read_declines(init, line):
+    with pytest.raises(_Declined):
+        _Parser(_model(init, line), whole=True).parse_model()
 
 
-@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
-def test_serialized_models_take_the_line_reader(path):
-    """Every form serialize_model writes of a model without expression drifts."""
-    doc = parse_model(path.read_text())
-    system = doc.system
-    if not getattr(system, "is_polynomial", True):
-        return  # expression drifts are read by the token parser only
-    for form in ("ode", "rn"):
-        _assert_fast(serialize_model(doc, form=form))
+@pytest.mark.parametrize("init, line", AGREES.values(), ids=AGREES.keys())
+def test_statement_read_agrees(init, line):
+    text = _model(init, line)
+    assert _Parser(text, whole=True).parse_model() == _Parser(text).parse_model()
 
 
 MOTIF = """\
@@ -254,6 +311,28 @@ end model
 """
 
 
-@pytest.mark.parametrize("text", [MOTIF, CHAIN, SITES], ids=["motif", "chain", "sites"])
-def test_benchmark_shaped_models_take_the_line_reader(text):
-    _assert_fast(text)
+def _written_texts():
+    """Every form serialize_model writes of each golden model without
+    expression drifts, and the benchmark shapes."""
+    for path in GOLDEN:
+        doc = parse_model(path.read_text())
+        if getattr(doc.system, "is_polynomial", True):
+            for form in ("ode", "rn"):
+                yield f"{path.stem}-{form}", serialize_model(doc, form=form)
+    yield from [("motif", MOTIF), ("chain", CHAIN), ("sites", SITES)]
+
+
+VARIANTS = {
+    "as written": lambda text: text,
+    "comment after every line": lambda text: text.replace("\n", "  // c\n"),
+    "blank line between statements": lambda text: text.replace("\n", "\n\n"),
+    "drift broken after its =": lambda text: re.sub(r"(d\(\w+\) =) ", "\\1\n    ", text),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=VARIANTS)
+@pytest.mark.parametrize("name, text", list(_written_texts()),
+                         ids=[name for name, _ in _written_texts()])
+def test_written_models_are_read_whole(name, text, variant):
+    changed = VARIANTS[variant](text)
+    assert read_whole(changed) == _Parser(text).parse_model()
