@@ -8,9 +8,8 @@ solver scripts mirror the source text.
 Trees are walked only by ``_nodes`` (pre-order) and ``_fold`` (post-order),
 on an explicit stack, here and in ``smt`` and ``sim``, so drifts of any depth
 work; ``==`` and ``hash`` compare pre-orders, and ``repr`` is built on a
-stack too.  Still recursive: ``to_polynomial`` on summands that are not
-plain products, and the closures ``sim`` evaluates drifts with, at most
-``sim._DEPTH`` calls deep.
+stack too.  Still recursive: the closures ``sim`` evaluates drifts with, at
+most ``sim._DEPTH`` calls deep.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DivisionByZero
-from .poly import Polynomial, _add_term, _from_accumulator, _product
+from .poly import Polynomial, _add_term, _canon, _from_accumulator
 
 _BIN_OPS = ("add", "sub", "mul", "div", "min", "max")
 
@@ -160,75 +159,50 @@ def denominators(*exprs: DriftExpr) -> list:
 def to_polynomial(expr: DriftExpr) -> Polynomial | None:
     """Lower to a polynomial when possible, else None.
 
-    Division is accepted only by a subexpression that lowers to a nonzero
-    constant; min/max/abs never lower.  It does not recurse over sums: the
-    chain of add/sub nodes is walked with a loop, and every summand that is
-    a product of constants and variables goes straight into one term
-    accumulator.  Only other summands are lowered recursively.
+    Every subtree lowers to an ``{exps: numerator}`` accumulator over a
+    nonzero denominator, whose sign negates the accumulator: a sum adds the
+    smaller accumulator into the larger one, a product merges like terms as
+    it builds them, and a divisor must lower to a nonzero constant.
+    ``min``, ``max`` and ``abs`` never lower.
     """
-    acc: dict = {}
-    den = 1
-    others = []
-    summands = [(expr, 1)]
-    while summands:
-        e, sign = summands.pop()
-        if isinstance(e, Bin) and e.op in ("add", "sub"):
-            summands.append((e.lhs, sign))
-            summands.append((e.rhs, -sign if e.op == "sub" else sign))
-            continue
-        term = _product_term(e)
-        if term is not None:
-            num, q, variables = term
-            den = _add_term(acc, den, _product(variables), sign * num, q)
-            continue
-        if isinstance(e, Abs) or e.op in ("min", "max"):
-            return None
-        lhs = to_polynomial(e.lhs)
-        if lhs is None:
-            return None
-        rhs = to_polynomial(e.rhs)
-        if rhs is None:
-            return None
-        if e.op == "mul":
-            p = lhs * rhs
-        elif rhs.degree() == 0:  # division by a nonzero constant
-            p = lhs.scale(1 / rhs.terms[0].coeff)
-        else:
-            return None
-        others.append(p if sign > 0 else -p)
-    return Polynomial.sum([_from_accumulator(acc, den), *others])
 
-
-def _product_term(expr: DriftExpr):
-    """``(num, q, variables)`` when ``expr`` is num/q, q > 0, times the
-    product of ``variables``: a product of constants and variables, with
-    unary minus, in which ``/`` divides only by a nonzero constant.  None
-    for anything else."""
-    num = q = 1
-    variables = []
-    factors = [expr]
-    while factors:
-        e = factors.pop()
+    def leaf(e):
         if isinstance(e, Var):
-            variables.append(e.index)
-        elif isinstance(e, Const):
-            num *= e.value.numerator
-            q *= e.value.denominator
-        elif not isinstance(e, Bin):
-            return None
-        elif e.op == "mul":
-            factors.append(e.lhs)
-            factors.append(e.rhs)
-        elif e.op == "sub" and isinstance(e.lhs, Const) and not e.lhs.value:
-            num = -num  # unary minus
-            factors.append(e.rhs)
-        elif e.op == "div" and isinstance(e.rhs, Const) and e.rhs.value:
-            num *= e.rhs.value.denominator
-            q *= e.rhs.value.numerator
-            factors.append(e.lhs)
-        else:
-            return None
-    return (num, q, variables) if q > 0 else (-num, -q, variables)
+            return {((e.index, 1),): 1}, 1
+        return {(): e.value.numerator}, e.value.denominator
+
+    def node(e, a, b):
+        if b is None or a is None or e.op in ("min", "max"):
+            return None  # an abs, min or max, or above one that did not lower
+        (acc, den), (terms, q) = a, b
+        if e.op == "mul":
+            product: dict = {}
+            for ea, na in acc.items():
+                for eb, nb in terms.items():
+                    exps = _canon(ea + eb)
+                    product[exps] = product.get(exps, 0) + na * nb
+            return product, den * q
+        if e.op == "div":
+            c = terms.get((), 0)
+            if not c or any(n for exps, n in terms.items() if exps):
+                return None
+            if q != 1:
+                acc = {exps: n * q for exps, n in acc.items()}
+            return acc, den * c
+        sign = -1 if e.op == "sub" else 1
+        if len(acc) < len(terms):  # a - b is -b + a
+            (acc, den), (terms, q), sign = (terms, sign * q), (acc, den), 1
+        for exps, n in terms.items():
+            den = _add_term(acc, den, exps, sign * n, q)
+        return acc, den
+
+    lowered = _fold(expr, leaf, node)
+    if lowered is None:
+        return None
+    acc, den = lowered
+    if den < 0:
+        acc, den = {exps: -n for exps, n in acc.items()}, -den
+    return _from_accumulator(acc, den)
 
 
 def sum_exprs(exprs) -> DriftExpr:

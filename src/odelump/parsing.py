@@ -27,28 +27,29 @@ How the text is read:
   statement is one token: ``name = [-]p[/q]`` (init); ``d(x) = `` then
   terms as ``Polynomial.format`` writes them (ode: an optional ``p`` or
   ``p/q``, then ``*``-joined variables, at least one factor, terms joined by
-  ``+`` or ``-`` with only spaces around them); ``[k*]A + ... -> ...,
-  [-]p[/q]`` (reactions, ``0`` for an empty side).  A whole statement ends
-  where the token parser would end it, so a comment or a line break between
-  statements, or inside one where the regex allows blanks, changes nothing.
-  Every other statement, every keyword and the partition and observe
-  sections are read token by token.  Each distinct single-token string is
-  classified once.
-* The section methods read each run of whole statements in one loop, drift
-  terms straight into the term accumulator that also lowers trees.  A
+  ``+`` or ``-``, with only spaces around the ``*``, ``+`` and ``-``);
+  ``[k*]A + ... -> ..., [-]p[/q]`` (reactions, ``k`` any numeral, ``0`` for
+  an empty side).  A whole statement ends where the token parser would end
+  it, so a comment or a line break between statements, or inside one where
+  the regex allows blanks, changes nothing.  Every other statement, every
+  keyword and the partition and observe sections are read token by token.
+  Each distinct single-token string is classified once.
+* The section methods read each run of whole statements in one loop.  A
   whole statement that fails a check (a reserved, duplicate or undeclared
-  name, a zero denominator or rate, a second drift for one variable), or
-  any error at all, makes this read decline, and the text is read again
-  with plain tokens only.  That read returns the document or raises the
-  error with its line and column, worked out when it is raised by sweeping
-  the text again.  Statement tokens are taken only where a section expects
-  a statement; anywhere else no rule accepts them, so they cannot change
-  the document, only decline.
-* Every drift not read whole is read once, as a drift-expression tree, and
-  lowered to a polynomial.  If some drift does not lower, the model is an
-  expression model and every drift keeps its tree, so subtraction and
-  division keep their nodes; a drift read whole has no tree, so such a
-  model is read again with plain tokens.
+  name, a zero denominator or rate, a multiplicity that is not a positive
+  integer, a second drift for one variable), or any error at all, makes
+  this read decline, and the text is read again with plain tokens only.
+  That read returns the document or raises the error with its line and
+  column, worked out when it is raised by sweeping the text again.
+  Statement tokens are taken only where a section expects a statement;
+  anywhere else no rule accepts them, so they cannot change the document,
+  only decline.
+* Once the model is read, the terms of every drift read whole go straight
+  into a term accumulator, and every other drift, read as a
+  drift-expression tree, is lowered to a polynomial.  If some drift does not
+  lower, the model is an expression model and every drift keeps a tree, so
+  subtraction and division keep their nodes: the terms of each drift read
+  whole are read again as a tree, with plain tokens.
 """
 
 from __future__ import annotations
@@ -88,12 +89,14 @@ _TOKEN_RE = re.compile(_SKIP + _SINGLE, re.DOTALL)
 _KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _KINDS))
 
 _RATIONAL = rf"-?+{_NUMBER}(?:/{_NUMBER})?+(?!{_SKIP}/)"
-_TERM = rf"(?:{_NUMBER}(?:/{_NUMBER})?+|{_ID})(?:\*{_ID})*+"
-_SIDE = rf"0|(?:[1-9]\d*+\*)?+{_ID}(?:\s*+\+\s*+(?:[1-9]\d*+\*)?+{_ID})*+"
+_TERM = rf"(?:{_NUMBER}(?:/{_NUMBER})?+|{_ID})(?: *+\* *+{_ID})*+"
+_ITEM = rf"(?:{_NUMBER} *+\* *+)?+{_ID}"
+_SIDE = rf"0|{_ITEM}(?:\s*+\+\s*+{_ITEM})*+"
 # Whole statements before single tokens; each ends where the token parser
-# would end it.  Spaces are the only blanks inside a drift's terms, which
-# lets them be split by str methods.  Groups: drift name and terms, init name
-# and value, reagents, products and rate, single token.
+# would end it.  Spaces are the only blanks inside a drift's terms and around
+# a multiplicity's `*`, which lets them be split by str methods.  Groups:
+# drift name and terms, init name and value, reagents, products and rate,
+# single token.
 _STATEMENT_RE = re.compile(
     _SKIP + rf"(?:d\s*+\(\s*+({_ID})\s*+\)\s*+=\s*+"
     rf"(-?+ *+{_TERM}(?: *+[+-] *+{_TERM})*+)(?!{_SKIP}[-+*/(])"
@@ -331,14 +334,15 @@ class _Parser:
                 raise PartitionCoverageError(
                     str(exc), *self.where(partition_at)) from None
         if system_kind == "ode":
-            section = {i: d if isinstance(d, Polynomial) else to_polynomial(d)
-                       for i, d in drifts.items()}
+            section = {i: _terms(d, self.index, self.number) if isinstance(d, str)
+                       else to_polynomial(d) for i, d in drifts.items()}
             if None in section.values():
-                # an expression model: every drift keeps the tree its text spells
-                if any(isinstance(d, Polynomial) for d in drifts.values()):
-                    raise _Declined  # a drift read whole has no tree
+                # an expression model: every drift keeps the tree its text
+                # spells, so the terms of a drift read whole are read again
                 zero = Const(Fraction(0))
-                section = {i: drifts.get(i, zero) for i in range(len(self.names))}
+                trees = (drifts.get(i, zero) for i in range(len(self.names)))
+                section = {i: self.tree(d) if isinstance(d, str) else d
+                           for i, d in enumerate(trees)}
         else:
             section = reactions
         return _document(self.names, self.inits, section, observables, user_partition)
@@ -373,7 +377,7 @@ class _Parser:
         self.expect_word("init")
 
     def parse_odes(self) -> dict:
-        """The drifts by variable index: the polynomial of a statement read
+        """The drifts by variable index: the terms text of a statement read
         whole, the tree of any other."""
         drifts: dict = {}
         while not self.at_section_end():
@@ -382,7 +386,7 @@ class _Parser:
                     v = self.index.get(t[0])
                     if v is None or v in drifts:
                         raise _Declined
-                    drifts[v] = _terms(t[1], self.index, self.number)
+                    drifts[v] = t[1]
                 continue
             d_at = self.expect("ident", "'d('")
             if self.texts[d_at] != "d":
@@ -402,14 +406,15 @@ class _Parser:
     def parse_reactions(self) -> list:
         reactions = []
         sides: dict = {}
+        index, number = self.index, self.number
         while not self.at_section_end():
             if self.kinds[self.i] == "reaction":
                 for t in self.run("reaction"):
-                    rate = self.number(t[6])
+                    rate = number(t[6])
                     if not rate:  # a zero rate, or a zero denominator
                         raise _Declined
-                    reactions.append(_reaction(_side(t[4], self.index, sides),
-                                               _side(t[5], self.index, sides), rate))
+                    reactions.append(_reaction(_side(t[4], index, number, sides),
+                                               _side(t[5], index, number, sides), rate))
                 continue
             reagents = self.parse_mset()
             self.expect("arrow", "'->'")
@@ -474,6 +479,13 @@ class _Parser:
         return frozenset(indices)
 
     # -- drifts -----------------------------------------------------------------
+
+    def tree(self, body: str) -> DriftExpr:
+        """The tree of the terms of a drift read whole, read with plain
+        tokens over this parser's names, after the model is read."""
+        self.kinds, self.texts = _tokenize(body)
+        self.i = 0
+        return self.parse_expr()
 
     def parse_expr(self) -> DriftExpr:
         e = self.parse_term()
@@ -562,7 +574,7 @@ def _terms(body: str, index: dict, number) -> Polynomial:
     return _from_accumulator(acc, den)
 
 
-def _side(text: str, index: dict, sides: dict):
+def _side(text: str, index: dict, number, sides: dict):
     """The multiset of a reaction side read whole, cached in ``sides`` by its
     text."""
     ms = sides.get(text)
@@ -570,11 +582,12 @@ def _side(text: str, index: dict, sides: dict):
         items = []
         if text != "0":
             for item in text.split("+"):
-                mult, _, name = item.strip().rpartition("*")
-                v = index.get(name)
-                if v is None:
-                    raise _Declined
-                items.append((v, int(mult) if mult else 1))
+                mult, _, name = item.rpartition("*")
+                v = index.get(name.strip())
+                k = number(mult.strip()) if mult else 1
+                if v is None or k <= 0 or k.denominator != 1:
+                    raise _Declined  # undeclared, or not a positive integer
+                items.append((v, int(k)))
         ms = sides[text] = multiset(items)
     return ms
 

@@ -25,8 +25,8 @@ brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
 whole polynomials, and addition goes through it; the public constructor
 is that accumulator over monomials; ``_sum_renamed`` is that accumulator
 over renamed polynomials.  The parser, for drifts it reads whole, and
-``to_polynomial`` add their terms one at a time with ``_add_term``;
-``rn_to_ode`` fills its own.
+``to_polynomial``, for the sums in a tree, add their terms one at a time
+with ``_add_term``; ``rn_to_ode`` fills its own.
 
 One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
 terms to an accumulator with every variable renamed by a label table.  It
@@ -347,9 +347,10 @@ def _product(variables: list) -> Exps:
 
 
 def _add_term(acc: dict, den: int, exps: Exps, num: int, q: int) -> int:
-    """Add the term num/q * x^exps, q > 0, to ``acc``, an ``{exps: numerator}``
-    accumulator over ``den``.  Returns the accumulator's denominator, grown
-    to a multiple of q when it was not one."""
+    """Add the term num/q * x^exps to ``acc``, an ``{exps: numerator}``
+    accumulator over ``den``; q and ``den`` are nonzero, of either sign.
+    Returns the accumulator's denominator, grown to a multiple of q when it
+    was not one."""
     if q != den:
         if den % q:
             grow = lcm(den, q) // den
