@@ -5,6 +5,11 @@ nonlinear real arithmetic and decided by an external solver process speaking
 SMT-LIB 2 text over stdin/stdout (default command ``z3 -in``).  No in-process
 bindings are used, so any conforming QF_NRA solver can be substituted.
 
+Out, every drift node is one application: ``min``, ``max`` and ``abs`` call
+``min!``, ``max!`` and ``abs!``, defined once per script that uses them (no
+model name has a ``!``), so scripts grow linearly with their drifts.  In, a
+reply is read whole as s-expressions (see :func:`solver_invoke`).
+
 Division is guarded: for every syntactic denominator d the antecedent gains
 ``(not (= d 0))``.  SMT-LIB leaves x/0 underspecified, so an unguarded
 encoding could report spurious witnesses; the guarded one trades completeness
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .driftexpr import (_SYMBOLS, Abs, Bin, Const, DriftExpr, Var, _fold,
+from .driftexpr import (_SYMBOLS, Bin, Const, DriftExpr, Var, _fold,
                         denominators, poly_to_expr, substitute_exprs, sum_exprs)
 from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
                      SolverTimeout, SolverUnknown)
@@ -141,19 +146,21 @@ def _emit_rational(value: Fraction) -> str:
     return f"(/ {num} {q})"
 
 
+# min, max and abs as functions a script defines when it uses them
+_FUNCTIONS = {"min": "min! ((a! Real) (b! Real)) Real (ite (<= a! b!) a! b!)",
+              "max": "max! ((a! Real) (b! Real)) Real (ite (>= a! b!) a! b!)",
+              "abs": "abs! ((a! Real)) Real (ite (>= a! 0) a! (- a!))"}
+
+
 def _emit_expr(e: DriftExpr, names: Sequence[str]) -> str:
     return _fold(e, lambda leaf: _emit_rational(leaf.value) if isinstance(leaf, Const)
                  else _symbol(names[leaf.index]), _emit_node)
 
 
 def _emit_node(e, a, b) -> str:
-    if isinstance(e, Abs):
-        return f"(ite (>= {a} 0) {a} (- {a}))"
-    if e.op == "min":
-        return f"(ite (<= {a} {b}) {a} {b})"
-    if e.op == "max":
-        return f"(ite (>= {a} {b}) {a} {b})"
-    return f"({_SYMBOLS[e.op]} {a} {b})"
+    if b is None:
+        return f"(abs! {a})"
+    return f"({_SYMBOLS.get(e.op) or e.op + '!'} {a} {b})"
 
 
 def _emit_conjunction(parts: list) -> str:
@@ -165,7 +172,8 @@ def _emit_conjunction(parts: list) -> str:
 def smt_emit(phi: Phi, names: Sequence[str]) -> str:
     """SMT-LIB 2 script asserting the negation of ``phi``.
 
-    Declares one Real constant per name in ``names``; every denominator of
+    Declares one Real constant per name in ``names`` and defines each of
+    ``min!``, ``max!`` and ``abs!`` that it applies; every denominator of
     an equation side is guarded in the antecedent; ends with
     (check-sat)(get-model), so unsat answers may be followed by a
     model-unavailable error, which the reply parser tolerates.
@@ -183,6 +191,7 @@ def smt_emit(phi: Phi, names: Sequence[str]) -> str:
         body = f"(=> {_emit_conjunction(antecedent)} {_emit_conjunction(consequent)})"
     lines = ["(set-logic QF_NRA)"]
     lines.extend(f"(declare-const {_symbol(nm)} Real)" for nm in names)
+    lines.extend(f"(define-fun {fun})" for op, fun in _FUNCTIONS.items() if f"({op}! " in body)
     lines.append(f"(assert (not {body}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
@@ -233,48 +242,43 @@ def _read_sexps(tokens):
 
 
 _NUMERAL_RE = re.compile(r"^\d+(\.\d+)?$")
+_VERDICTS = ("sat", "unsat", "unknown")
+
+
+def _unwrap(sexp):
+    """``(sign, v)`` for ``(- v)`` and ``(to_real v)``, else ``(1, sexp)``."""
+    if isinstance(sexp, list) and len(sexp) == 2 and sexp[0] in ("-", "to_real"):
+        return (-1 if sexp[0] == "-" else 1), sexp[1]
+    return 1, sexp
 
 
 def _parse_value(sexp):
-    """Rational from a model value s-expression, or None for algebraic forms."""
-    if isinstance(sexp, str):
-        if _NUMERAL_RE.match(sexp):
-            return Fraction(sexp)
-        return None
-    if not sexp:
-        return None
-    head = sexp[0]
-    if head == "-" and len(sexp) == 2:
-        v = _parse_value(sexp[1])
-        return None if v is None else -v
-    if head == "/" and len(sexp) == 3:
-        a, b = _parse_value(sexp[1]), _parse_value(sexp[2])
-        if a is None or b is None or b == 0:
+    """Rational from a rational literal, else None: a numeral or a quotient of
+    two, each perhaps under ``-`` or ``to_real``, and the whole under one more."""
+    sign, sexp = _unwrap(sexp)
+    parts = sexp[1:] if isinstance(sexp, list) and len(sexp) == 3 and sexp[0] == "/" else [sexp]
+    numbers = []
+    for part in parts:
+        part_sign, atom = _unwrap(part)
+        if not isinstance(atom, str) or not _NUMERAL_RE.match(atom):
             return None
-        return a / b
-    if head == "to_real" and len(sexp) == 2:
-        return _parse_value(sexp[1])
-    return None
-
-
-def _collect_define_funs(forms, out):
-    for form in forms:
-        if isinstance(form, list):
-            if (len(form) == 5 and form[0] == "define-fun"
-                    and form[2] == [] and form[3] == "Real"):
-                out.append((_strip_pipes(form[1]), form[4]))
-            else:
-                _collect_define_funs(form, out)
+        numbers.append(part_sign * Fraction(atom))
+    if numbers[1:] == [0]:
+        return None
+    return sign * (numbers[0] / numbers[1] if len(numbers) == 2 else numbers[0])
 
 
 def solver_invoke(script: str, cmd: Optional[str] = None,
                   timeout_ms: int = DEFAULT_TIMEOUT_MS) -> SolverVerdict:
     """Run the external solver on ``script`` and interpret its reply.
 
-    The first line reading sat/unsat/unknown decides the verdict; on sat the
-    (get-model) s-expression is parsed into exact rationals, with variables
-    missing from the model (solver don't-cares) completed with 0.  Model
-    values that are not rational literals yield unknown("irrational-model").
+    The reply is read whole as s-expressions: its first top-level
+    sat/unsat/unknown decides; an ``(error ...)`` before it, no verdict or
+    unbalanced text is a :class:`ProtocolError`.  On sat, each later list but
+    an ``(error ...)`` must be a list of ``define-fun`` entries, perhaps
+    headed ``model``; their values are read as exact rationals, and declared
+    variables they omit (solver don't-cares) are 0.  A value that is not a
+    rational literal yields unknown("irrational-model").
     """
     cmd = resolve_solver_cmd(cmd)
     args = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
@@ -288,31 +292,30 @@ def solver_invoke(script: str, cmd: Optional[str] = None,
         raise SolverTimeout(f"solver {cmd!r} exceeded {timeout_ms} ms") from None
 
     out = proc.stdout
-    verdict = None
-    rest_at = 0
-    for m in re.finditer(r"^\s*(sat|unsat|unknown)\s*$", out, re.MULTILINE):
-        verdict = m.group(1)
-        rest_at = m.end()
-        break
-    if verdict is None:
+    try:
+        forms = _read_sexps(_sexp_tokens(out))
+    except ValueError:
+        raise ProtocolError(out + proc.stderr) from None
+    verdict = next((form for form in forms if form in _VERDICTS or form[:1] == ["error"]), None)
+    if verdict not in _VERDICTS:
         raise ProtocolError(out + proc.stderr)
     if verdict == "unsat":
         return SolverVerdict("unsat")
     if verdict == "unknown":
         return SolverVerdict("unknown", reason="solver reported unknown")
 
-    try:
-        forms = _read_sexps(_sexp_tokens(out[rest_at:]))
-    except ValueError:
-        raise ProtocolError(out) from None
-    entries: list = []
-    _collect_define_funs(forms, entries)
     model = {}
-    for name, value_sexp in entries:
-        value = _parse_value(value_sexp)
-        if value is None:
-            return SolverVerdict("unknown", reason="irrational-model")
-        model[name] = value
+    for form in forms[forms.index(verdict) + 1:]:
+        if isinstance(form, str) or form[:1] == ["error"]:
+            continue
+        for entry in form[1:] if form[:1] == ["model"] else form:
+            if not isinstance(entry, list) or len(entry) != 5 or entry[0] != "define-fun":
+                raise ProtocolError(out + proc.stderr)
+            if entry[2] == [] and entry[3] == "Real":
+                value = _parse_value(entry[4])
+                if value is None:
+                    return SolverVerdict("unknown", reason="irrational-model")
+                model[_strip_pipes(entry[1])] = value
     for name in _DECLARE_RE.findall(script):
         model.setdefault(_strip_pipes(name), Fraction(0))
     return SolverVerdict("sat", model=model)

@@ -1,7 +1,9 @@
 """Scripted stand-in for an SMT solver, driving the subprocess protocol tests.
 
 Reads the whole SMT-LIB script from stdin (like a real solver fed over a
-pipe), then answers according to argv:
+pipe) and checks its scope with ``smtcheck.scope_errors``: a script with an
+unbound or rebound symbol, or unbalanced text, gets an ``(error ...)`` reply
+and exit status 1.  Otherwise it answers according to argv:
 
     reply FILE    print FILE verbatim
     seq FILE      FILE holds response blocks separated by lines of '---';
@@ -12,10 +14,21 @@ pipe), then answers according to argv:
 
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import smtcheck  # noqa: E402  (needs odelump, from the src directory above)
 
 
 def main() -> int:
-    sys.stdin.read()
+    try:
+        errors = smtcheck.scope_errors(sys.stdin.read())
+    except ValueError as exc:
+        errors = [str(exc)]
+    if errors:
+        sys.stdout.write(f"(error \"fake solver: {'; '.join(errors)}\")\n")
+        return 1
     mode = sys.argv[1]
     if mode == "reply":
         with open(sys.argv[2], "r", encoding="utf-8") as handle:

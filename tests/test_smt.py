@@ -127,8 +127,10 @@ def test_emit_min_abs_lowering():
                       "begin ode d(x) = min(x, y) d(y) = abs(x) end ode end model")
     text = smt_emit(build_phi_bde(doc.system, Partition.one_block(2)),
                     doc.system.names)
-    assert "(ite (<= x y) x y)" in text
-    assert "(ite (>= x 0) x (- x))" in text
+    assert "(= (min! x y) (abs! x))" in text
+    assert "(define-fun min! ((a! Real) (b! Real)) Real (ite (<= a! b!) a! b!))\n" in text
+    assert "(define-fun abs! ((a! Real)) Real (ite (>= a! 0) a! (- a!)))\n" in text
+    assert "max!" not in text
 
 
 def test_emit_division_guard_in_antecedent():

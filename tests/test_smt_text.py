@@ -65,8 +65,9 @@ CASES = {
                   "(= (/ x y) (/ x y)))))\n" + TAIL),
     "min_abs": (
         lambda: phi_script(MIN_ABS, Partition.one_block(2), "bde")[0],
-        HEAD_XY + "(assert (not (=> (= x y) "
-                  "(= (ite (<= x y) x y) (ite (>= x 0) x (- x))))))\n" + TAIL),
+        HEAD_XY + "(define-fun min! ((a! Real) (b! Real)) Real (ite (<= a! b!) a! b!))\n"
+                  "(define-fun abs! ((a! Real)) Real (ite (>= a! 0) a! (- a!)))\n"
+                  "(assert (not (=> (= x y) (= (min! x y) (abs! x)))))\n" + TAIL),
     "reserved_words": (
         lambda: phi_script(RESERVED, Partition.one_block(3), "bde")[0],
         "(set-logic QF_NRA)\n"

@@ -2,7 +2,9 @@
 
 The functions in the reference section are the recursive walkers as they
 stood before every walk moved onto the explicit stack of
-``driftexpr._fold`` and ``driftexpr._nodes``, copied verbatim.  On shallow
+``driftexpr._fold`` and ``driftexpr._nodes``, copied verbatim but for the
+SMT-LIB text of ``min``, ``max`` and ``abs``: each is one application of a
+function that ``smt_emit`` defines once (``FUNCTIONS``).  On shallow
 random trees, with all six operators, ``abs``, zero and negative constants
 and divisions by subexpressions that evaluate to zero, the new code must
 give the same model text, SMT-LIB text, denominators, variables,
@@ -151,13 +153,11 @@ def _emit_expr(e: DriftExpr, names: Sequence[str]) -> str:
         return _symbol(names[e.index])
     if isinstance(e, Abs):
         a = _emit_expr(e.arg, names)
-        return f"(ite (>= {a} 0) {a} (- {a}))"
+        return f"(abs! {a})"
     a = _emit_expr(e.lhs, names)
     b = _emit_expr(e.rhs, names)
-    if e.op == "min":
-        return f"(ite (<= {a} {b}) {a} {b})"
-    if e.op == "max":
-        return f"(ite (>= {a} {b}) {a} {b})"
+    if e.op in ("min", "max"):
+        return f"({e.op}! {a} {b})"
     sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
     return f"({sym} {a} {b})"
 
@@ -183,10 +183,16 @@ def smt_emit(phi: Phi, names: Sequence[str]) -> str:
         body = f"(=> {_emit_conjunction(antecedent)} {_emit_conjunction(consequent)})"
     lines = ["(set-logic QF_NRA)"]
     lines.extend(f"(declare-const {_symbol(nm)} Real)" for nm in names)
+    lines.extend(f"(define-fun {fun})" for op, fun in FUNCTIONS.items() if f"({op}! " in body)
     lines.append(f"(assert (not {body}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
+
+
+FUNCTIONS = {"min": "min! ((a! Real) (b! Real)) Real (ite (<= a! b!) a! b!)",
+             "max": "max! ((a! Real) (b! Real)) Real (ite (>= a! b!) a! b!)",
+             "abs": "abs! ((a! Real)) Real (ite (>= a! 0) a! (- a!))"}
 
 
 # -- the comparisons ----------------------------------------------------------------
