@@ -22,34 +22,32 @@ drift; a zero reaction rate is rejected.
 
 How the text is read:
 
-* One reader, ``_Parser``, reads every text.  Its scanner splits the text
-  with one regex sweep.  Where a regex can read a whole statement, the
-  statement is one token: ``name = [-]p[/q]`` (init); ``d(x) = `` then
-  terms as ``Polynomial.format`` writes them (ode: an optional ``p`` or
-  ``p/q``, then ``*``-joined variables, at least one factor, terms joined by
-  ``+`` or ``-``, with only spaces around the ``*``, ``+`` and ``-``);
+* One reader, ``_Parser``, reads every text.  The statement read deletes
+  every comment, then splits the text with one regex sweep.  Where a regex
+  can read a whole statement, the statement is one token:
+  ``name = [-]p[/q]`` (init); ``d(x) = `` then a sum of terms, each an
+  optional ``p`` or ``p/q`` and ``*``-joined variables (ode);
   ``[k*]A + ... -> ..., [-]p[/q]`` (reactions, ``k`` any numeral, ``0`` for
-  an empty side).  A whole statement ends where the token parser would end
-  it, so a comment or a line break between statements, or inside one where
-  the regex allows blanks, changes nothing.  Every other statement, every
-  keyword and the partition and observe sections are read token by token.
-  Each distinct single-token string is classified once.
+  an empty side).  One blank rule holds inside them: any whitespace may
+  fill any gap between two tokens.  A whole statement ends where the token
+  parser would end it, so every valid init, reaction and sum-of-terms drift
+  is one token.  Every other drift, every keyword and the partition and
+  observe sections are read token by token.  Each distinct single-token
+  string is classified once.
 * The section methods read each run of whole statements in one loop.  A
   whole statement that fails a check (a reserved, duplicate or undeclared
-  name, a zero denominator or rate, a multiplicity that is not a positive
-  integer, a second drift for one variable), or any error at all, makes
-  this read decline, and the text is read again with plain tokens only.
-  That read returns the document or raises the error with its line and
-  column, worked out when it is raised by sweeping the text again.
-  Statement tokens are taken only where a section expects a statement;
-  anywhere else no rule accepts them, so they cannot change the document,
-  only decline.
+  name, a zero rate or a zero denominator in an init or rate, a
+  multiplicity that is not a positive integer, a second drift for one
+  variable), or any other error, makes this read decline.  So only a text
+  that raises is read again, with plain tokens only; that read alone
+  reports positions, worked out by sweeping the text again.
 * Once the model is read, the terms of every drift read whole go straight
   into a term accumulator, and every other drift, read as a
   drift-expression tree, is lowered to a polynomial.  If some drift does not
-  lower, the model is an expression model and every drift keeps a tree, so
-  subtraction and division keep their nodes: the terms of each drift read
-  whole are read again as a tree, with plain tokens.
+  lower (a sum whose term has a zero denominator does not), the model is
+  an expression model and every drift keeps a tree, so subtraction and
+  division keep their nodes: the terms of each drift read whole are read
+  again as a tree, with plain tokens.
 """
 
 from __future__ import annotations
@@ -80,7 +78,8 @@ _KINDS = (
     ("arrow", r"->"),
     ("sym", r"[=(){},+\-*/]"),
 )
-_SKIP = r"(?:\s++|//[^\n]*+)*+"
+_COMMENT = r"//[^\n]*+"
+_SKIP = rf"(?:\s++|{_COMMENT})*+"
 # Skip whitespace and comments, then take one token; any other character is
 # taken alone and rejected by the parser.  At the end of input the token group
 # matches nothing.
@@ -88,18 +87,17 @@ _SINGLE = "(" + "|".join(p for _, p in _KINDS) + r"|.)?+"
 _TOKEN_RE = re.compile(_SKIP + _SINGLE, re.DOTALL)
 _KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _KINDS))
 
-_RATIONAL = rf"-?+{_NUMBER}(?:/{_NUMBER})?+(?!{_SKIP}/)"
-_TERM = rf"(?:{_NUMBER}(?:/{_NUMBER})?+|{_ID})(?: *+\* *+{_ID})*+"
-_ITEM = rf"(?:{_NUMBER} *+\* *+)?+{_ID}"
+_RATIONAL = rf"-?+\s*+{_NUMBER}(?:\s*+/\s*+{_NUMBER})?+"
+_TERM = rf"(?:{_NUMBER}(?:\s*+/\s*+{_NUMBER})?+|{_ID})(?:\s*+\*\s*+{_ID})*+"
+_ITEM = rf"(?:{_NUMBER}\s*+\*\s*+)?+{_ID}"
 _SIDE = rf"0|{_ITEM}(?:\s*+\+\s*+{_ITEM})*+"
-# Whole statements before single tokens; each ends where the token parser
-# would end it.  Spaces are the only blanks inside a drift's terms and around
-# a multiplicity's `*`, which lets them be split by str methods.  Groups:
-# drift name and terms, init name and value, reagents, products and rate,
-# single token.
+# Whole statements before single tokens, over a text whose comments are
+# deleted; each ends where the token parser would end it.  Any whitespace may
+# fill any gap between two tokens of a statement.  Groups: drift name and
+# terms, init name and value, reagents, products and rate, single token.
 _STATEMENT_RE = re.compile(
-    _SKIP + rf"(?:d\s*+\(\s*+({_ID})\s*+\)\s*+=\s*+"
-    rf"(-?+ *+{_TERM}(?: *+[+-] *+{_TERM})*+)(?!{_SKIP}[-+*/(])"
+    rf"\s*+(?:d\s*+\(\s*+({_ID})\s*+\)\s*+=\s*+"
+    rf"(-?+\s*+{_TERM}(?:\s*+[+-]\s*+{_TERM})*+)(?!\s*+[-+*/(])"
     rf"|({_ID})\s*+=\s*+({_RATIONAL})"
     rf"|({_SIDE})\s*+->\s*+({_SIDE})\s*+,\s*+({_RATIONAL})|" + _SINGLE + ")",
     re.DOTALL)
@@ -116,12 +114,13 @@ def _kind(token: str) -> Optional[str]:
 def _tokenize(text: str, whole: bool = False):
     """Parallel lists of token kinds and texts, ending with an "eof" token.
 
-    The kind of an invalid character is None.  With ``whole``, a statement
-    that ``_STATEMENT_RE`` reads is one token, of kind "drift", "init" or
-    "reaction", whose text is the tuple of the pattern's groups.
+    The kind of an invalid character is None.  With ``whole``, comments are
+    deleted first, and a statement that ``_STATEMENT_RE`` reads is one token,
+    of kind "drift", "init" or "reaction", whose text is the tuple of the
+    pattern's groups.
     """
     if whole:
-        found = _STATEMENT_RE.findall(text)
+        found = _STATEMENT_RE.findall(re.sub(_COMMENT, "", text))
         while found and not any(found[-1]):
             found.pop()
         kind_of = {t: _kind(t) for t in {t[7] for t in found}}
@@ -144,11 +143,11 @@ class _Declined(Exception):
 
 
 class _Numerals(dict):
-    """One exact value per distinct text ``[-]p[/q]`` of numerals p and q;
-    None when q is zero."""
+    """One exact value per distinct text ``[-]p[/q]`` of numerals p and q,
+    blanks allowed around ``-`` and ``/``; None when q is zero."""
 
     def __missing__(self, text):
-        num, _, den = text.partition("/")
+        num, _, den = "".join(text.split()).partition("/")
         value = Fraction(num)
         if den:
             den = Fraction(den)
@@ -544,13 +543,14 @@ class _Parser:
 # -- statements read whole -----------------------------------------------------
 
 
-def _terms(body: str, index: dict, number) -> Polynomial:
-    """The polynomial of the terms of a drift read whole."""
+def _terms(body: str, index: dict, number) -> Optional[Polynomial]:
+    """The polynomial of the terms of a drift read whole; None if a
+    coefficient has a zero denominator, so that the drift does not lower."""
     acc: dict = {}
     den = 1
     # the terms, each negative one led by "-"; a leading "-" leaves an empty
     # text first
-    for term in body.replace(" ", "").replace("-", "+-").split("+"):
+    for term in "".join(body.split()).replace("-", "+-").split("+"):
         if not term:
             continue
         neg = term[0] == "-"
@@ -559,7 +559,7 @@ def _terms(body: str, index: dict, number) -> Polynomial:
         if factors[0][0].isdigit():
             c = number(factors.pop(0))
             if c is None:
-                raise _Declined
+                return None
             num, q = c.numerator, c.denominator
         if neg:
             num = -num

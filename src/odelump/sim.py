@@ -2,8 +2,10 @@
 
 Classical fourth-order Runge-Kutta with a fixed step: deterministic and
 reproducible, which the acceptance tolerances rely on.  Exact rational
-initial values are converted to binary64 on entry; exactness is only needed
-by the lumping checks, never here.
+initial values and coefficients are converted to binary64 on entry, and a
+number beyond its range is a non-finite state at t = 0; exactness is only
+needed by the lumping checks, never here.  numpy is imported by the
+functions that use it, so importing odelump does not load it.
 
 A polynomial system is compiled once into flat arrays: one float
 coefficient per monomial, the index of the drift that owns it, and its
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-import numpy as np
 
 from .driftexpr import Bin, Const, _fold
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
@@ -45,6 +46,7 @@ class Trajectory:
     names: tuple
 
     def __post_init__(self):
+        import numpy as np
         if self.states.shape != (len(self.times), len(self.names)):
             raise ValueError("states must be (samples, variables)")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
@@ -55,6 +57,7 @@ class Trajectory:
 
 
 def _compile_polynomials(drifts, n: int):
+    import numpy as np
     coef, owner = [], []
     powers: dict = {}  # (v, e) with e >= 2 -> its index in the factor values
     slots: list = []   # slot j: (rows, sources) of the monomials' j-th factors
@@ -100,6 +103,7 @@ _DEPTH = 40
 
 
 def _compile_system(system: OdeSystem):
+    import numpy as np
     if system.is_polynomial:
         return _compile_polynomials(system.drifts, system.n)
     spilled, t = [], []  # closures of the subtrees _DEPTH deep, in fold order; their values
@@ -144,8 +148,12 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
         raise ValueError(f"t_end / dt must be at most {MAX_STEPS} steps")
     if not isinstance(sample_every, int) or sample_every < 1:
         raise ValueError("sample_every must be a positive integer")
-    f = _compile_system(system)
-    x = np.array([float(v) for v in system.init])
+    import numpy as np
+    try:  # exact numbers beyond float range
+        f = _compile_system(system)
+        x = np.array([float(v) for v in system.init])
+    except OverflowError:
+        raise NonFiniteState(0.0) from None
     steps = max(1, round(t_end / dt))
     times = [0.0]
     rows = [x.copy()]
@@ -162,8 +170,6 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
                 x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except (ZeroDivisionError, FloatingPointError):
             raise DivisionByZero(f"t = {t}") from None
-        except OverflowError:
-            raise NonFiniteState(t) from None
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(t)
         if k % sample_every == 0:
@@ -181,6 +187,7 @@ def compare_reduction(orig: Trajectory, red: Trajectory, part: Partition,
     bde: each reduced (representative) column must equal every original
     member column of its block.
     """
+    import numpy as np
     targets = _by_mode(mode, lambda block: [orig.states[:, v] for v in block],
                        lambda block: [orig.states[:, list(block)].sum(axis=1)])
     if len(orig.times) != len(red.times) or not np.array_equal(orig.times, red.times):
@@ -213,6 +220,7 @@ def _write_csv_stream(trajectory: Trajectory, out) -> None:
 
 def read_csv(source) -> Trajectory:
     """Inverse of :func:`write_csv` (round-trips within formatting precision)."""
+    import numpy as np
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:

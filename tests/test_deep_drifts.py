@@ -131,6 +131,7 @@ def test_long_denominators_deduplicate():
 
 RECURSION_GUARD = textwrap.dedent("""
     import sys
+    import numpy
     from fractions import Fraction
     from odelump import OdeSystem, Partition, drift_eval, expr_variables
     from odelump.driftexpr import (Abs, Bin, Const, Var, denominators, format_expr,
