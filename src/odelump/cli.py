@@ -15,8 +15,7 @@ import traceback
 import warnings
 
 from .encode import ReactionNetwork, rn_to_ode
-from .errors import (InitMismatchWarning, OdeLumpError, ProtocolError,
-                     SolverNotFound, SolverTimeout, SolverUnknown)
+from .errors import InitMismatchWarning, OdeLumpError, _SolverError
 from .lump import (brute_force_coarsest, check_bde, check_fde,
                    coarsest_with_trace, prepartition_from_inits,
                    reduce_backward, reduce_forward)
@@ -192,19 +191,16 @@ def _cmd_check(args) -> int:
 
     if backend == "syntactic":
         result = _by_mode(args.mode, check_bde, check_fde)(system, part)
-        if result.ok:
-            print(f"ok: partition is a {args.mode.upper()}")
-            return 0
-        print(result.describe(system.names), file=sys.stderr)
-        return 1
-
-    script, names = phi_script(system, part, args.mode)
-    values = solver_ask(script, names, part, args.solver_cmd, args.timeout)
-    if values is None:
+        counterexample = None if result.ok else result.describe(system.names)
+    else:
+        script, names = phi_script(system, part, args.mode)
+        values = solver_ask(script, names, part, args.solver_cmd, args.timeout)
+        counterexample = None if values is None else "counterexample witness: " + \
+            ", ".join(f"{nm}={v}" for nm, v in zip(names, values))
+    if counterexample is None:
         print(f"ok: partition is a {args.mode.upper()}")
         return 0
-    witness = ", ".join(f"{nm}={v}" for nm, v in zip(names, values))
-    print(f"counterexample witness: {witness}", file=sys.stderr)
+    print(counterexample, file=sys.stderr)
     return 1
 
 
@@ -278,7 +274,7 @@ def main(argv=None) -> int:
         if getattr(args, "timeout", 1) <= 0:
             raise _InputError(f"--timeout must be a positive number of ms, not {args.timeout}")
         return _DISPATCH[args.command](args)
-    except (SolverNotFound, SolverTimeout, SolverUnknown, ProtocolError) as exc:
+    except _SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except (_InputError, OdeLumpError, OSError) as exc:

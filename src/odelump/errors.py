@@ -35,26 +35,25 @@ class ModelSyntaxError(OdeLumpError):
         super().__init__(f"line {line}, column {column}: expected {expected}")
 
 
-class UndeclaredVariable(OdeLumpError):
+class _VariableError(OdeLumpError):
+    """An identifier misused in the init section; ``_problem`` says how."""
+
+    def __init__(self, name, line, column=None):
+        self.name = name
+        self.line = line
+        self.column = column
+        at = f"line {line}" + (f", column {column}" if column is not None else "")
+        super().__init__(f"{at}: {self._problem} variable '{name}'")
+
+
+class UndeclaredVariable(_VariableError):
     """An identifier was used without being declared in the init section."""
-
-    def __init__(self, name, line, column=None):
-        self.name = name
-        self.line = line
-        self.column = column
-        at = f"line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{at}: undeclared variable '{name}'")
+    _problem = "undeclared"
 
 
-class DuplicateVariable(OdeLumpError):
+class DuplicateVariable(_VariableError):
     """The same identifier was declared twice in the init section."""
-
-    def __init__(self, name, line, column=None):
-        self.name = name
-        self.line = line
-        self.column = column
-        at = f"line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{at}: duplicate variable '{name}'")
+    _problem = "duplicate"
 
 
 class PartitionCoverageError(OdeLumpError):
@@ -71,20 +70,22 @@ class NonPolynomialDrift(OdeLumpError):
     """An operation restricted to polynomial drifts met a general drift expression."""
 
 
-class NotAnFde(OdeLumpError):
+class _NotAnEquivalence(OdeLumpError):
+    """A partition failed an equivalence check; ``_kind`` names which."""
+
+    def __init__(self, counterexample, names=None):
+        self.counterexample = counterexample
+        super().__init__(f"partition is not {self._kind}: {counterexample.describe(names)}")
+
+
+class NotAnFde(_NotAnEquivalence):
     """The partition fails the forward differential-equivalence check."""
-
-    def __init__(self, counterexample, names=None):
-        self.counterexample = counterexample
-        super().__init__(f"partition is not an FDE: {counterexample.describe(names)}")
+    _kind = "an FDE"
 
 
-class NotABde(OdeLumpError):
+class NotABde(_NotAnEquivalence):
     """The partition fails the backward differential-equivalence check."""
-
-    def __init__(self, counterexample, names=None):
-        self.counterexample = counterexample
-        super().__init__(f"partition is not a BDE: {counterexample.describe(names)}")
+    _kind = "a BDE"
 
 
 class TooLarge(OdeLumpError):
@@ -100,15 +101,19 @@ class NoUniqueCoarsest(OdeLumpError):
     """The enumerated passing partitions have no unique coarsest element."""
 
 
-class SolverNotFound(OdeLumpError):
+class _SolverError(OdeLumpError):
+    """The external SMT solver failed; the command line exits 3 on exactly these."""
+
+
+class SolverNotFound(_SolverError):
     """The external SMT solver command could not be launched."""
 
 
-class SolverTimeout(OdeLumpError):
+class SolverTimeout(_SolverError):
     """The external SMT solver exceeded its time budget."""
 
 
-class SolverUnknown(OdeLumpError):
+class SolverUnknown(_SolverError):
     """The solver answered 'unknown'; carries the partition reached so far."""
 
     def __init__(self, reason, partition=None):
@@ -117,7 +122,7 @@ class SolverUnknown(OdeLumpError):
         super().__init__(f"solver returned unknown: {reason}")
 
 
-class ProtocolError(OdeLumpError):
+class ProtocolError(_SolverError):
     """The solver produced output this client could not interpret."""
 
     def __init__(self, raw):

@@ -29,6 +29,11 @@ variable (bde) and the variables a moved variable's drift mentions (fde) are
 re-signed, and the refinable partition of :mod:`odelump.partition` splits
 each block from those alone.  A brute-force enumeration oracle cross-checks
 this on small systems.
+
+Both reductions keep one variable y_b per block B.  The forward one is the
+sum of x_v over B, its drift the block-sum drift with x_v := y_b/|B|; a
+backward reduction is the same construction over each block's
+representative alone, unscaled.
 """
 
 from __future__ import annotations
@@ -323,16 +328,64 @@ def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
 # -- reduced models -----------------------------------------------------------------
 
 
-def _macro_names(system: OdeSystem, part: Partition):
-    names = []
-    taken = set()
+def _reduce(system: OdeSystem, part: Partition, check, failure, lumping) -> OdeSystem:
+    """The reduction of both modes.  A polynomial system must pass ``check``,
+    else ``failure`` is raised, and an all-singleton ``part`` returns it.
+    ``lumping(system, part)`` gives the reduced names, per block the members
+    whose drifts and initial values y_b sums, and per block the d_b of the
+    substitution x_v := y_b/d_b (None: all 1)."""
+    _require_cover(system, part)
+    if system.is_polynomial:
+        result = check(system, part)
+        if not result.ok:
+            raise failure(result, system.names)
+        if part.block_count == system.n:
+            return system
+    names, members, sizes = lumping(system, part)
+    labels, x0 = part.labels, system.init
+    # A one-member sum is read directly: bde blocks then build no generator.
+    init = tuple(x0[block[0]] if len(block) == 1 else
+                 sum((x0[v] for v in block[1:]), x0[block[0]]) for block in members)
+    obs = None if system.observables is None else \
+        frozenset(labels[v] for v in system.observables)
+    if system.is_polynomial:
+        drifts = [_sum_renamed((system.drifts[v] for v in block), labels, sizes)
+                  for block in members]
+    else:
+        sigma = {v: Var(b) if sizes is None else
+                 Bin("mul", Const(Fraction(1, sizes[b])), Var(b))
+                 for v, b in enumerate(labels)}
+        drifts = [sum_exprs(substitute_exprs(system.drifts[v], sigma) for v in block)
+                  for block in members]
+    return OdeSystem(names, tuple(drifts), init, obs)
+
+
+def _forward_lumping(system: OdeSystem, part: Partition):
+    """Names joined by "_" (unique by appending "_"); each whole block, over its size."""
+    names: dict = {}
     for block in part.blocks:
         name = "_".join(system.names[v] for v in block)
-        while name in taken:
+        while name in names:
             name += "_"
-        taken.add(name)
-        names.append(name)
-    return tuple(names)
+        names[name] = None
+    return tuple(names), part.blocks, [len(block) for block in part.blocks]
+
+
+def _backward_lumping(system: OdeSystem, part: Partition):
+    """Representatives' names; each representative alone, undivided.  Warns
+    of each block with unequal initial values."""
+    init = system.init
+    for block in part.blocks:
+        # int pairs, not Fractions, whose hash is computed in Python
+        inits = {(init[v].numerator, init[v].denominator) for v in block}
+        if len(inits) > 1:
+            members = ", ".join(system.names[v] for v in block)
+            values = sorted(Fraction(p, q) for p, q in inits)
+            warnings.warn(InitMismatchWarning(
+                f"block {{{members}}} has unequal initial values {values}; "
+                "the reduced model does not preserve the original dynamics"))
+    return (tuple(system.names[block[0]] for block in part.blocks),
+            [block[:1] for block in part.blocks], None)
 
 
 def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
@@ -349,33 +402,7 @@ def reduce_forward(system: OdeSystem, part: Partition) -> OdeSystem:
     expression drifts the caller is responsible for having verified the
     partition (normally through the solver loop).
     """
-    _require_cover(system, part)
-    if system.is_polynomial:
-        result = check_fde(system, part)
-        if not result.ok:
-            raise NotAnFde(result, system.names)
-        if part.block_count == system.n:
-            return system
-    labels = part.labels
-    init = tuple(sum((system.init[v] for v in block[1:]), system.init[block[0]])
-                 for block in part.blocks)
-    obs = None
-    if system.observables is not None:
-        obs = frozenset(labels[v] for v in system.observables)
-    if system.is_polynomial:
-        # Replacing x_v by y_b/|B_b| renames v to its block b, then divides
-        # each term by prod_b |B_b|^e_b.
-        sizes = [len(block) for block in part.blocks]
-        drifts = [_sum_renamed((system.drifts[v] for v in block), labels, sizes)
-                  for block in part.blocks]
-    else:
-        sigma = {v: Bin("mul",
-                        Const(Fraction(1, len(part.blocks[labels[v]]))),
-                        Var(labels[v]))
-                 for v in range(system.n)}
-        drifts = [sum_exprs(substitute_exprs(system.drifts[v], sigma) for v in block)
-                  for block in part.blocks]
-    return OdeSystem(_macro_names(system, part), tuple(drifts), init, obs)
+    return _reduce(system, part, check_fde, NotAnFde, _forward_lumping)
 
 
 def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
@@ -389,36 +416,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
     :class:`InitMismatchWarning` when a block has unequal initial values, in
     which case the reduced dynamics do not reproduce the original.
     """
-    _require_cover(system, part)
-    if system.is_polynomial:
-        result = check_bde(system, part)
-        if not result.ok:
-            raise NotABde(result, system.names)
-        if part.block_count == system.n:
-            return system
-    labels = part.labels
-    reps = part.representatives()
-    init = system.init
-    for block in part.blocks:
-        # int pairs, not Fractions, whose hash is computed in Python
-        inits = {(init[v].numerator, init[v].denominator) for v in block}
-        if len(inits) > 1:
-            members = ", ".join(system.names[v] for v in block)
-            values = sorted(Fraction(p, q) for p, q in inits)
-            warnings.warn(InitMismatchWarning(
-                f"block {{{members}}} has unequal initial values {values}; "
-                "the reduced model does not preserve the original dynamics"))
-    if system.is_polynomial:
-        drifts = tuple(_sum_renamed((system.drifts[rep],), labels) for rep in reps)
-    else:
-        mapping = {v: Var(b) for v, b in enumerate(labels)}
-        drifts = tuple(substitute_exprs(system.drifts[rep], mapping) for rep in reps)
-    init = tuple(system.init[rep] for rep in reps)
-    names = tuple(system.names[rep] for rep in reps)
-    obs = None
-    if system.observables is not None:
-        obs = frozenset(labels[v] for v in system.observables)
-    return OdeSystem(names, drifts, init, obs)
+    return _reduce(system, part, check_bde, NotABde, _backward_lumping)
 
 
 def prepartition_from_inits(system: OdeSystem, seed: Partition) -> Partition:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from odelump import parse_model
+from odelump import cli, parse_model
 from odelump.cli import main
 from conftest import cascade_text
 from test_smt import MIN_PAIR_TEXT, SAT_111, fake, seq_cmd
@@ -345,6 +345,18 @@ def test_syntactic_backend_rejects_expression_drifts(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["reduce", "--mode", "sideways"]) == 2
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("invariant")
+
+    monkeypatch.setitem(cli._DISPATCH, "oracle", broken)
+    model = tmp_path / "m.ode"
+    model.write_text(cascade_text())
+    assert main(["oracle", "--mode", "bde", "--in", str(model)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "KeyError: 'invariant'" in err
 
 
 def test_module_entry_point(tmp_path):

@@ -62,6 +62,7 @@ def test_value_semantics():
 def test_format_with_names():
     p = Partition([[0], [1, 2]])
     assert p.format(("x1", "x2", "x3")) == "{x1}, {x2, x3}"
+    assert repr(Partition([[2, 1], [0]])) == "Partition({0}, {1, 2})"
 
 
 def test_split_by_splits_only_within_blocks():

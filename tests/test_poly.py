@@ -315,6 +315,15 @@ def test_float_coefficients_rejected():
         Polynomial.constant(0.5)  # type: ignore[arg-type]
 
 
+def test_zero_constant_negative_variable_and_repr():
+    assert Polynomial.constant(0) is Polynomial.zero()
+    with pytest.raises(ValueError, match="negative variable index -1"):
+        Polynomial.variable(-1)
+    assert repr(P("2*x1 + 1")) == (
+        "Polynomial(terms=(Monomial(coeff=Fraction(2, 1), exps=((0, 1),)), "
+        "Monomial(coeff=Fraction(1, 1), exps=())))")
+
+
 def test_format_round_trips_through_parser():
     p = P("-x1 + 5/2*x2*x2 - 1/3")
     assert parse_polynomial(p.format(NAMES), NAMES) == p

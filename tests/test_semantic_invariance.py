@@ -71,7 +71,8 @@ def test_lifted_role_partitions_pass_the_checks():
         for mode in ("bde", "fde"):
             system, roles = _lifted_sample(rng, mode)
             check = check_bde if mode == "bde" else check_fde
-            assert check(system, roles).ok
+            result = check(system, roles)
+            assert result.ok and result.describe(system.names) == "ok"
 
 
 def test_forward_reduction_tracks_block_sums_on_lifted_systems():
