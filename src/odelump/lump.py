@@ -333,14 +333,17 @@ def _reduce(system: OdeSystem, part: Partition, check, failure, lumping) -> OdeS
     else ``failure`` is raised, and an all-singleton ``part`` returns it.
     ``lumping(system, part)`` gives the reduced names, per block the members
     whose drifts and initial values y_b sums, and per block the d_b of the
-    substitution x_v := y_b/d_b (None: all 1)."""
-    _require_cover(system, part)
-    if system.is_polynomial:
+    substitution x_v := y_b/d_b (None: all 1).  ``check`` requires the
+    cover of a polynomial system; this requires it of any other."""
+    polynomial = isinstance(system, OdeSystem) and system.is_polynomial
+    if polynomial:
         result = check(system, part)
         if not result.ok:
             raise failure(result, system.names)
         if part.block_count == system.n:
             return system
+    else:
+        _require_cover(system, part)
     names, members, sizes = lumping(system, part)
     labels, x0 = part.labels, system.init
     # A one-member sum is read directly: bde blocks then build no generator.
@@ -348,7 +351,7 @@ def _reduce(system: OdeSystem, part: Partition, check, failure, lumping) -> OdeS
                  sum((x0[v] for v in block[1:]), x0[block[0]]) for block in members)
     obs = None if system.observables is None else \
         frozenset(labels[v] for v in system.observables)
-    if system.is_polynomial:
+    if polynomial:
         drifts = [_sum_renamed((system.drifts[v] for v in block), labels, sizes)
                   for block in members]
     else:

@@ -71,10 +71,6 @@ class Partition:
             self._labels = lab
         return self._labels
 
-    def representatives(self) -> list:
-        """Minimum element of each block, in block order."""
-        return [b[0] for b in self.blocks]
-
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies inside some block of other."""
         if self.size != other.size:

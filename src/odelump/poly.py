@@ -97,17 +97,25 @@ def monomial(coeff: RationalLike, exps: Union[Mapping[int, int], Iterable] = ())
     return Monomial(as_fraction(coeff), _canon(exps))
 
 
-def _term_key(exps: Exps) -> list:
+def _term_key(exps: Exps) -> tuple:
     """Sort key of the canonical term order: higher total degree first, then
     lexicographic on the exponent vector, missing variables read as exponent
-    0.  Flattened as [-degree, v1, -e1, v2, -e2, ...]; within one degree no
-    vector is a prefix of another, so this orders like the pairs would."""
+    0.  Flattened as (-degree, v1, -e1, v2, -e2, ...); within one degree no
+    vector is a prefix of another, so this orders like the pairs would.
+    One- and two-variable vectors, most terms of a model, are keyed directly."""
+    k = len(exps)
+    if k == 1:
+        (v, e), = exps
+        return -e, v, -e
+    if k == 2:
+        (v, e), (w, f) = exps
+        return -e - f, v, -e, w, -f
     key = [0]
     for v, e in exps:
         key[0] -= e
         key.append(v)
         key.append(-e)
-    return key
+    return tuple(key)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)

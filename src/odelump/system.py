@@ -68,7 +68,15 @@ class OdeSystem:
         for d in self.drifts:
             if isinstance(d, Polynomial) != poly:
                 raise ValueError("drifts must be all polynomial or all expressions")
-            used = d.variables() if poly else driftexpr.expr_variables(d)
+        # An exponent vector is sorted, so its last pair holds its largest
+        # variable.  Drifts are read one at a time only to name the first
+        # that goes out of range.
+        if poly and max([exps[-1][0] for d in self.drifts for exps in d.exps if exps],
+                        default=-1) < n:
+            return
+        for d in self.drifts:
+            used = [exps[-1][0] for exps in d.exps if exps] if poly else \
+                driftexpr.expr_variables(d)
             if used and max(used) >= n:
                 raise ValueError(f"drift references variable index {max(used)} >= n = {n}")
 

@@ -65,6 +65,14 @@ X = Polynomial.variable(0)
     (("x", "y"), (X, parse_expression("min(x, 1)", ["x"])), (Fraction(1),) * 2, None,
      "all polynomial or all expressions"),
     (("x",), (Polynomial.variable(1),), (Fraction(1),), None, "variable index 1 >= n = 1"),
+    # the first drift out of range is named, with its own largest index,
+    # which only the last pair of a term holds
+    (("x", "y", "z"), (X, Polynomial.variable(4) * X + Polynomial.constant(1),
+                       Polynomial.variable(5) * X),
+     (Fraction(1),) * 3, None, "variable index 4 >= n = 3"),
+    (("x", "y"), (parse_expression("min(x, 1)", ["x"]),
+                  parse_expression("max(x, z)", ["x", "y", "z"])),
+     (Fraction(1),) * 2, None, "variable index 2 >= n = 2"),
 ])
 def test_system_container_errors(names, drifts, init, observables, error):
     with pytest.raises((ValueError, TypeError), match=error):

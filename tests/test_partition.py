@@ -12,7 +12,7 @@ def test_blocks_canonicalized():
     assert p.block_count == 2
     assert p.size == 3
     assert p.labels == [0, 1, 1]
-    assert p.representatives() == [0, 1]
+    assert [block[0] for block in p.blocks] == [0, 1]
 
 
 def test_singletons_and_one_block():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from odelump import Monomial, Polynomial, monomial, multiset
 from odelump.parsing import parse_polynomial
-from odelump.poly import _canon, _sum_renamed
+from odelump.poly import _canon, _sum_renamed, _term_key
 
 NAMES = ("x1", "x2", "x3")
 
@@ -44,6 +44,42 @@ def test_normalize_block_sum_drifts():
 def test_normalize_repairs_raw_exponent_maps():
     raw = Monomial(Fraction(2), ((1, 1), (0, 1), (2, 0)))
     assert Polynomial([raw]) == P("2*x1*x2")
+
+
+def _list_term_key(exps):
+    """Reference for ``_term_key``: the canonical order's key built as the
+    list [-degree, v1, -e1, v2, -e2, ...]."""
+    key = [0]
+    for v, e in exps:
+        key[0] -= e
+        key.append(v)
+        key.append(-e)
+    return key
+
+
+# Exponent vectors in normal form: the constant (), exponents up to 4 and up
+# to five variables, so the one-, two- and longer-vector keys meet.
+_exps_st = st.dictionaries(st.integers(0, 6), st.integers(1, 4), max_size=5).map(
+    lambda d: tuple(sorted(d.items())))
+
+
+@given(st.lists(_exps_st, max_size=12))
+@example([(), ((0, 1),), ((0, 2),), ((0, 1), (1, 1)), ((1, 2),), ((0, 1), (1, 1), (2, 1)),
+          ((0, 3),), ((0, 1), (2, 2)), ((1, 1), (2, 1), (3, 1))])
+def test_term_key_orders_like_the_list_key(vectors):
+    for a in vectors:
+        for b in vectors:
+            assert (_term_key(a) < _term_key(b)) == (_list_term_key(a) < _list_term_key(b)), (a, b)
+            assert (_term_key(a) == _term_key(b)) == (a == b), (a, b)
+
+
+def test_term_key_sorts_random_vectors_like_the_list_key():
+    rng = random.Random(26)
+    vectors = list({tuple(sorted({rng.randrange(8): rng.randint(1, 4)
+                                  for _ in range(rng.randint(0, 5))}.items()))
+                    for _ in range(3000)})
+    rng.shuffle(vectors)
+    assert sorted(vectors, key=_term_key) == sorted(vectors, key=_list_term_key)
 
 
 def test_term_order_is_graded():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odelump import (OdeLumpError, OdeSystem, Partition, Polynomial,
-                     brute_force_coarsest, build_phi_bde, build_phi_fde,
-                     check_bde, check_fde, coarsest_with_trace, integrate,
-                     parse_model, prepartition_from_inits, reduce_backward,
-                     reduce_forward, symbolic_coarsest_with_trace)
+from odelump import (NonPolynomialDrift, OdeLumpError, OdeSystem, Partition,
+                     PartitionMismatch, Polynomial, brute_force_coarsest,
+                     build_phi_bde, build_phi_fde, check_bde, check_fde,
+                     coarsest_with_trace, integrate, parse_model,
+                     prepartition_from_inits, reduce_backward, reduce_forward,
+                     symbolic_coarsest_with_trace)
 from odelump.cli import main
+from conftest import cascade
 
 RN_MODEL = """\
 begin model
@@ -91,6 +93,61 @@ def test_reaction_networks_must_be_converted_first(call):
     doc = parse_model(RN_MODEL)
     with pytest.raises(TypeError, match="convert a reaction network with rn_to_ode"):
         call(doc.system, doc.user_partition)
+
+
+_ENTRY_POINTS = {
+    "check_bde": check_bde,
+    "check_fde": check_fde,
+    "coarsest_with_trace bde": lambda s, p: coarsest_with_trace(s, p, "bde"),
+    "coarsest_with_trace fde": lambda s, p: coarsest_with_trace(s, p, "fde"),
+    "brute_force_coarsest": lambda s, p: brute_force_coarsest(s, p, "fde"),
+    "reduce_backward": reduce_backward,
+    "reduce_forward": reduce_forward,
+    "prepartition_from_inits": prepartition_from_inits,
+    "build_phi_bde": build_phi_bde,
+    "build_phi_fde": build_phi_fde,
+    "symbolic_coarsest_with_trace": lambda s, p: symbolic_coarsest_with_trace(
+        s, p, "fde", "odelump-no-such-solver"),
+    "integrate": lambda s, p: integrate(s, 1.0, 0.1),
+}
+_EXPR_MODEL = ("begin model begin init x=1 y=1 end init "
+               "begin ode d(x) = min(x, y) d(y) = max(y, x) end ode end model")
+
+
+def _input_error_cases():
+    """(entry point, system, partition size, error type, message) for every
+    public entry point that rejects a reaction network, a partition of
+    another size or, in the syntactic ones, an expression system."""
+    not_ode = (TypeError, "expected an OdeSystem, not ReactionNetwork; "
+                          "convert a reaction network with rn_to_ode first")
+    not_polynomial = {
+        "brute_force_coarsest": "the brute-force oracle needs polynomial drifts"}
+    for entry in _ENTRY_POINTS:
+        for size in (2, 3):
+            yield entry, "reaction network", size, *not_ode
+        if entry == "integrate":
+            continue
+        for size in (2, 4):
+            yield (entry, "polynomial", size, PartitionMismatch,
+                   f"partition covers {size} variables, system has 3")
+        if entry.startswith(("check", "coarsest", "brute")):
+            yield (entry, "expression", 3, NonPolynomialDrift, not_polynomial.get(
+                entry, "syntactic checks need polynomial drifts; use the solver backend"))
+        else:
+            yield (entry, "expression", 3, PartitionMismatch,
+                   "partition covers 3 variables, system has 2")
+
+
+@pytest.mark.parametrize("entry, kind, size, error, message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]}") for case in _input_error_cases()])
+def test_input_errors_keep_their_type_and_message(entry, kind, size, error, message):
+    system = {"reaction network": lambda: parse_model(RN_MODEL).system,
+              "polynomial": cascade,
+              "expression": lambda: parse_model(_EXPR_MODEL).system}[kind]()
+    with pytest.raises(error) as raised:
+        _ENTRY_POINTS[entry](system, Partition.one_block(size))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_macro_name_collision_deduplicated():
