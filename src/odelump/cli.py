@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> ModelDocument:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    try:  # utf-8-sig: a byte-order mark some editors write is not model text
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None

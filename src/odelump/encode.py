@@ -14,9 +14,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import NonPolynomialDrift
 from .poly import _canon, _from_accumulator, _new, _setattr, as_fraction
-from .system import OdeSystem, check_container
+from .system import OdeSystem, _require, check_container
 
 Multiset = tuple  # tuple[tuple[int, int], ...]: sorted (species, multiplicity >= 1)
 
@@ -121,8 +120,7 @@ def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
     the drift's canonical term order.  The products are built by merging
     ``(s, 1)`` into the sorted reagents, which keeps them canonical.  Equal
     rates share one Fraction."""
-    if not ode.is_polynomial:
-        raise NonPolynomialDrift("reaction form requires polynomial drifts")
+    _require(ode, polynomial="reaction form requires polynomial drifts")
     reactions = []
     rates: dict = {}   # (numerator, denominator) -> rate
     shared: dict = {}  # rate -> the one Fraction of its value

@@ -46,13 +46,13 @@ from math import lcm
 from typing import Optional
 
 from .driftexpr import Bin, Const, Var, substitute_exprs, sum_exprs
-from .errors import (InitMismatchWarning, NonPolynomialDrift, NoUniqueCoarsest,
-                     NotABde, NotAnFde, TooLarge)
+from .errors import InitMismatchWarning, NoUniqueCoarsest, NotABde, NotAnFde, TooLarge
 from .partition import Partition, _Refinable
 from .poly import Polynomial, _fold_renamed, _sum_renamed
-from .system import OdeSystem, _by_mode, _require_cover, _require_system
+from .system import OdeSystem, _by_mode, _require
 
 _BRUTE_FORCE_LIMIT = 10
+_SYNTACTIC = "syntactic checks need polynomial drifts; use the solver backend"
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ class CheckResult:
         if self.witness_assignment is not None:
             msg += f", witness point {tuple(map(str, self.witness_assignment))}"
         return msg
-
-
-def _require_polynomial(system: OdeSystem,
-                        message="syntactic checks need polynomial drifts; "
-                                "use the solver backend"):
-    _require_system(system)
-    if not system.is_polynomial:
-        raise NonPolynomialDrift(message)
 
 
 def _numerators(system: OdeSystem):
@@ -222,16 +214,17 @@ def _check(system: OdeSystem, part: Partition, signer_type, witness) -> CheckRes
     variable, the variable of that polynomial whose value it takes.
 
     A partition that :func:`coarsest_with_trace` returned for this very
-    system object and this mode passes without signing: the refinement
-    stopped at it because no block split.  Identity, not equality: an equal
-    system or an equal partition built elsewhere gets the full check."""
-    _require_polynomial(system)
-    _require_cover(system, part)
-    if part.block_count == system.n:
-        return CheckResult(True)  # no same-block pair to compare
+    system object and this mode passes without signing, and without the
+    guard: it was refined from a guarded seed for that frozen system, and
+    the refinement stopped at it because no block split.  Identity, not
+    equality: an equal system or an equal partition built elsewhere gets the
+    guard and the full check."""
     stable = part._stable
     if stable is not None and stable[0] is system and stable[1] is signer_type:
         return CheckResult(True)
+    _require(system, part, _SYNTACTIC)
+    if part.block_count == system.n:
+        return CheckResult(True)  # no same-block pair to compare
     offending = _unstable(_numerators(system), part, signer_type)
     if offending is None:
         return CheckResult(True)
@@ -318,8 +311,7 @@ def coarsest_with_trace(system: OdeSystem, seed: Partition, mode: str):
     it for ``system`` without signing again.
     """
     signer_type = _by_mode(mode, _BdeSigner, _FdeSigner)
-    _require_polynomial(system)
-    _require_cover(system, seed)
+    _require(system, seed, _SYNTACTIC)
     part, trace = _refine(_numerators(system), seed, signer_type)
     part._stable = (system, signer_type)
     return part, trace
@@ -333,8 +325,8 @@ def _reduce(system: OdeSystem, part: Partition, check, failure, lumping) -> OdeS
     else ``failure`` is raised, and an all-singleton ``part`` returns it.
     ``lumping(system, part)`` gives the reduced names, per block the members
     whose drifts and initial values y_b sums, and per block the d_b of the
-    substitution x_v := y_b/d_b (None: all 1).  ``check`` requires the
-    cover of a polynomial system; this requires it of any other."""
+    substitution x_v := y_b/d_b (None: all 1).  ``check`` guards a
+    polynomial system; this guards any other input."""
     polynomial = isinstance(system, OdeSystem) and system.is_polynomial
     if polynomial:
         result = check(system, part)
@@ -343,7 +335,7 @@ def _reduce(system: OdeSystem, part: Partition, check, failure, lumping) -> OdeS
         if part.block_count == system.n:
             return system
     else:
-        _require_cover(system, part)
+        _require(system, part)
     names, members, sizes = lumping(system, part)
     labels, x0 = part.labels, system.init
     # A one-member sum is read directly: bde blocks then build no generator.
@@ -425,7 +417,7 @@ def reduce_backward(system: OdeSystem, part: Partition) -> OdeSystem:
 def prepartition_from_inits(system: OdeSystem, seed: Partition) -> Partition:
     """Refine ``seed`` by exact equality of initial values; observables are
     additionally isolated into singleton blocks."""
-    _require_cover(system, seed)
+    _require(system, seed)
     obs = system.observables or frozenset()
     init = system.init
 
@@ -459,8 +451,7 @@ def brute_force_coarsest(system: OdeSystem, seed: Partition, mode: str) -> Parti
     """
     signer_type = _by_mode(mode, _BdeSigner, _FdeSigner)
     # The oracle has no solver fallback, so its message gives no advice.
-    _require_polynomial(system, "the brute-force oracle needs polynomial drifts")
-    _require_cover(system, seed)
+    _require(system, seed, "the brute-force oracle needs polynomial drifts")
     if system.n > _BRUTE_FORCE_LIMIT:
         raise TooLarge(system.n, _BRUTE_FORCE_LIMIT)
 

@@ -178,20 +178,6 @@ def _cover(blocks, n: int) -> Partition:
     return part
 
 
-def _document(names, inits, section, observables, partition) -> ModelDocument:
-    """The document of a read model.  ``section`` holds the reactions as a
-    list, or the drifts as a dict by variable index, a missing drift being
-    zero."""
-    names, inits = tuple(names), tuple(inits)
-    if isinstance(section, list):
-        system = ReactionNetwork(names, tuple(section), inits, observables)
-    else:
-        zero = Polynomial.zero()
-        drifts = tuple(section.get(i, zero) for i in range(len(names)))
-        system = OdeSystem(names, drifts, inits, observables)
-    return ModelDocument(system, partition)
-
-
 class _Parser:
     def __init__(self, text: str, names=(), whole: bool = False):
         self.text = text
@@ -332,19 +318,22 @@ class _Parser:
             except ValueError as exc:
                 raise PartitionCoverageError(
                     str(exc), *self.where(partition_at)) from None
-        if system_kind == "ode":
-            section = {i: _terms(d, self.index, self.number) if isinstance(d, str)
-                       else to_polynomial(d) for i, d in drifts.items()}
-            if None in section.values():
-                # an expression model: every drift keeps the tree its text
-                # spells, so the terms of a drift read whole are read again
-                zero = Const(Fraction(0))
-                trees = (drifts.get(i, zero) for i in range(len(self.names)))
-                section = {i: self.tree(d) if isinstance(d, str) else d
-                           for i, d in enumerate(trees)}
-        else:
-            section = reactions
-        return _document(self.names, self.inits, section, observables, user_partition)
+        names, inits = tuple(self.names), tuple(self.inits)
+        if system_kind == "reactions":
+            system = ReactionNetwork(names, tuple(reactions), inits, observables)
+            return ModelDocument(system, user_partition)
+        spelled = [drifts.get(i) for i in range(len(names))]  # None: no d() statement
+        zero = Polynomial.zero()
+        lowered = [zero if d is None else _terms(d, self.index, self.number)
+                   if isinstance(d, str) else to_polynomial(d) for d in spelled]
+        if None in lowered:
+            # an expression model: every drift keeps the tree its text
+            # spells, so the terms of a drift read whole are read again
+            zero = Const(Fraction(0))
+            lowered = [zero if d is None else self.tree(d) if isinstance(d, str) else d
+                       for d in spelled]
+        return ModelDocument(OdeSystem(names, tuple(lowered), inits, observables),
+                             user_partition)
 
     def parse_init(self):
         self.expect_word("begin")
@@ -461,21 +450,24 @@ class _Parser:
 
     def parse_block(self) -> list:
         self.expect("{", "'{'")
-        members = [self.resolve(self.expect("ident", "variable name"))]
-        while self.accept(","):
-            members.append(self.resolve(self.expect("ident", "variable name")))
+        members = self.parse_names()
         self.expect("}", "'}'")
         return members
 
     def parse_observe(self) -> frozenset:
         self.expect_word("begin")
         self.expect_word("observe")
-        indices = [self.resolve(self.expect("ident", "variable name"))]
-        while self.accept(","):
-            indices.append(self.resolve(self.expect("ident", "variable name")))
+        indices = self.parse_names()
         self.expect_word("end")
         self.expect_word("observe")
         return frozenset(indices)
+
+    def parse_names(self) -> list:
+        """The variable indices of an ``ID {, ID}`` list."""
+        indices = [self.resolve(self.expect("ident", "variable name"))]
+        while self.accept(","):
+            indices.append(self.resolve(self.expect("ident", "variable name")))
+        return indices
 
     # -- drifts -----------------------------------------------------------------
 

@@ -8,7 +8,7 @@ enumeration oracle.
 A partition that :func:`odelump.lump.coarsest_with_trace` returned carries a
 private proof of its stability, ``_stable``: the system object and the
 signer type it is a refinement fixpoint for, so that the checks of that
-system and mode pass it without signing.  Every other partition has
+system and mode pass it without signing or checking their input rules.  Every other partition has
 ``_stable`` None.  Equality, hashing and ``repr`` ignore it.
 """
 

@@ -36,7 +36,7 @@ from operator import itemgetter
 from .driftexpr import Bin, Const, _fold
 from .errors import DivisionByZero, GridMismatch, NonFiniteState
 from .partition import Partition
-from .system import OdeSystem, _by_mode, _require_system
+from .system import OdeSystem, _by_mode, _require
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
               sample_every: int = 1) -> Trajectory:
     """RK4 from the system's initial values; rows recorded every
     ``sample_every`` steps, first row at t = 0."""
-    _require_system(system)
+    _require(system)
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
         raise ValueError("t_end and dt must be positive and finite")
     if not t_end / dt <= MAX_STEPS:
@@ -159,22 +159,22 @@ def integrate(system: OdeSystem, t_end: float, dt: float,
     rows = [x.copy()]
     half = dt / 2.0
     sixth = dt / 6.0
-    for k in range(1, steps + 1):
-        t = k * dt
-        try:
-            with np.errstate(divide="raise", invalid="ignore", over="ignore"):
+    with np.errstate(divide="raise", invalid="ignore", over="ignore"):
+        for k in range(1, steps + 1):
+            t = k * dt
+            try:
                 k1 = f(x)
                 k2 = f(x + half * k1)
                 k3 = f(x + half * k2)
                 k4 = f(x + dt * k3)
                 x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (ZeroDivisionError, FloatingPointError):
-            raise DivisionByZero(f"t = {t}") from None
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(t)
-        if k % sample_every == 0:
-            times.append(t)
-            rows.append(x.copy())
+            except (ZeroDivisionError, FloatingPointError):
+                raise DivisionByZero(f"t = {t}") from None
+            if not np.all(np.isfinite(x)):
+                raise NonFiniteState(t)
+            if k % sample_every == 0:
+                times.append(t)
+                rows.append(x.copy())
     return Trajectory(np.array(times), np.vstack(rows), tuple(system.names))
 
 

@@ -36,7 +36,7 @@ from .driftexpr import (_SYMBOLS, Bin, Const, DriftExpr, Var, _fold,
 from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
                      SolverTimeout, SolverUnknown)
 from .partition import Partition
-from .system import OdeSystem, _by_mode, _require_cover
+from .system import OdeSystem, _by_mode, _require
 
 DEFAULT_SOLVER_CMD = "z3 -in"
 SOLVER_ENV_VAR = "ODELUMP_SOLVER"
@@ -79,7 +79,7 @@ def _expr_drifts(system: OdeSystem) -> list:
 def build_phi_bde(system: OdeSystem, part: Partition) -> Phi:
     """(same-block variables equal) implies (same-block drifts equal),
     with pairs chained through each block representative."""
-    _require_cover(system, part)
+    _require(system, part)
     drifts = _expr_drifts(system)
     pairs = [(block[0], other) for block in part.blocks for other in block[1:]]
     return Phi(tuple((Var(rep), Var(other)) for rep, other in pairs),
@@ -103,7 +103,7 @@ def build_phi_fde(system: OdeSystem, part: Partition) -> Phi:
     The primed copy of variable i is variable n + i in the formula's index
     space; :func:`phi_variable_names` supplies matching names.
     """
-    _require_cover(system, part)
+    _require(system, part)
     n = system.n
     return Phi(tuple((sum_exprs(Var(v) for v in block), sum_exprs(Var(n + v) for v in block))
                      for block in part.blocks),

@@ -1,6 +1,13 @@
 """The ODE system container shared by every analysis in the package, and the
 input rules they all share: what a system and a covering partition are, and
-the one choice between the forward (fde) and backward (bde) equivalence."""
+the one choice between the forward (fde) and backward (bde) equivalence.
+
+Public entry points guard, and private bodies trust their callers: every
+public function that takes a system checks its input rules with one call of
+:func:`_require`, and the private functions it calls check nothing again.
+A partition that :func:`odelump.lump.coarsest_with_trace` returned proves
+the rules for the system it was refined for, which was guarded then and is
+frozen, so the checks of that system and mode pass it without a guard."""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import driftexpr
 from .driftexpr import drift_eval
-from .errors import PartitionMismatch
+from .errors import NonPolynomialDrift, PartitionMismatch
 from .poly import Polynomial, as_fraction
 
 
@@ -108,19 +115,18 @@ class OdeSystem:
         return sum(d.monomial_count() for d in self.drifts)
 
 
-def _require_system(system) -> None:
-    """Raise TypeError unless ``system`` is an :class:`OdeSystem`; a
-    reaction network has to be converted with ``rn_to_ode`` first."""
+def _require(system, part=None, polynomial=None) -> None:
+    """The input rules, in this order: ``system`` is an :class:`OdeSystem`
+    (TypeError; a reaction network has to be converted with ``rn_to_ode``
+    first); with a ``polynomial`` message, its drifts are polynomial
+    (:class:`NonPolynomialDrift` with that message); with a ``part``, it
+    partitions exactly the system's variables (:class:`PartitionMismatch`)."""
     if not isinstance(system, OdeSystem):
         raise TypeError(f"expected an OdeSystem, not {type(system).__name__}; "
                         "convert a reaction network with rn_to_ode first")
-
-
-def _require_cover(system, part) -> None:
-    """:func:`_require_system`, then raise :class:`PartitionMismatch` unless
-    ``part`` partitions exactly the system's variables."""
-    _require_system(system)
-    if part.size != system.n:
+    if polynomial is not None and not system.is_polynomial:
+        raise NonPolynomialDrift(polynomial)
+    if part is not None and part.size != system.n:
         raise PartitionMismatch(
             f"partition covers {part.size} variables, system has {system.n}")
 

@@ -204,6 +204,22 @@ def test_simulate_bad_arguments_are_input_errors(bad, tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("mode", ["bde", "fde"])
+@pytest.mark.parametrize("model", sorted(p.name for p in GOLDEN.glob("*.ode")))
+def test_byte_order_mark_is_not_model_text(model, mode, tmp_path, capsys):
+    """A model saved with a UTF-8 byte-order mark reduces as the model does."""
+    marked = tmp_path / "marked.ode"
+    marked.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / model).read_bytes())
+    runs = []
+    for source in (GOLDEN / model, marked):
+        out = tmp_path / "out.ode"
+        rc = main(["reduce", "--mode", mode, "--in", str(source), "--out", str(out)])
+        runs.append((rc, out.read_bytes() if rc == 0 else None,
+                     *capsys.readouterr()))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+
+
 def test_convert_round_trip(eq1, tmp_path):
     rn = tmp_path / "model.rn.ode"
     assert main(["convert", "--in", str(eq1), "--to", "rn", "--out", str(rn)]) == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from odelump import (NonPolynomialDrift, OdeLumpError, OdeSystem, Partition,
                      PartitionMismatch, Polynomial, brute_force_coarsest,
                      build_phi_bde, build_phi_fde, check_bde, check_fde,
-                     coarsest_with_trace, integrate, parse_model,
+                     coarsest_with_trace, integrate, ode_to_rn, parse_model,
                      prepartition_from_inits, reduce_backward, reduce_forward,
                      symbolic_coarsest_with_trace)
 from odelump.cli import main
@@ -85,10 +85,11 @@ def test_simulate_reaction_network_with_sampling(tmp_path, capsys):
     # a solver command that cannot start: the type must be rejected first
     lambda rn, part: symbolic_coarsest_with_trace(rn, part, "bde",
                                                   "odelump-no-such-solver"),
+    lambda rn, part: ode_to_rn(rn),
 ], ids=["check_bde", "check_fde", "coarsest_with_trace", "brute_force_coarsest",
         "reduce_backward", "reduce_forward", "integrate",
         "prepartition_from_inits", "build_phi_bde", "build_phi_fde",
-        "symbolic_coarsest_with_trace"])
+        "symbolic_coarsest_with_trace", "ode_to_rn"])
 def test_reaction_networks_must_be_converted_first(call):
     doc = parse_model(RN_MODEL)
     with pytest.raises(TypeError, match="convert a reaction network with rn_to_ode"):
