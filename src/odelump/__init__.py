@@ -19,8 +19,7 @@ from .errors import (DivisionByZero, DuplicateVariable, GridMismatch,
 from .lump import (CheckResult, brute_force_coarsest, check_bde, check_fde,
                    coarsest_with_trace, prepartition_from_inits,
                    reduce_backward, reduce_forward)
-from .parsing import (ModelDocument, parse_expression, parse_model,
-                      parse_polynomial, serialize_model)
+from .parsing import ModelDocument, parse_expression, parse_model, serialize_model
 from .partition import Partition
 from .poly import Monomial, Polynomial, monomial
 from .sim import Trajectory, compare_reduction, integrate, read_csv, write_csv
@@ -44,8 +43,7 @@ __all__ = [
     "coarsest_with_trace", "brute_force_coarsest", "prepartition_from_inits",
     "reduce_backward", "reduce_forward",
     # model text
-    "ModelDocument", "parse_expression", "parse_model", "parse_polynomial",
-    "serialize_model",
+    "ModelDocument", "parse_expression", "parse_model", "serialize_model",
     # solver backend
     "SolverVerdict", "build_phi_bde", "build_phi_fde", "phi_variable_names",
     "resolve_solver_cmd", "smt_emit", "solver_invoke", "symbolic_coarsest_with_trace",

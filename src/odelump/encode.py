@@ -94,6 +94,8 @@ def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
     reaction adds -a * rho(s) for every reagent and a * pi(s) for every
     product straight into those accumulators; a species whose net change is
     zero is left with a zero entry, which the accumulator drops."""
+    if not isinstance(rn, ReactionNetwork):
+        raise TypeError(f"expected a ReactionNetwork, not {type(rn).__name__}")
     den = lcm(*{r.rate.denominator for r in rn.reactions})
     accs: list = [{} for _ in range(rn.n)]
     for r in rn.reactions:

@@ -170,14 +170,6 @@ class ModelDocument:
                 f"system has {self.system.n}")
 
 
-def _cover(blocks, n: int) -> Partition:
-    """The partition of 0..n-1 into ``blocks``; ValueError if it is not one."""
-    part = Partition(blocks)
-    if part.size != n:
-        raise ValueError("partition must cover every declared variable")
-    return part
-
-
 class _Parser:
     def __init__(self, text: str, names=(), whole: bool = False):
         self.text = text
@@ -311,29 +303,30 @@ class _Parser:
         if self.kinds[self.i] != "eof":
             self.fail("end of input")
 
-        user_partition = None
-        if user_blocks is not None:
-            try:
-                user_partition = _cover(user_blocks, len(self.names))
-            except ValueError as exc:
-                raise PartitionCoverageError(
-                    str(exc), *self.where(partition_at)) from None
         names, inits = tuple(self.names), tuple(self.inits)
         if system_kind == "reactions":
             system = ReactionNetwork(names, tuple(reactions), inits, observables)
-            return ModelDocument(system, user_partition)
-        spelled = [drifts.get(i) for i in range(len(names))]  # None: no d() statement
-        zero = Polynomial.zero()
-        lowered = [zero if d is None else _terms(d, self.index, self.number)
-                   if isinstance(d, str) else to_polynomial(d) for d in spelled]
-        if None in lowered:
-            # an expression model: every drift keeps the tree its text
-            # spells, so the terms of a drift read whole are read again
-            zero = Const(Fraction(0))
-            lowered = [zero if d is None else self.tree(d) if isinstance(d, str) else d
-                       for d in spelled]
-        return ModelDocument(OdeSystem(names, tuple(lowered), inits, observables),
-                             user_partition)
+        else:
+            spelled = [drifts.get(i) for i in range(len(names))]  # None: no d() statement
+            zero = Polynomial.zero()
+            lowered = [zero if d is None else _terms(d, self.index, self.number)
+                       if isinstance(d, str) else to_polynomial(d) for d in spelled]
+            if None in lowered:
+                # an expression model: every drift keeps the tree its text
+                # spells, so the terms of a drift read whole are read again
+                zero = Const(Fraction(0))
+                lowered = [zero if d is None else self.tree(d) if isinstance(d, str) else d
+                           for d in spelled]
+            system = OdeSystem(names, tuple(lowered), inits, observables)
+        # The document checks the partition's size; both its error and the
+        # partition's own are placed at the partition section.
+        try:
+            return ModelDocument(system, None if user_blocks is None else Partition(user_blocks))
+        except PartitionCoverageError:
+            detail = "partition must cover every declared variable"
+        except ValueError as exc:  # blocks that overlap or leave a gap
+            detail = str(exc)
+        raise PartitionCoverageError(detail, *self.where(partition_at))
 
     def parse_init(self):
         self.expect_word("begin")
@@ -599,14 +592,6 @@ def parse_expression(text: str, names) -> DriftExpr:
     if parser.kinds[parser.i] != "eof":
         parser.fail("end of input")
     return expr
-
-
-def parse_polynomial(text: str, names) -> Polynomial:
-    """Parse an expression that must lower to a polynomial (for tests, demos)."""
-    poly = to_polynomial(parse_expression(text, names))
-    if poly is None:
-        raise ValueError(f"not a polynomial: {text!r}")
-    return poly
 
 
 # -- serialization -------------------------------------------------------------

@@ -12,8 +12,8 @@ the way FLINT's ``fmpq_poly`` stores its coefficients:
 
 That form is unique, so two polynomials are equal as functions on the reals
 iff the three fields compare equal.  The zero polynomial has no terms and
-denominator 1.  Sums, products, renames, partials and scaling run on Python
-ints with one ``gcd`` per result, and none when the denominator is 1.
+denominator 1.  Sums, products, relabellings, partials and scaling run on
+Python ints with one ``gcd`` per result, and none when the denominator is 1.
 ``terms`` is a read-only view of the same polynomial as ``Monomial(Fraction,
 exps)`` tuples, for callers that want rationals; no hot path reads it.
 
@@ -24,16 +24,18 @@ accumulator over a known denominator, which ``_from_accumulator`` sorts and
 brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
 whole polynomials, and addition goes through it; the public constructor
 is that accumulator over monomials; ``_sum_renamed`` is that accumulator
-over renamed polynomials.  The parser, for drifts it reads whole, and
+over relabelled polynomials, its entries scaled by the block sizes when it
+is given them.  The parser, for drifts it reads whole, and
 ``to_polynomial``, for the sums in a tree, add their terms one at a time
 with ``_add_term``; ``rn_to_ode`` fills its own.
 
 One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
 terms to an accumulator with every variable renamed by a label table.  It
 relabels one- and two-variable vectors directly and longer ones through
-``_canon``, and raises ``_canon``'s ValueError on a negative label for
-every shape.  ``_sum_renamed`` (renames and block sums) and the bde
-signatures of :mod:`odelump.lump` both call it.
+``_canon``.  Every label is a block ordinal or a block representative, so
+none is negative and the fold checks none.  ``_sum_renamed`` (block sums
+and the bde witness) and the bde signatures of :mod:`odelump.lump` both
+call it.
 """
 
 from __future__ import annotations
@@ -81,14 +83,10 @@ def _canon(pairs) -> Exps:
     merged: dict = {}
     for v, e in pairs:
         if e < 0 or v < 0:
-            raise _negative(v, e)
+            raise ValueError(f"negative index or count in ({v}, {e})")
         if e:
             merged[v] = merged.get(v, 0) + e
     return tuple(sorted(merged.items()))
-
-
-def _negative(v: int, e: int) -> ValueError:
-    return ValueError(f"negative index or count in ({v}, {e})")
 
 
 def monomial(coeff: RationalLike, exps: Union[Mapping[int, int], Iterable] = ()) -> Monomial:
@@ -260,10 +258,6 @@ class Polynomial:
         total = Polynomial.sum(products)
         return total if self.den == 1 else total.scale(Fraction(1, self.den))
 
-    def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
-        """Substitution restricted to a variable-to-variable map (kept exact and fast)."""
-        return _sum_renamed((self,), _Renaming(mapping))
-
     def eval(self, values) -> Fraction:
         """Exact evaluation; ``values`` is a sequence or mapping over variables.
 
@@ -371,34 +365,22 @@ def _add_term(acc: dict, den: int, exps: Exps, num: int, q: int) -> int:
     return den
 
 
-class _Renaming(dict):
-    """A variable renaming that leaves the variables it does not name fixed."""
-
-    def __missing__(self, v: int) -> int:
-        return v
-
-
 def _fold_renamed(acc: dict, exps_seq, nums, labels) -> None:
     """Add each term n * x^exps of ``zip(exps_seq, nums)``, with every
     variable v renamed to ``labels[v]``, to the ``{exps: numerator}``
     accumulator ``acc``.  Renamed variables that coincide merge their
     exponents.  One- and two-variable vectors are relabelled directly,
-    longer ones go through ``_canon``; a negative label raises ValueError
-    for every shape."""
+    longer ones go through ``_canon``.  Labels are not checked: every
+    caller passes block ordinals or representatives, all nonnegative."""
     for exps, n in zip(exps_seq, nums):
         k = len(exps)
         if k == 1:
             (v, e), = exps
-            a = labels[v]
-            if a < 0:
-                raise _negative(a, e)
-            key = ((a, e),)
+            key = ((labels[v], e),)
         elif k == 2:
             (v, e), (w, f) = exps
             a = labels[v]
             b = labels[w]
-            if a < 0 or b < 0:  # the first negative pair, as _canon reports it
-                raise _negative(a, e) if a < 0 else _negative(b, f)
             if a < b:
                 key = ((a, e), (b, f))
             elif b < a:
@@ -415,24 +397,24 @@ def _fold_renamed(acc: dict, exps_seq, nums, labels) -> None:
 
 def _sum_renamed(polys: Iterable[Polynomial], labels,
                  sizes: Sequence[int] | None = None) -> Polynomial:
-    """Sum of the polynomials with every variable v renamed to ``labels[v]``
-    (a sequence, or a :class:`_Renaming`), in one accumulator.  With
-    ``sizes``, every variable w of that sum is then replaced by
-    w / sizes[w]: each term is divided by prod(sizes[w] ** e)."""
+    """Sum of the polynomials with every variable v renamed to ``labels[v]``,
+    a sequence, in one accumulator.  With ``sizes``, every variable w of
+    that sum is then replaced by w / sizes[w]: the accumulator's entries are
+    scaled to divide each term by prod(sizes[w] ** e) over one common
+    denominator, and ``_from_accumulator`` sorts and reduces them."""
     polys = [p for p in polys if p.nums]
     den = lcm(*[p.den for p in polys])
     acc: dict = {}
     for p in polys:
         f = den // p.den
         _fold_renamed(acc, p.exps, p.nums if f == 1 else [n * f for n in p.nums], labels)
-    if sizes is None:
-        return _from_accumulator(acc, den)
-    terms = [e for e, n in acc.items() if n]
-    terms.sort(key=_term_key)
-    divisors = [prod([sizes[w] ** e for w, e in exps]) for exps in terms]
-    scale = lcm(*divisors)
-    nums = [acc[exps] * (scale // d) for exps, d in zip(terms, divisors)]
-    return _reduced(terms, nums, den * scale)
+    if sizes is not None:
+        divisors = [(exps, prod([sizes[w] ** e for w, e in exps]))
+                    for exps, n in acc.items() if n]
+        scale = lcm(*[d for _, d in divisors])
+        acc = {exps: acc[exps] * (scale // d) for exps, d in divisors}
+        den *= scale
+    return _from_accumulator(acc, den)
 
 
 _POLY_ZERO = _poly((), (), 1)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import settings
 
 from odelump import (OdeSystem, Partition, Polynomial, monomial,
-                     parse_polynomial)
+                     parse_expression, to_polynomial)
 from odelump.parsing import _Parser
 
 # Tests that leave max_examples unset take it from the profile that
@@ -34,12 +34,20 @@ end ode
 """
 
 
+def polynomial_of(text: str, names) -> Polynomial:
+    """The polynomial an expression over ``names`` lowers to; the text must
+    lower."""
+    poly = to_polynomial(parse_expression(text, names))
+    assert poly is not None, text
+    return poly
+
+
 def cascade(k1=1, k2=1, init=(1, 0, 0), observables=None) -> OdeSystem:
     """Three-variable test system: x1 decays, x2 and x3 are fed by x1."""
     drifts = (
-        parse_polynomial("-x1", NAMES3),
-        parse_polynomial(f"{k1}*x1 - x2", NAMES3),
-        parse_polynomial(f"{k2}*x1 - x3", NAMES3),
+        polynomial_of("-x1", NAMES3),
+        polynomial_of(f"{k1}*x1 - x2", NAMES3),
+        polynomial_of(f"{k2}*x1 - x3", NAMES3),
     )
     return OdeSystem.make(NAMES3, drifts, init, observables)
 
@@ -84,13 +92,13 @@ def random_poly_system(rng, n, max_degree=2, coeff_range=(-3, 3),
 def permute_system(system: OdeSystem, perm) -> OdeSystem:
     """Relabel variable i as perm[i] (drifts, names, init and observables)."""
     n = system.n
-    mapping = {i: perm[i] for i in range(n)}
+    sigma = {i: Polynomial.variable(perm[i]) for i in range(n)}
     names = [None] * n
     drifts = [None] * n
     init = [None] * n
     for i in range(n):
         names[perm[i]] = system.names[i]
-        drifts[perm[i]] = system.drifts[i].rename(mapping)
+        drifts[perm[i]] = system.drifts[i].substitute(sigma)
         init[perm[i]] = system.init[i]
     obs = None
     if system.observables is not None:

@@ -5,7 +5,8 @@ import pytest
 from odelump import (Abs, Bin, Const, DivisionByZero, OdeSystem, Polynomial, Var,
                      drift_eval, expr_variables, poly_to_expr, to_polynomial)
 from odelump.driftexpr import denominators, format_expr, substitute_exprs
-from odelump.parsing import parse_expression, parse_polynomial
+from odelump.parsing import parse_expression
+from conftest import polynomial_of
 
 NAMES = ("x1", "x2", "x3")
 
@@ -57,7 +58,7 @@ def test_rename_vars():
 
 def test_to_polynomial_plain_arithmetic():
     assert to_polynomial(E("(x1 + x2) * (x1 - x2)")) == \
-        parse_polynomial("x1*x1 - x2*x2", NAMES)
+        polynomial_of("x1*x1 - x2*x2", NAMES)
 
 
 def test_to_polynomial_constant_division():
@@ -73,7 +74,7 @@ def test_to_polynomial_rejections():
 
 
 def test_poly_to_expr_agrees_with_poly_eval():
-    p = parse_polynomial("-x1 + 5/2*x2*x2 - 1/3", NAMES)
+    p = polynomial_of("-x1 + 5/2*x2*x2 - 1/3", NAMES)
     e = poly_to_expr(p)
     point = F(Fraction(2, 3), -2, 1)
     assert drift_eval(e, point) == p.eval(point)

@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from odelump import (NonPolynomialDrift, OdeSystem, Polynomial, Reaction,
-                     ReactionNetwork, monomial, multiset, ode_to_rn,
-                     parse_polynomial, rn_to_ode)
-from conftest import cascade, random_poly_system, read_whole
+                     ReactionNetwork, monomial, multiset, ode_to_rn, rn_to_ode)
+from conftest import cascade, polynomial_of, random_poly_system, read_whole
 
 NAMES = ("x1", "x2", "x3")
 
@@ -22,7 +21,7 @@ def test_mass_action_cascade_drift():
          Reaction(multiset({1: 1}), (), Fraction(1))),
         (1, 0))
     ode = rn_to_ode(rn)
-    assert ode.drifts[1] == parse_polynomial("2*x1 - x2", ("x1", "x2"))
+    assert ode.drifts[1] == polynomial_of("2*x1 - x2", ("x1", "x2"))
     assert not ode.drifts[0]  # x1 is catalytic in the first reaction
 
 
@@ -41,8 +40,8 @@ def test_second_order_mass_action():
     # a + 2b -> c at rate 3: drift(c) = 3*a*b^2, drift(b) = -6*a*b^2
     r = Reaction(multiset({0: 1, 1: 2}), multiset({2: 1}), Fraction(3))
     ode = rn_to_ode(ReactionNetwork.make(("a", "b", "c"), (r,), (1, 1, 0)))
-    assert ode.drifts[2] == parse_polynomial("3*a*b*b", ("a", "b", "c"))
-    assert ode.drifts[1] == parse_polynomial("-6*a*b*b", ("a", "b", "c"))
+    assert ode.drifts[2] == polynomial_of("3*a*b*b", ("a", "b", "c"))
+    assert ode.drifts[1] == polynomial_of("-6*a*b*b", ("a", "b", "c"))
 
 
 def test_cascade_emits_five_reactions_in_canonical_order():
@@ -256,7 +255,7 @@ def test_rate_that_is_not_a_fraction_rejected(rate):
 
 def test_high_degree_monomials_accepted():
     system = OdeSystem.make(("a", "b"),
-                            (parse_polynomial("a*a*a*b", ("a", "b")),
+                            (polynomial_of("a*a*a*b", ("a", "b")),
                              Polynomial.zero()), (1, 1))
     rn = ode_to_rn(system)
     assert rn.reactions[0].reagents == ((0, 3), (1, 1))

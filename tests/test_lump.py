@@ -12,7 +12,7 @@ from odelump import (InitMismatchWarning, NonPolynomialDrift, NotABde,
                      NotAnFde, OdeSystem, Partition, PartitionMismatch,
                      Polynomial, TooLarge, brute_force_coarsest, check_bde,
                      check_fde, coarsest_with_trace, compare_reduction, drift_eval,
-                     integrate, monomial, parse_model, parse_polynomial,
+                     integrate, monomial, parse_model,
                      phi_variable_names,
                      prepartition_from_inits,
                      reduce_backward, reduce_forward,
@@ -22,7 +22,7 @@ from odelump.cli import main
 from odelump.lump import _BdeSigner, _nonzero_point
 from odelump.smt import phi_script
 from conftest import (cascade, permute_partition, permute_system,
-                      random_poly_system)
+                      polynomial_of, random_poly_system)
 
 H_SPLIT = Partition([[0], [1, 2]])
 H_ONE = Partition.one_block(3)
@@ -41,7 +41,7 @@ def test_bde_fails_with_unequal_rates():
     assert not result.ok
     assert result.pair == (1, 2)
     assert result.block_index == 1
-    assert result.witness_polynomial == parse_polynomial("-x1", NAMES)
+    assert result.witness_polynomial == polynomial_of("-x1", NAMES)
     # the witness assignment really separates the drifts
     system = cascade(k1=1, k2=2)
     point = result.witness_assignment
@@ -179,7 +179,8 @@ def _full_passes(system, seed, mode):
         trace.append(part.block_count)
         if mode == "bde":
             reps = {v: block[0] for block in part.blocks for v in block}
-            drifts = [d.rename(reps) for d in system.drifts]
+            sigma = {v: Polynomial.variable(r) for v, r in reps.items()}
+            drifts = [d.substitute(sigma) for d in system.drifts]
 
             def signature(v):
                 return drifts[v]
@@ -256,7 +257,7 @@ def test_resigned_variable_with_unchanged_signature_stays():
     bde = ("-w", "-w2", "0", "0", "0", "0", "w - w2")
     fde = ("u2", "-u2", "0", "0", "0", "w + w2", "0")
     for mode, texts in (("bde", bde), ("fde", fde)):
-        system = OdeSystem.make(names, tuple(parse_polynomial(t, names) for t in texts),
+        system = OdeSystem.make(names, tuple(polynomial_of(t, names) for t in texts),
                                 (0,) * len(names))
         assert coarsest_with_trace(system, seed, mode) == (expected, [2, 3])
         assert brute_force_coarsest(system, seed, mode) == expected
@@ -266,8 +267,8 @@ def test_fde_partials_carry_the_exponent():
     # The block sum a^2 + 2ab + b^2 has equal partials 2a + 2b; without the
     # exponent of a^2 and b^2 they would read a + 2b and 2a + b.
     names = ("a", "b")
-    system = OdeSystem.make(names, (parse_polynomial("a*a + b*b", names),
-                                    parse_polynomial("2*a*b", names)), (0, 0))
+    system = OdeSystem.make(names, (polynomial_of("a*a + b*b", names),
+                                    polynomial_of("2*a*b", names)), (0, 0))
     one = Partition.one_block(2)
     assert coarsest_with_trace(system, one, "fde") == (one, [1])
     assert check_fde(system, one).ok
@@ -383,8 +384,8 @@ def test_reduce_forward_cascade():
     system = cascade(k1=2, k2=3, init=(1, Fraction(1, 2), Fraction(1, 2)))
     reduced = reduce_forward(system, H_SPLIT)
     assert reduced.names == ("x1", "x2_x3")
-    assert reduced.drifts[0] == parse_polynomial("-x1", reduced.names)
-    assert reduced.drifts[1] == parse_polynomial("5*x1 - x2_x3", reduced.names)
+    assert reduced.drifts[0] == polynomial_of("-x1", reduced.names)
+    assert reduced.drifts[1] == polynomial_of("5*x1 - x2_x3", reduced.names)
     assert reduced.init == (Fraction(1), Fraction(1))
 
 
@@ -429,7 +430,7 @@ def _reference_forward(system, part):
         taken.add(name)
         names.append(name)
         renamed = Polynomial.sum(system.drifts[v] for v in block) \
-            .rename(dict(enumerate(labels)))
+            .substitute({v: Polynomial.variable(b) for v, b in enumerate(labels)})
         drifts.append(Polynomial(
             monomial(m.coeff / prod(sizes[b] ** e for b, e in m.exps), m.exps)
             for m in renamed.terms))
@@ -507,7 +508,7 @@ def test_reduce_backward_cascade():
     system = cascade(k1=1, k2=1, init=(1, Fraction(1, 2), Fraction(1, 2)))
     reduced = reduce_backward(system, H_SPLIT)
     assert reduced.names == ("x1", "x2")
-    assert reduced.drifts[1] == parse_polynomial("x1 - x2", ("x1", "x2"))
+    assert reduced.drifts[1] == polynomial_of("x1 - x2", ("x1", "x2"))
     assert reduced.init == (Fraction(1), Fraction(1, 2))
 
 
@@ -679,7 +680,7 @@ def test_stability_proof_covers_only_its_system_and_mode(mode, monkeypatch):
 def test_refined_partition_of_the_other_mode_is_fully_checked():
     # bde {x1}, {x2, x3} of this system is no FDE: the block sum x2 of {x1}
     # has partials 1 and 0 in x2 and x3.
-    system = OdeSystem.make(NAMES, tuple(parse_polynomial(t, NAMES)
+    system = OdeSystem.make(NAMES, tuple(polynomial_of(t, NAMES)
                                          for t in ("x2", "x1 - x2", "x1 - x3")), (1, 0, 0))
     bde = coarsest_with_trace(system, H_ONE, "bde")[0]
     assert bde == H_SPLIT
@@ -778,7 +779,7 @@ _vanishing_factors = st.lists(st.tuples(st.integers(0, WIDTH - 1), st.integers(1
 
 @settings(max_examples=150, deadline=None)
 @given(_witness_terms, _vanishing_factors)
-@example(parse_polynomial("x0*x1 - x0 - x1 + 1", ("x0", "x1")), [(2, 2)])
+@example(polynomial_of("x0*x1 - x0 - x1 + 1", ("x0", "x1")), [(2, 2)])
 def test_nonzero_point_is_the_first_grid_point(p, factors):
     for v, c in factors:
         p = p * (Polynomial.variable(v) - Polynomial.constant(c))
@@ -807,14 +808,14 @@ def test_nonzero_point_found_for_wide_polynomials(pairs):
 
 def test_nonzero_point_skips_a_variable_that_drops_out():
     # fixing x0 = 1 removes x1, whose value then defaults to 1
-    p = parse_polynomial("(x0 - 1)*x1 + x2 - 1", ("x0", "x1", "x2"))
+    p = polynomial_of("(x0 - 1)*x1 + x2 - 1", ("x0", "x1", "x2"))
     assert _nonzero_point(p) == {0: 1, 1: 1, 2: 2}
 
 
 def test_nonzero_point_stops_once_ones_work(monkeypatch):
     # x0 = 2 leaves x1 + ... + x9, nonzero at ones: nothing else is substituted
     names = tuple(f"x{i}" for i in range(10))
-    p = parse_polynomial("(x0 - 1)*(" + " + ".join(names[1:]) + ")", names)
+    p = polynomial_of("(x0 - 1)*(" + " + ".join(names[1:]) + ")", names)
     calls = []
     substitute = Polynomial.substitute
 

@@ -1,7 +1,6 @@
 import copy
 import pickle
 import random
-import re
 from fractions import Fraction
 from math import prod
 from types import MappingProxyType
@@ -11,14 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odelump import Monomial, Polynomial, monomial, multiset
-from odelump.parsing import parse_polynomial
 from odelump.poly import _canon, _sum_renamed, _term_key
+from conftest import polynomial_of
 
 NAMES = ("x1", "x2", "x3")
 
 
 def P(text):
-    return parse_polynomial(text, NAMES)
+    return polynomial_of(text, NAMES)
 
 
 # -- normalization -------------------------------------------------------------
@@ -191,15 +190,6 @@ def test_substitute_eval_coherence():
         assert p.substitute(sigma).eval(v) == p.eval(w)
 
 
-def test_rename_matches_substitute():
-    rng = random.Random(11)
-    for _ in range(50):
-        p = _random_poly(rng)
-        mapping = {i: rng.randrange(4) for i in range(4)}
-        sigma = {i: Polynomial.variable(j) for i, j in mapping.items()}
-        assert p.rename(mapping) == p.substitute(sigma)
-
-
 def _renamed_reference(polys, labels, sizes=None):
     """Sum of ``polys`` renamed term by term through the public constructor,
     which brings every renamed exponent vector to normal form with
@@ -233,29 +223,6 @@ def test_sum_renamed_matches_the_canon_reference(polys, labels, sizes):
     onto one label and their exponents add."""
     assert _sum_renamed(polys, labels) == _renamed_reference(polys, labels)
     assert _sum_renamed(polys, labels, sizes) == _renamed_reference(polys, labels, sizes)
-
-
-@given(_polys_st, st.dictionaries(st.integers(0, 4), st.integers(0, 4), max_size=5))
-def test_rename_matches_the_canon_reference(p, mapping):
-    """Partial maps: the variables the map does not name stay fixed."""
-    labels = [mapping.get(v, v) for v in range(5)]
-    assert p.rename(mapping) == _renamed_reference([p], labels)
-
-
-@pytest.mark.parametrize("text, mapping", [
-    pytest.param(text, {0: -1}, id=text) for text in ("x1", "x1*x1", "x1*x2", "2*x1 + 1")
-] + [
-    ("x1*x2", {1: -2}), ("x1*x2", {0: -1, 1: -2}), ("x1*x2", {0: -2, 1: -1}),
-    ("x1*x2", {0: -1, 1: -1}), ("x1*x1*x2", {1: -1}), ("x1*x2*x3", {2: -1}),
-    ("x1*x2*x3", {0: -1, 2: -3}),
-])
-def test_rename_to_negative_index_raises(text, mapping):
-    """Every term shape raises the ValueError of ``_canon``, with its message."""
-    p = P(text)
-    with pytest.raises(ValueError) as expected:
-        _renamed_reference([p], [mapping.get(v, v) for v in range(3)])
-    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-        p.rename(mapping)
 
 
 # -- derivatives ------------------------------------------------------------------------
@@ -362,4 +329,4 @@ def test_zero_constant_negative_variable_and_repr():
 
 def test_format_round_trips_through_parser():
     p = P("-x1 + 5/2*x2*x2 - 1/3")
-    assert parse_polynomial(p.format(NAMES), NAMES) == p
+    assert polynomial_of(p.format(NAMES), NAMES) == p

@@ -11,7 +11,7 @@ from odelump import (NonPolynomialDrift, OdeLumpError, OdeSystem, Partition,
                      build_phi_bde, build_phi_fde, check_bde, check_fde,
                      coarsest_with_trace, integrate, ode_to_rn, parse_model,
                      prepartition_from_inits, reduce_backward, reduce_forward,
-                     symbolic_coarsest_with_trace)
+                     rn_to_ode, symbolic_coarsest_with_trace)
 from odelump.cli import main
 from conftest import cascade
 
@@ -149,6 +149,17 @@ def test_input_errors_keep_their_type_and_message(entry, kind, size, error, mess
         _ENTRY_POINTS[entry](system, Partition.one_block(size))
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("given, name", [
+    (cascade, "OdeSystem"),
+    (lambda: RN_MODEL, "str"),
+], ids=["ode system", "model text"])
+def test_rn_to_ode_names_what_it_got(given, name):
+    with pytest.raises(TypeError) as raised:
+        rn_to_ode(given())
+    assert type(raised.value) is TypeError
+    assert str(raised.value) == f"expected a ReactionNetwork, not {name}"
 
 
 def test_macro_name_collision_deduplicated():

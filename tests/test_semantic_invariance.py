@@ -12,10 +12,10 @@ from fractions import Fraction
 
 from odelump import (NonFiniteState, OdeSystem, Partition, Polynomial,
                      check_bde, check_fde, coarsest_with_trace,
-                     compare_reduction, integrate, parse_polynomial,
+                     compare_reduction, integrate,
                      prepartition_from_inits, reduce_backward,
                      reduce_forward)
-from conftest import random_poly_system
+from conftest import polynomial_of, random_poly_system
 
 
 def _lift(base: OdeSystem, copies, mode: str):
@@ -143,9 +143,9 @@ def test_backward_reduction_with_interleaved_blocks():
     names = ("x1", "x2", "x3")
     system = OdeSystem.make(
         names,
-        (parse_polynomial("-x1 + x2", names),
-         parse_polynomial("-2*x2", names),
-         parse_polynomial("-x3 + x2", names)),
+        (polynomial_of("-x1 + x2", names),
+         polynomial_of("-2*x2", names),
+         polynomial_of("-x3 + x2", names)),
         (Fraction(3), Fraction(1), Fraction(3)))
     part = Partition([[0, 2], [1]])
     assert coarsest_with_trace(system, part, "bde")[0] == part
@@ -155,4 +155,4 @@ def test_backward_reduction_with_interleaved_blocks():
     red = integrate(reduced, t_end=2.0, dt=1e-3)
     assert compare_reduction(orig, red, part, "bde") <= 1e-9
     # the kept drift references the representative's new index
-    assert reduced.drifts[0] == parse_polynomial("-x1 + x2", ("x1", "x2"))
+    assert reduced.drifts[0] == polynomial_of("-x1 + x2", ("x1", "x2"))

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from odelump import (DivisionByZero, GridMismatch, NonFiniteState, OdeSystem,
                      Partition, Polynomial, Trajectory, compare_reduction,
-                     integrate, monomial, parse_model, parse_polynomial,
+                     integrate, monomial, parse_model,
                      read_csv, reduce_backward, reduce_forward,
                      write_csv)
 from odelump import sim
-from conftest import cascade
+from conftest import cascade, polynomial_of
 
 
 def decay_system():
@@ -89,15 +89,15 @@ def test_zero_over_zero_is_non_finite():
 
 
 def test_blowup_raises_non_finite():
-    system = OdeSystem.make(("x",), (parse_polynomial("x*x", ("x",)),), (10,))
+    system = OdeSystem.make(("x",), (polynomial_of("x*x", ("x",)),), (10,))
     with pytest.raises(NonFiniteState, match=r"at t = 1\.5$"):
         integrate(system, t_end=10.0, dt=0.5)
 
 
 def test_product_blowup_raises_non_finite_at_the_reference_time():
     names = ("x", "y")
-    system = OdeSystem.make(names, (parse_polynomial("x*y", names),
-                                    parse_polynomial("2*x*y - y", names)), (3, 2))
+    system = OdeSystem.make(names, (polynomial_of("x*y", names),
+                                    polynomial_of("2*x*y - y", names)), (3, 2))
     with pytest.raises(NonFiniteState, match=r"at t = 0\.6000000000000001$"):
         integrate(system, t_end=5.0, dt=0.1)
     with pytest.raises(NonFiniteState, match=r"at t = 0\.6000000000000001$"):
@@ -155,10 +155,10 @@ inits = st.fractions(min_value=-2, max_value=2, max_denominator=16)
 @given(st.lists(polynomials, min_size=len(NAMES), max_size=len(NAMES)),
        st.lists(inits, min_size=len(NAMES), max_size=len(NAMES)))
 @example(  # (x0, 2) in several monomials, of one, two and three factors
-    [parse_polynomial("x0*x0 - 3*x0*x0*x1 + x0*x0*x1*x2*x2*x2*x2 + 1/3", NAMES),
-     parse_polynomial("x0*x0*x3 - x1*x1*x1", NAMES),
+    [polynomial_of("x0*x0 - 3*x0*x0*x1 + x0*x0*x1*x2*x2*x2*x2 + 1/3", NAMES),
+     polynomial_of("x0*x0*x3 - x1*x1*x1", NAMES),
      Polynomial.zero(),
-     parse_polynomial("2", NAMES)],
+     polynomial_of("2", NAMES)],
     [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4), Fraction(1)])
 def test_array_evaluator_is_bit_identical_to_scalar_reference(drifts, init):
     system = OdeSystem.make(NAMES, drifts, init)
@@ -177,7 +177,7 @@ def test_cubic_uses_scalar_power_not_array_power():
     # At x = 0.01, numpy's vectorized np.power(x, 3.0) differs in the last bit
     # from the scalar x ** 3 on AVX-512 builds; the drift and the trajectory
     # must follow the scalar value wherever they run.
-    system = OdeSystem.make(("x",), (parse_polynomial("-x*x*x + x", ("x",)),),
+    system = OdeSystem.make(("x",), (polynomial_of("-x*x*x + x", ("x",)),),
                             (Fraction(1, 100),))
     x = np.float64(0.01)
     assert sim._compile_system(system)(np.array([x]))[0] == 0.0 + -1.0 * x ** 3 + 1.0 * x

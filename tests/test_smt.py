@@ -9,11 +9,11 @@ import pytest
 from odelump import (OdeSystem, Partition, Polynomial, ProtocolError,
                      SolverNotFound, SolverTimeout, SolverUnknown, Var,
                      build_phi_bde, build_phi_fde, coarsest_with_trace,
-                     parse_model, parse_polynomial, phi_variable_names,
+                     parse_model, phi_variable_names,
                      poly_to_expr, smt_emit, solver_invoke,
                      symbolic_coarsest_with_trace)
 from odelump.smt import Phi
-from conftest import cascade, random_poly_system, solver_available
+from conftest import cascade, polynomial_of, random_poly_system, solver_available
 
 FAKESOLVER = Path(__file__).parent / "fakesolver.py"
 
@@ -331,8 +331,8 @@ def test_fde_forced_full_split(tmp_path):
     # The pair query calls x1 and x2 interchangeable, yet at the witness the
     # block's drift sums differ (1 against 2): the block is split fully.
     names = ("x1", "x2")
-    system = OdeSystem.make(names, (parse_polynomial("x1", names),
-                                    parse_polynomial("2*x2", names)), (1, 1))
+    system = OdeSystem.make(names, (polynomial_of("x1", names),
+                                    polynomial_of("2*x2", names)), (1, 1))
     witness = """sat
 (
   (define-fun x1 () Real 1.0)
