@@ -4,6 +4,16 @@ Reaction networks generalize chemical reaction networks by permitting
 negative rates, which makes every polynomial ODE system expressible: each
 monomial of a drift becomes a single reaction.  Both directions are exact and
 mutually inverse up to polynomial normalization.
+
+Each direction works once per distinct monomial: ``rn_to_ode`` groups the
+reactions by reagents, the one monomial they all contribute to, and sorts
+the groups once; ``ode_to_rn`` turns each stored term into one reaction.
+The container either returns is derived from a checked one: names, init
+and observables are shared, sides and drifts are canonical by
+construction, species stay below n and rates are nonzero Fractions.  So
+both build their result through a private constructor (``_network``,
+``system._ode_system``) that skips the checks.  The public constructors and
+the parser, which reads input from outside the program, check everything.
 """
 
 from __future__ import annotations
@@ -11,11 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Optional, Sequence
 
-from .poly import _canon, _from_accumulator, _new, _setattr, as_fraction
-from .system import OdeSystem, _require, check_container
+from .poly import _canon, _new, _reduced, _setattr, _term_key, as_fraction
+from .system import OdeSystem, _ode_system, _require, check_container
 
 Multiset = tuple  # tuple[tuple[int, int], ...]: sorted (species, multiplicity >= 1)
 
@@ -86,57 +97,91 @@ class ReactionNetwork:
         return len(self.names)
 
 
+def _network(names: tuple, reactions: tuple, init: tuple,
+             observables: Optional[frozenset]) -> ReactionNetwork:
+    """A network whose fields the caller guarantees: names, init and
+    observables taken from a checked container, and reactions with
+    canonical sides over species below n.  The checks of
+    ``ReactionNetwork(...)`` are skipped; the result equals, hashes like and
+    is as frozen as the checked one.  Only ``ode_to_rn`` builds networks
+    this way."""
+    rn = _new(ReactionNetwork)
+    _setattr(rn, "names", names)
+    _setattr(rn, "reactions", reactions)
+    _setattr(rn, "init", init)
+    _setattr(rn, "observables", observables)
+    return rn
+
+
 def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
     """Mass-action semantics: each reaction (rho -> pi, a) adds
     a * (pi(s) - rho(s)) * prod_t x_t^rho(t) to the drift of every species s.
-    The reagents are that monomial's exponents: one accumulator of int
-    numerators per drift, over the common denominator of all rates.  Each
-    reaction adds -a * rho(s) for every reagent and a * pi(s) for every
-    product straight into those accumulators; a species whose net change is
-    zero is left with a zero entry, which the accumulator drops."""
+    The reagents are that monomial's exponents, so the reactions are grouped
+    by reagents: each group sums its net change per species in int
+    numerators over the common denominator of all rates.  The distinct
+    reagent multisets are put in canonical term order once, and each
+    nonzero net change is appended to its species' drift in that order, so
+    every drift comes out sorted and is only brought to lowest terms."""
     if not isinstance(rn, ReactionNetwork):
         raise TypeError(f"expected a ReactionNetwork, not {type(rn).__name__}")
     den = lcm(*{r.rate.denominator for r in rn.reactions})
-    accs: list = [{} for _ in range(rn.n)]
+    groups: dict = {}  # reagents -> {species: net change numerator}
     for r in rn.reactions:
         rate = r.rate
         a = rate.numerator * (den // rate.denominator)
-        exps = r.reagents
-        for s, k in exps:
-            acc = accs[s]
-            prev = acc.get(exps)
-            term = -a if k == 1 else -a * k
-            acc[exps] = term if prev is None else prev + term
+        reagents = r.reagents
+        net = groups.get(reagents)
+        if net is None:
+            net = groups[reagents] = {}
+        for s, k in reagents:
+            net[s] = net.get(s, 0) - (a if k == 1 else a * k)
         for s, k in r.products:
-            acc = accs[s]
-            prev = acc.get(exps)
-            term = a if k == 1 else a * k
-            acc[exps] = term if prev is None else prev + term
-    drifts = tuple(_from_accumulator(acc, den) for acc in accs)
-    return OdeSystem(rn.names, drifts, rn.init, rn.observables)
+            net[s] = net.get(s, 0) + (a if k == 1 else a * k)
+    exps: list = [[] for _ in range(rn.n)]
+    nums: list = [[] for _ in range(rn.n)]
+    for reagents in sorted(groups, key=_term_key):
+        for s, c in groups[reagents].items():
+            if c:
+                exps[s].append(reagents)
+                nums[s].append(c)
+    drifts = tuple(map(_reduced, exps, nums, repeat(den)))
+    return _ode_system(rn.names, drifts, rn.init, rn.observables)
 
 
 def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
     """Emit one reaction per monomial: c * prod x^rho in drift(s) becomes
     rho -> rho + {s} at rate c.  Reactions are ordered by species, then by
     the drift's canonical term order.  The products are built by merging
-    ``(s, 1)`` into the sorted reagents, which keeps them canonical.  Equal
-    rates share one Fraction."""
+    ``(s, 1)`` into the sorted reagents, which keeps them canonical; a
+    one-variable monomial is merged directly.  Equal rates share one
+    Fraction, looked up by numerator within each drift's denominator."""
     _require(ode, polynomial="reaction form requires polynomial drifts")
     reactions = []
-    rates: dict = {}   # (numerator, denominator) -> rate
+    by_den: dict = {}  # denominator -> {numerator: rate}
     shared: dict = {}  # rate -> the one Fraction of its value
     for s, drift in enumerate(ode.drifts):
         den = drift.den
+        rates = by_den.get(den)
+        if rates is None:
+            rates = by_den[den] = {}
+        key = (s,)  # sorts before every pair of species s and after all below
+        one = ((s, 1),)
         for exps, n in zip(drift.exps, drift.nums):
-            rate = rates.get((n, den))
+            rate = rates.get(n)
             if rate is None:
                 rate = Fraction(n, den)
-                rate = rates[n, den] = shared.setdefault(rate, rate)
-            i = bisect_left(exps, (s,))  # first pair with species >= s
-            if i < len(exps) and exps[i][0] == s:
-                products = exps[:i] + ((s, exps[i][1] + 1),) + exps[i + 1:]
+                rate = rates[n] = shared.setdefault(rate, rate)
+            if len(exps) == 1:
+                (v, e), = exps
+                if v == s:
+                    products = ((s, e + 1),)
+                else:
+                    products = exps + one if v < s else one + exps
             else:
-                products = exps[:i] + ((s, 1),) + exps[i:]
+                i = bisect_left(exps, key)  # first pair with species >= s
+                if i < len(exps) and exps[i][0] == s:
+                    products = exps[:i] + ((s, exps[i][1] + 1),) + exps[i + 1:]
+                else:
+                    products = exps[:i] + one + exps[i:]
             reactions.append(_reaction(exps, products, rate))
-    return ReactionNetwork(ode.names, tuple(reactions), ode.init, ode.observables)
+    return _network(ode.names, tuple(reactions), ode.init, ode.observables)

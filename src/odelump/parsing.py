@@ -63,7 +63,7 @@ from .encode import Reaction, ReactionNetwork, _reaction, multiset, rn_to_ode, o
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable)
 from .partition import Partition
-from .poly import Polynomial, _add_term, _from_accumulator, _product
+from .poly import Polynomial, _add_term, _format, _from_accumulator, _product
 from .system import _IDENT, _RESERVED, OdeSystem
 
 # Every quantifier is possessive: a match never gives back what it read, so
@@ -637,8 +637,9 @@ def serialize_model(m, form: str = "ode") -> str:
         out.append("end reactions")
     else:
         out.append("begin ode")
+        products: dict = {}  # a product's factor text, shared by every drift
         for nm, drift in zip(names, system.drifts):
-            body = drift.format(names) if isinstance(drift, Polynomial) \
+            body = _format(drift, names, products) if isinstance(drift, Polynomial) \
                 else format_expr(drift, names)
             out.append(f"  d({nm}) = {body}")
         out.append("end ode")

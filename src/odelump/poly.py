@@ -27,7 +27,9 @@ is that accumulator over monomials; ``_sum_renamed`` is that accumulator
 over relabelled polynomials, its entries scaled by the block sizes when it
 is given them.  The parser, for drifts it reads whole, and
 ``to_polynomial``, for the sums in a tree, add their terms one at a time
-with ``_add_term``; ``rn_to_ode`` fills its own.
+with ``_add_term``.  ``rn_to_ode`` needs no accumulator: it sorts the
+distinct reagent multisets once and hands each drift its terms already in
+canonical order, so it reaches the stored form through ``_reduced`` alone.
 
 One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
 terms to an accumulator with every variable renamed by a label table.  It
@@ -276,29 +278,12 @@ class Polynomial:
     # -- presentation --------------------------------------------------------
 
     def format(self, names: Sequence[str] | None = None) -> str:
-        """Render in model-grammar syntax (powers as repeated multiplication)."""
-        if not self.nums:
-            return "0"
-        den = self.den
-        parts = []
-        for exps, n in zip(self.exps, self.nums):
-            if names is None:
-                factors = [f"x{v}" for v, e in exps for _ in range(e)]
-            else:
-                factors = [names[v] for v, e in exps for _ in range(e)]
-            mag = -n if n < 0 else n
-            if mag != den or not factors:
-                if den == 1:
-                    factors.insert(0, str(mag))
-                else:
-                    g = gcd(mag, den)
-                    factors.insert(0, str(mag // g) if g == den else f"{mag // g}/{den // g}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if n > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if n > 0 else f"- {body}")
-        return " ".join(parts)
+        """Render in model-grammar syntax (powers as repeated multiplication);
+        without ``names``, variable v is written ``x<v>``."""
+        if names is None:
+            top = max([exps[-1][0] for exps in self.exps if exps], default=-1)
+            names = [f"x{v}" for v in range(top + 1)]
+        return _format(self, names, {})
 
     def __str__(self) -> str:
         return self.format()
@@ -335,6 +320,39 @@ def _from_accumulator(acc: dict, den: int) -> Polynomial:
     if len(exps) > 1:
         exps.sort(key=_term_key)
     return _reduced(exps, [acc[e] for e in exps], den)
+
+
+def _format(p: Polynomial, names, products: dict) -> str:
+    """The text of ``Polynomial.format(names)``.  A term of one variable with
+    exponent 1 is its name; the ``a*b*c`` text of any other nonconstant
+    exponent vector is kept in ``products``, which a caller formatting many
+    polynomials over the same names shares, so each is joined once."""
+    if not p.nums:
+        return "0"
+    den = p.den
+    parts = []
+    for exps, n in zip(p.exps, p.nums):
+        if len(exps) == 1 and exps[0][1] == 1:
+            body = names[exps[0][0]]
+        elif exps:
+            body = products.get(exps)
+            if body is None:
+                body = products[exps] = "*".join([names[v] for v, e in exps for _ in range(e)])
+        else:
+            body = ""
+        mag = -n if n < 0 else n
+        if mag != den or not body:
+            if den == 1:
+                coeff = str(mag)
+            else:
+                g = gcd(mag, den)
+                coeff = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+            body = f"{coeff}*{body}" if body else coeff
+        if parts:
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
+        else:
+            parts.append(body if n > 0 else f"-{body}")
+    return " ".join(parts)
 
 
 def _product(variables: list) -> Exps:

@@ -213,9 +213,11 @@ def write_csv(trajectory: Trajectory, sink) -> None:
 
 
 def _write_csv_stream(trajectory: Trajectory, out) -> None:
+    # Python floats format exactly as float64 scalars do, and faster.
+    fmt = "{:.9g}".format
     out.write("time," + ",".join(trajectory.names) + "\n")
-    for t, row in zip(trajectory.times, trajectory.states):
-        out.write(f"{t:.9g}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+    for t, row in zip(trajectory.times.tolist(), trajectory.states):
+        out.write(fmt(t) + "," + ",".join(map(fmt, row.tolist())) + "\n")
 
 
 def read_csv(source) -> Trajectory:

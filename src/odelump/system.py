@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import driftexpr
 from .driftexpr import drift_eval
 from .errors import NonPolynomialDrift, PartitionMismatch
-from .poly import Polynomial, as_fraction
+from .poly import Polynomial, _new, _setattr, as_fraction
 
 
 # A variable name, as the model grammar spells it; the reserved words are not
@@ -113,6 +113,21 @@ class OdeSystem:
         if not self.is_polynomial:
             return None
         return sum(d.monomial_count() for d in self.drifts)
+
+
+def _ode_system(names: tuple, drifts: tuple, init: tuple,
+                observables: Optional[frozenset]) -> OdeSystem:
+    """A system whose fields the caller guarantees: names, init and
+    observables taken from a checked container, and one polynomial drift per
+    name over variables below n.  The checks of ``OdeSystem(...)`` are
+    skipped; the result equals, hashes like and is as frozen as the checked
+    one.  Only ``encode.rn_to_ode`` builds systems this way."""
+    system = _new(OdeSystem)
+    _setattr(system, "names", names)
+    _setattr(system, "drifts", drifts)
+    _setattr(system, "init", init)
+    _setattr(system, "observables", observables)
+    return system
 
 
 def _require(system, part=None, polynomial=None) -> None:
