@@ -146,11 +146,17 @@ def _write_text(path: str, text: str):
         handle.write(text)
 
 
+_PHASES = ("parse", "seed", "refine", "reduce", "serialize")
+
+
 def _cmd_reduce(args) -> int:
-    started = time.perf_counter()
+    clock = time.perf_counter
+    stamps = [clock()]
     doc = _load(args.input)
     system = _as_ode(doc)
+    stamps.append(clock())
     seed = _seed_partition(args.partition, args.mode, system, doc)
+    stamps.append(clock())
     backend = _pick_backend(args.backend, system)
 
     if backend == "syntactic":
@@ -159,15 +165,18 @@ def _cmd_reduce(args) -> int:
     else:
         part, iterations = symbolic_coarsest_with_trace(
             system, seed, args.mode, args.solver_cmd, args.timeout)
+    stamps.append(clock())
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", InitMismatchWarning)
         reduced = _by_mode(args.mode, reduce_backward, reduce_forward)(system, part)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    stamps.append(clock())
 
     _write_text(args.out, serialize_model(reduced))
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    stamps.append(clock())
+    elapsed_ms = int((stamps[-1] - stamps[0]) * 1000)
     print(f"{args.mode} reduction ({backend}): {system.n} -> {reduced.n} variables, "
           f"{seed.block_count} -> {part.block_count} blocks; wrote {args.out}")
 
@@ -184,10 +193,19 @@ def _cmd_reduce(args) -> int:
             "monomials_before": system.monomial_count(),
             "monomials_after": reduced.monomial_count(),
             "wall_time_ms": elapsed_ms,
+            "phases_ms": _phases_ms(stamps),
             "warnings": [str(w.message) for w in caught],
         }
         _write_text(args.report, json.dumps(report, indent=2) + "\n")
     return 0
+
+
+def _phases_ms(stamps) -> dict:
+    """Milliseconds of each of ``_PHASES`` between consecutive stamps.  Each
+    phase is the difference of the elapsed times at its ends, each rounded
+    to 0.001 ms, so the phases sum to the rounded whole."""
+    marks = [round((t - stamps[0]) * 1000, 3) for t in stamps]
+    return {name: round(b - a, 3) for name, a, b in zip(_PHASES, marks, marks[1:])}
 
 
 def _cmd_check(args) -> int:

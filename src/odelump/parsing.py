@@ -43,11 +43,17 @@ How the text is read:
   reports positions, worked out by sweeping the text again.
 * Once the model is read, the terms of every drift read whole go straight
   into a term accumulator, and every other drift, read as a
-  drift-expression tree, is lowered to a polynomial.  If some drift does not
-  lower (a sum whose term has a zero denominator does not), the model is
-  an expression model and every drift keeps a tree, so subtraction and
-  division keep their nodes: the terms of each drift read whole are read
-  again as a tree, with plain tokens.
+  drift-expression tree, is lowered to a polynomial.  A term read whole is
+  split once at its first ``*`` into its sign and coefficient or its first
+  factor; the exponent vector of a constant, one- or two-factor term is
+  built on the spot, and a term over the accumulator's denominator is added
+  to it directly.  Only a product of three or more factors goes through
+  ``_product``, and only a term over another denominator through
+  ``_add_term``.  If some drift does not lower (a sum whose term has a
+  zero denominator does not), the model is an expression model and every
+  drift keeps a tree, so subtraction and division keep their nodes: the
+  terms of each drift read whole are read again as a tree, with plain
+  tokens.
 """
 
 from __future__ import annotations
@@ -532,30 +538,47 @@ def _terms(body: str, index: dict, number) -> Optional[Polynomial]:
     """The polynomial of the terms of a drift read whole; None if a
     coefficient has a zero denominator, so that the drift does not lower."""
     acc: dict = {}
+    get = acc.get
     den = 1
     # the terms, each negative one led by "-"; a leading "-" leaves an empty
     # text first
     for term in "".join(body.split()).replace("-", "+-").split("+"):
         if not term:
             continue
-        neg = term[0] == "-"
-        factors = (term[1:] if neg else term).split("*")
-        num = q = 1
-        if factors[0][0].isdigit():
-            c = number(factors.pop(0))
+        head, _, rest = term.partition("*")
+        neg = head[0] == "-"
+        if head[neg].isdigit():  # a coefficient, its sign included
+            c = number(head)
             if c is None:
                 return None
             num, q = c.numerator, c.denominator
-        if neg:
-            num = -num
+            head, _, rest = rest.partition("*")
+        elif neg:
+            head = head[1:]
+            num, q = -1, 1
+        else:
+            num = q = 1
         try:
-            if len(factors) == 1:
-                exps = ((index[factors[0]], 1),)
+            if not rest:
+                exps = ((index[head], 1),) if head else ()
+            elif "*" not in rest:
+                a = index[head]
+                b = index[rest]
+                if a < b:
+                    exps = ((a, 1), (b, 1))
+                elif b < a:
+                    exps = ((b, 1), (a, 1))
+                else:
+                    exps = ((a, 2),)
             else:
-                exps = _product([index[f] for f in factors])
+                exps = _product([index[head]] + [index[f] for f in rest.split("*")])
         except KeyError:  # a name that was not declared
             raise _Declined from None
-        den = _add_term(acc, den, exps, num, q)
+        if q == den:
+            prev = get(exps)
+            acc[exps] = num if prev is None else prev + num
+        else:
+            den = _add_term(acc, den, exps, num, q)
     return _from_accumulator(acc, den)
 
 

@@ -21,15 +21,19 @@ One path reaches the stored form.  ``_canon`` normalizes raw ``(index,
 count)`` pairs; the result is also a reaction multiset of
 :mod:`odelump.encode`.  Terms are merged in an ``{exps: numerator}``
 accumulator over a known denominator, which ``_from_accumulator`` sorts and
-brings to lowest terms.  :meth:`Polynomial.sum` is that accumulator over
+brings to lowest terms: the keys are sorted once into the stored tuple,
+zeros are filtered only when there are any, and the gcd is taken only over
+a denominator other than 1.  :meth:`Polynomial.sum` is that accumulator over
 whole polynomials, and addition goes through it; the public constructor
 is that accumulator over monomials; ``_sum_renamed`` is that accumulator
 over relabelled polynomials, its entries scaled by the block sizes when it
-is given them.  The parser, for drifts it reads whole, and
-``to_polynomial``, for the sums in a tree, add their terms one at a time
-with ``_add_term``.  ``rn_to_ode`` needs no accumulator: it sorts the
-distinct reagent multisets once and hands each drift its terms already in
-canonical order, so it reaches the stored form through ``_reduced`` alone.
+is given them.  ``to_polynomial``, for the sums in a tree, adds its terms
+one at a time with ``_add_term``.  The parser, for drifts it reads whole,
+adds a term over the accumulator's denominator directly, and calls
+``_add_term`` only for a term over another one.  ``rn_to_ode`` needs no
+accumulator: it sorts the distinct reagent multisets once and hands each
+drift its terms already in canonical order, so it reaches the stored form
+through ``_reduced`` alone.
 
 One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
 terms to an accumulator with every variable renamed by a label table.  It
@@ -316,10 +320,16 @@ def _reduced(exps, nums, den: int) -> Polynomial:
 def _from_accumulator(acc: dict, den: int) -> Polynomial:
     """The polynomial sum of n * x^exps / den over the ``{exps: n}`` items of
     ``acc``, whose numerators are ints and may be zero."""
-    exps = [e for e, n in acc.items() if n]
-    if len(exps) > 1:
-        exps.sort(key=_term_key)
-    return _reduced(exps, [acc[e] for e in exps], den)
+    if 0 in acc.values():
+        acc = {e: n for e, n in acc.items() if n}
+    exps = tuple(sorted(acc, key=_term_key)) if len(acc) > 1 else tuple(acc)
+    nums = tuple(map(acc.__getitem__, exps))
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple([n // g for n in nums])
+    return _poly(exps, nums, den)
 
 
 def _format(p: Polynomial, names, products: dict) -> str:

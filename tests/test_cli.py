@@ -387,3 +387,26 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{x1}, {x2, x3}"
+
+
+@pytest.mark.parametrize("mode", ["fde", "bde"])
+@pytest.mark.parametrize("model", ["t14_bigger.ode", "t07_reactions.ode", "smt"])
+def test_report_splits_the_wall_time_into_phases(model, mode, tmp_path):
+    report = tmp_path / "r.json"
+    argv = ["reduce", "--mode", mode, "--out", str(tmp_path / "red.ode"),
+            "--report", str(report), "--partition", "one-block"]
+    if model == "smt":  # the solver loop is the refine phase
+        (tmp_path / "m.ode").write_text(MIN_PAIR_TEXT)
+        argv += ["--in", str(tmp_path / "m.ode"),
+                 "--solver-cmd", seq_cmd(tmp_path, [SAT_111, "unsat"] if mode == "bde"
+                                         else ["unsat"])]
+    else:
+        argv += ["--in", str(GOLDEN / model)]
+    assert main(argv) == 0
+    data = json.loads(report.read_text())
+    phases = data["phases_ms"]
+    assert list(phases) == ["parse", "seed", "refine", "reduce", "serialize"]
+    assert all(isinstance(v, float) and v >= 0 and v == round(v, 3) for v in phases.values())
+    # wall_time_ms is truncated to whole ms; the phases sum to the elapsed
+    # time rounded to 0.001 ms, up to float error
+    assert -1e-6 <= sum(phases.values()) - data["wall_time_ms"] <= 1 + 1e-6
