@@ -19,8 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, _ProductTooLarge
 from .poly import Polynomial, _add_term, _canon, _from_accumulator
+
+# The most pairs of terms one product may multiply when drift text is
+# lowered.  A product of k two-term sums has 2^k terms, so a 200-byte text
+# could otherwise ask for millions.  On a 2-core development host, reading
+# a product of 14 such sums, which reaches the bound, takes 0.13 s and 20 MB
+# (15 sums: 0.29 s and 44 MB); no golden model or benchmark workload
+# multiplies more than 4 pairs of terms in one product.
+_PRODUCT_LIMIT = 1 << 14
 
 _BIN_OPS = ("add", "sub", "mul", "div", "min", "max")
 
@@ -163,7 +171,10 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
     nonzero denominator, whose sign negates the accumulator: a sum adds the
     smaller accumulator into the larger one, a product merges like terms as
     it builds them, and a divisor must lower to a nonzero constant.
-    ``min``, ``max`` and ``abs`` never lower.
+    ``min``, ``max`` and ``abs`` never lower.  A product whose operands'
+    term counts multiply to more than ``_PRODUCT_LIMIT`` raises
+    :class:`~odelump.errors.TooLarge`, also below a node that does not
+    lower.  :meth:`Polynomial.__mul__` has no such bound.
     """
 
     def leaf(e):
@@ -176,6 +187,9 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
             return None  # an abs, min or max, or above one that did not lower
         (acc, den), (terms, q) = a, b
         if e.op == "mul":
+            pairs = len(acc) * len(terms)
+            if pairs > _PRODUCT_LIMIT:
+                raise _ProductTooLarge(pairs, _PRODUCT_LIMIT)
             product: dict = {}
             for ea, na in acc.items():
                 for eb, nb in terms.items():

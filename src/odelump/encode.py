@@ -12,8 +12,9 @@ The container either returns is derived from a checked one: names, init
 and observables are shared, sides and drifts are canonical by
 construction, species stay below n and rates are nonzero Fractions.  So
 both build their result through a private constructor (``_network``,
-``system._ode_system``) that skips the checks.  The public constructors and
-the parser, which reads input from outside the program, check everything.
+``system._ode_system``) that skips the checks.  The model reader checks
+each rule once, in its own read, and builds its container through the same
+constructors; the public constructors check everything.
 """
 
 from __future__ import annotations
@@ -100,11 +101,13 @@ class ReactionNetwork:
 def _network(names: tuple, reactions: tuple, init: tuple,
              observables: Optional[frozenset]) -> ReactionNetwork:
     """A network whose fields the caller guarantees: names, init and
-    observables taken from a checked container, and reactions with
-    canonical sides over species below n.  The checks of
-    ``ReactionNetwork(...)`` are skipped; the result equals, hashes like and
-    is as frozen as the checked one.  Only ``ode_to_rn`` builds networks
-    this way."""
+    observables as a checked container holds them, and reactions with
+    canonical sides over species below n and nonzero Fraction rates.  The
+    checks of ``ReactionNetwork(...)`` are skipped; the result equals,
+    hashes like and is as frozen as the checked one.  Two callers build
+    networks this way: ``ode_to_rn``, from a checked system's fields, and
+    the model reader ``parsing._Parser``, which enforces each of these
+    rules in its own read."""
     rn = _new(ReactionNetwork)
     _setattr(rn, "names", names)
     _setattr(rn, "reactions", reactions)

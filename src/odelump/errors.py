@@ -89,12 +89,22 @@ class NotABde(_NotAnEquivalence):
 
 
 class TooLarge(OdeLumpError):
-    """Brute-force enumeration refused a system beyond its size guard."""
+    """A computation refused an input beyond its size guard ``limit``: the
+    brute-force oracle a system of ``n`` variables, unless ``_guarded`` says
+    otherwise."""
+    _guarded = "brute force is guarded to n <= {limit}, got n = {n}"
 
     def __init__(self, n, limit):
         self.n = n
         self.limit = limit
-        super().__init__(f"brute force is guarded to n <= {limit}, got n = {n}")
+        super().__init__(self._guarded.format(n=n, limit=limit))
+
+
+class _ProductTooLarge(TooLarge):
+    """Lowering drift text refused a product whose operands' term counts
+    multiply to ``n``, above ``limit``."""
+    _guarded = ("a product in a drift multiplies {n} pairs of terms; lowering "
+                "drift text is guarded to {limit}")
 
 
 class NoUniqueCoarsest(OdeLumpError):

@@ -21,6 +21,14 @@ partition, until a pass splits nothing.  Any equivalence refining the seed
 assigns equal signatures to its merged variables at every pass, so the
 fixpoint is the unique coarsest partition refining the seed.
 
+A signature is only compared and hashed, never ordered.  A bde signature is
+the frozenset of its terms, which needs no sort.  An fde signature stays a
+sorted tuple of ``(key, numerator)`` int pairs: on the 1e5-variable motif,
+whose fde refinement signs 100,000 variables at once, frozensets raised the
+``tracemalloc`` peak of its refinement from 105.7 to 120.2 MiB, for no
+speed that alternating timings could resolve.  The bde table of users per variable stays a list of lists for the
+same reason: sets raised the bde peak there from 27.7 to 39.9 MiB.
+
 The refinement is splitter-driven.  A variable's bde signature sees the
 partition only through the blocks of the variables its drift mentions, and,
 mirroring that, its fde signature only through the blocks of the variables
@@ -110,12 +118,17 @@ class _BdeSigner:
         self.users = None
 
     def sign(self, v):
-        """Canonical form of v's drift with every variable renamed to its
-        block label."""
+        """v's drift with every variable renamed to its block label, as the
+        frozenset of its nonzero ``(exponent vector, numerator)`` terms.
+        The accumulator's keys are unique, so the set holds the same items
+        as the sorted tuple of them and compares equal exactly when that
+        tuple does; it is built without a sort, and caches its hash."""
         acc: dict = {}
         exps, nums = self.raw[v]
         _fold_renamed(acc, exps, nums, self.labels)
-        return tuple(sorted([item for item in acc.items() if item[1]]))
+        if 0 in acc.values():
+            return frozenset([item for item in acc.items() if item[1]])
+        return frozenset(acc.items())
 
     def affected(self, moves):
         if self.users is None:
@@ -419,13 +432,10 @@ def prepartition_from_inits(system: OdeSystem, seed: Partition) -> Partition:
     additionally isolated into singleton blocks."""
     _require(system, seed)
     obs = system.observables or frozenset()
-    init = system.init
-
-    def key(v):  # ints, not a Fraction, whose hash is computed in Python
-        value = init[v]
-        return value.numerator, value.denominator, v if v in obs else -1
-
-    return seed.split_by(key)
+    # ints, not a Fraction, whose hash is computed in Python
+    keys = [(value.numerator, value.denominator, v if v in obs else -1)
+            for v, value in enumerate(system.init)]
+    return seed.split_by(keys.__getitem__)
 
 
 # -- brute-force oracle ---------------------------------------------------------------

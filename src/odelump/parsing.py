@@ -54,6 +54,14 @@ How the text is read:
   drift keeps a tree, so subtraction and division keep their nodes: the
   terms of each drift read whole are read again as a tree, with plain
   tokens.
+* Each input rule of a container is enforced once, by the read itself:
+  names are identifiers (``_ID`` is ``system._IDENT``), not reserved and
+  unique; initial values are Fractions from ``_Numerals``; every index
+  comes from a declared name; sides are canonical through ``multiset()``,
+  with positive integer multiplicities; rates are nonzero.  So the system
+  or network is built with the trusted constructors the conversions use
+  (``system._ode_system``, ``encode._network``), which skip the checks of
+  the public ones.  The document still checks the partition's size.
 """
 
 from __future__ import annotations
@@ -65,12 +73,13 @@ from itertools import islice
 from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
-from .encode import Reaction, ReactionNetwork, _reaction, multiset, rn_to_ode, ode_to_rn
+from .encode import (Reaction, ReactionNetwork, _network, _reaction, multiset, rn_to_ode,
+                     ode_to_rn)
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable)
 from .partition import Partition
 from .poly import Polynomial, _add_term, _format, _from_accumulator, _product
-from .system import _IDENT, _RESERVED, OdeSystem
+from .system import _IDENT, _RESERVED, OdeSystem, _ode_system
 
 # Every quantifier is possessive: a match never gives back what it read, so
 # the `//c` of a trailing `x //c` cannot be re-read as `/`, `/`, `c`, a whole
@@ -311,7 +320,7 @@ class _Parser:
 
         names, inits = tuple(self.names), tuple(self.inits)
         if system_kind == "reactions":
-            system = ReactionNetwork(names, tuple(reactions), inits, observables)
+            system = _network(names, tuple(reactions), inits, observables)
         else:
             spelled = [drifts.get(i) for i in range(len(names))]  # None: no d() statement
             zero = Polynomial.zero()
@@ -323,7 +332,7 @@ class _Parser:
                 zero = Const(Fraction(0))
                 lowered = [zero if d is None else self.tree(d) if isinstance(d, str) else d
                            for d in spelled]
-            system = OdeSystem(names, tuple(lowered), inits, observables)
+            system = _ode_system(names, tuple(lowered), inits, observables)
         # The document checks the partition's size; both its error and the
         # partition's own are placed at the partition section.
         try:

