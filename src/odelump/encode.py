@@ -7,7 +7,10 @@ mutually inverse up to polynomial normalization.
 
 Each direction works once per distinct monomial: ``rn_to_ode`` groups the
 reactions by reagents, the one monomial they all contribute to, and sorts
-the groups once; ``ode_to_rn`` turns each stored term into one reaction.
+the groups once; ``_reactions`` turns each stored term into one reaction.
+It is the one derivation of reactions from drifts: ``ode_to_rn`` wraps its
+triples in ``Reaction``s, and ``parsing.serialize_model`` writes reaction
+form straight from them, with no network built.
 The container either returns is derived from a checked one: names, init
 and observables are shared, sides and drifts are canonical by
 construction, species stay below n and rates are nonzero Fractions.  So
@@ -22,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, starmap
 from math import lcm
 from typing import Optional, Sequence
 
@@ -153,13 +156,22 @@ def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
 
 def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
     """Emit one reaction per monomial: c * prod x^rho in drift(s) becomes
-    rho -> rho + {s} at rate c.  Reactions are ordered by species, then by
-    the drift's canonical term order.  The products are built by merging
-    ``(s, 1)`` into the sorted reagents, which keeps them canonical; a
-    one-variable monomial is merged directly.  Equal rates share one
-    Fraction, looked up by numerator within each drift's denominator."""
+    rho -> rho + {s} at rate c.  The reactions are those of ``_reactions``,
+    in its order and with its shared rates."""
     _require(ode, polynomial="reaction form requires polynomial drifts")
-    reactions = []
+    return _network(ode.names, tuple(starmap(_reaction, _reactions(ode))),
+                    ode.init, ode.observables)
+
+
+def _reactions(ode: OdeSystem):
+    """The ``(reagents, products, rate)`` of each reaction of a polynomial
+    system: c * prod x^rho in drift(s) becomes rho -> rho + {s} at rate c.
+    Reactions are ordered by species, then by the drift's canonical term
+    order.  The products are built by merging ``(s, 1)`` into the sorted
+    reagents, which keeps them canonical; a one-variable monomial is merged
+    directly.  Equal rates share one Fraction, looked up by numerator within
+    each drift's denominator; the generator holds every rate it yielded
+    until it is done."""
     by_den: dict = {}  # denominator -> {numerator: rate}
     shared: dict = {}  # rate -> the one Fraction of its value
     for s, drift in enumerate(ode.drifts):
@@ -186,5 +198,4 @@ def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
                     products = exps[:i] + ((s, exps[i][1] + 1),) + exps[i + 1:]
                 else:
                     products = exps[:i] + one + exps[i:]
-            reactions.append(_reaction(exps, products, rate))
-    return _network(ode.names, tuple(reactions), ode.init, ode.observables)
+            yield exps, products, rate

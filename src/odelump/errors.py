@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import sys
+
 
 class OdeLumpError(Exception):
     """Base class for every error raised by this package."""
@@ -105,6 +107,17 @@ class _ProductTooLarge(TooLarge):
     multiply to ``n``, above ``limit``."""
     _guarded = ("a product in a drift multiplies {n} pairs of terms; lowering "
                 "drift text is guarded to {limit}")
+
+
+class _NumberTooLong(OdeLumpError):
+    """Writing a number met an integer with more digits than the
+    interpreter turns into text, ``sys.get_int_max_str_digits()``."""
+
+    def __init__(self):
+        self.limit = sys.get_int_max_str_digits()
+        super().__init__(f"a number has more than {self.limit} digits, the "
+                         "interpreter's limit on the text of an integer "
+                         "(PYTHONINTMAXSTRDIGITS)")
 
 
 class NoUniqueCoarsest(OdeLumpError):

@@ -38,9 +38,11 @@ How the text is read:
   whole statement that fails a check (a reserved, duplicate or undeclared
   name, a zero rate or a zero denominator in an init or rate, a
   multiplicity that is not a positive integer, a second drift for one
-  variable), or any other error, makes this read decline.  So only a text
-  that raises is read again, with plain tokens only; that read alone
-  reports positions, worked out by sweeping the text again.
+  variable), a numeral with more digits than the interpreter reads as an
+  int (``sys.get_int_max_str_digits()``), or any other error, makes this
+  read decline.  So only a text that raises is read again, with plain
+  tokens only; that read alone reports positions, worked out by sweeping
+  the text again.
 * Once the model is read, the terms of every drift read whole go straight
   into a term accumulator, and every other drift, read as a
   drift-expression tree, is lowered to a polynomial.  A term read whole is
@@ -67,19 +69,20 @@ How the text is read:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
-from .encode import (Reaction, ReactionNetwork, _network, _reaction, multiset, rn_to_ode,
-                     ode_to_rn)
+from .encode import (Reaction, ReactionNetwork, _network, _reaction, _reactions, multiset,
+                     rn_to_ode)
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
-                     UndeclaredVariable)
+                     UndeclaredVariable, _NumberTooLong)
 from .partition import Partition
 from .poly import Polynomial, _add_term, _format, _from_accumulator, _product
-from .system import _IDENT, _RESERVED, OdeSystem, _ode_system
+from .system import _IDENT, _RESERVED, OdeSystem, _ode_system, _require
 
 # Every quantifier is possessive: a match never gives back what it read, so
 # the `//c` of a trailing `x //c` cannot be re-read as `/`, `/`, `c`, a whole
@@ -159,14 +162,19 @@ class _Declined(Exception):
 
 class _Numerals(dict):
     """One exact value per distinct text ``[-]p[/q]`` of numerals p and q,
-    blanks allowed around ``-`` and ``/``; None when q is zero."""
+    blanks allowed around ``-`` and ``/``; None when q is zero.  A numeral
+    with more digits than the interpreter reads as an int
+    (``sys.get_int_max_str_digits()``) declines the statement read."""
 
     def __missing__(self, text):
         num, _, den = "".join(text.split()).partition("/")
-        value = Fraction(num)
-        if den:
-            den = Fraction(den)
-            value = value / den if den else None
+        try:
+            value = Fraction(num)
+            if den:
+                den = Fraction(den)
+                value = value / den if den else None
+        except ValueError:  # the interpreter's limit on int text
+            raise _Declined from None
         self[text] = value
         return value
 
@@ -273,14 +281,28 @@ class _Parser:
             raise UndeclaredVariable(self.texts[at], *self.where(at))
         return idx
 
+    def numeral(self, at: int, text: Optional[str] = None) -> Optional[Fraction]:
+        """The value of ``text``, by default the number token at ``at``; a
+        numeral longer than the interpreter's limit on int text fails at
+        ``at``."""
+        try:
+            return self.number(self.texts[at] if text is None else text)
+        except _Declined:
+            line, col = self.where(at)
+            digits = max(map(len, self.texts[at].split(".")))
+            raise ModelSyntaxError(line, col, f"a numeral of at most "
+                                   f"{sys.get_int_max_str_digits()} digits, "
+                                   f"found one of {digits}") from None
+
     def parse_rational(self) -> Fraction:
         neg = self.accept("-")
         at = self.expect("number", "number")
         text = self.texts[at]
         if self.accept("/"):
+            self.numeral(at)  # a numerator too long fails at its own token
             at = self.expect("number", "number")
             text += "/" + self.texts[at]
-        value = self.number(text)
+        value = self.numeral(at, text)
         if value is None:
             self.fail("nonzero denominator", at)
         return -value if neg else value
@@ -427,7 +449,7 @@ class _Parser:
 
     def parse_mset(self):
         kinds, texts = self.kinds, self.texts
-        if kinds[self.i] == "number" and self.number(texts[self.i]) == 0:
+        if kinds[self.i] == "number" and self.numeral(self.i) == 0:
             self.i += 1
             return ()
         items = []
@@ -435,7 +457,7 @@ class _Parser:
             mult = 1
             if kinds[self.i] == "number":
                 num_at = self.advance()
-                value = self.number(texts[num_at])
+                value = self.numeral(num_at)
                 if value.denominator != 1 or value <= 0:
                     self.fail("positive integer multiplicity", num_at)
                 mult = int(value)
@@ -514,7 +536,7 @@ class _Parser:
             return Bin("sub", Const(Fraction(0)), self.parse_factor())
         if kind == "number":
             self.advance()
-            return Const(self.number(text))
+            return Const(self.numeral(at))
         if kind == "(":
             self.advance()
             e = self.parse_expr()
@@ -642,8 +664,12 @@ def serialize_model(m, form: str = "ode") -> str:
     """Render a document (or bare system) back to model text.
 
     ``form`` chooses the drift section: "ode" or "rn".  Reaction form requires
-    polynomial drifts and goes through the per-monomial encoding, so parsing
-    the output yields a semantically identical system.
+    polynomial drifts; a system's reactions are written straight from
+    ``encode._reactions``, the per-monomial encoding of ``ode_to_rn``, with
+    no network built, so parsing the output yields a semantically identical
+    system.  Each distinct number object (an initial value or a rate) is
+    turned into text once; an integer with more digits than the interpreter
+    writes raises ``_NumberTooLong``, before any text is returned.
     """
     if not isinstance(m, ModelDocument):
         m = ModelDocument(m)
@@ -651,21 +677,37 @@ def serialize_model(m, form: str = "ode") -> str:
         raise ValueError(f"unknown form {form!r}")
 
     system = m.system
-    if form == "ode" and isinstance(system, ReactionNetwork):
-        system = rn_to_ode(system)
-    elif form == "rn" and isinstance(system, OdeSystem):
-        system = ode_to_rn(system)  # raises NonPolynomialDrift on expression drifts
+    if isinstance(system, ReactionNetwork):
+        if form == "ode":
+            system = rn_to_ode(system)
+        else:
+            reactions = ((r.reagents, r.products, r.rate) for r in system.reactions)
+    elif form == "rn":
+        _require(system, polynomial="reaction form requires polynomial drifts")
+        reactions = _reactions(system)
+
+    # The text of each number by its id: the system, or the generator of
+    # its reactions, holds every number until the text is built.
+    texts: dict = {}
+
+    def number(value: Fraction) -> str:
+        try:
+            text = texts[id(value)] = str(value)
+        except ValueError:  # the interpreter's limit on int text
+            raise _NumberTooLong from None
+        return text
 
     names = system.names
     out = ["begin model", "begin init"]
-    out.extend(f"  {nm} = {str(v)}" for nm, v in zip(names, system.init))
+    out.extend(f"  {nm} = {texts.get(id(v)) or number(v)}"
+               for nm, v in zip(names, system.init))
     out.append("end init")
 
-    if isinstance(system, ReactionNetwork):
+    if form == "rn":
         out.append("begin reactions")
-        for r in system.reactions:
-            out.append(f"  {_mset_str(r.reagents, names)} -> "
-                       f"{_mset_str(r.products, names)}, {str(r.rate)}")
+        for reagents, products, rate in reactions:
+            out.append(f"  {_mset_str(reagents, names)} -> {_mset_str(products, names)}, "
+                       f"{texts.get(id(rate)) or number(rate)}")
         out.append("end reactions")
     else:
         out.append("begin ode")

@@ -51,6 +51,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from .errors import _NumberTooLong
+
 RationalLike = Union[Fraction, int, str]
 Exps = tuple  # tuple[tuple[int, int], ...], sorted by variable, exponents > 0
 
@@ -336,32 +338,38 @@ def _format(p: Polynomial, names, products: dict) -> str:
     """The text of ``Polynomial.format(names)``.  A term of one variable with
     exponent 1 is its name; the ``a*b*c`` text of any other nonconstant
     exponent vector is kept in ``products``, which a caller formatting many
-    polynomials over the same names shares, so each is joined once."""
+    polynomials over the same names shares, so each is joined once.  A
+    coefficient with more digits than the interpreter writes raises
+    ``_NumberTooLong``."""
     if not p.nums:
         return "0"
     den = p.den
     parts = []
-    for exps, n in zip(p.exps, p.nums):
-        if len(exps) == 1 and exps[0][1] == 1:
-            body = names[exps[0][0]]
-        elif exps:
-            body = products.get(exps)
-            if body is None:
-                body = products[exps] = "*".join([names[v] for v, e in exps for _ in range(e)])
-        else:
-            body = ""
-        mag = -n if n < 0 else n
-        if mag != den or not body:
-            if den == 1:
-                coeff = str(mag)
+    try:
+        for exps, n in zip(p.exps, p.nums):
+            if len(exps) == 1 and exps[0][1] == 1:
+                body = names[exps[0][0]]
+            elif exps:
+                body = products.get(exps)
+                if body is None:
+                    body = products[exps] = "*".join([names[v] for v, e in exps
+                                                      for _ in range(e)])
             else:
-                g = gcd(mag, den)
-                coeff = str(mag // g) if g == den else f"{mag // g}/{den // g}"
-            body = f"{coeff}*{body}" if body else coeff
-        if parts:
-            parts.append(f"+ {body}" if n > 0 else f"- {body}")
-        else:
-            parts.append(body if n > 0 else f"-{body}")
+                body = ""
+            mag = -n if n < 0 else n
+            if mag != den or not body:
+                if den == 1:
+                    coeff = str(mag)
+                else:
+                    g = gcd(mag, den)
+                    coeff = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+                body = f"{coeff}*{body}" if body else coeff
+            if parts:
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
+            else:
+                parts.append(body if n > 0 else f"-{body}")
+    except ValueError:  # the interpreter's limit on int text
+        raise _NumberTooLong from None
     return " ".join(parts)
 
 

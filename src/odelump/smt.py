@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .driftexpr import (_SYMBOLS, Bin, Const, DriftExpr, Var, _fold,
                         denominators, poly_to_expr, substitute_exprs, sum_exprs)
 from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
-                     SolverTimeout, SolverUnknown)
+                     SolverTimeout, SolverUnknown, _NumberTooLong)
 from .partition import Partition
 from .system import OdeSystem, _by_mode, _require
 
@@ -140,10 +140,11 @@ def _symbol(name: str) -> str:
 
 def _emit_rational(value: Fraction) -> str:
     p, q = value.numerator, value.denominator
-    num = str(p) if p >= 0 else f"(- {-p})"
-    if q == 1:
-        return num
-    return f"(/ {num} {q})"
+    try:
+        num = str(p) if p >= 0 else f"(- {-p})"
+        return num if q == 1 else f"(/ {num} {q})"
+    except ValueError:  # the interpreter's limit on int text
+        raise _NumberTooLong from None
 
 
 # min, max and abs as functions a script defines when it uses them

@@ -230,11 +230,13 @@ def test_convert_round_trip(eq1, tmp_path):
     assert parse_model(back.read_text()).system == parse_model(eq1.read_text()).system
 
 
-def test_convert_rn_rejects_expression_drifts(tmp_path):
+def test_convert_rn_rejects_expression_drifts(tmp_path, capsys):
     model = tmp_path / "min.ode"
     model.write_text(MIN_PAIR_TEXT)
     assert main(["convert", "--in", str(model), "--to", "rn",
                  "--out", str(tmp_path / "x.ode")]) == 2
+    assert capsys.readouterr().err == "error: reaction form requires polynomial drifts\n"
+    assert not (tmp_path / "x.ode").exists()
 
 
 def test_convert_smt2(tmp_path):

@@ -15,7 +15,7 @@ from odelump import (Partition, SolverNotFound, brute_force_coarsest,
                      build_phi_bde, build_phi_fde, check_bde, check_fde,
                      coarsest_with_trace, integrate, ode_to_rn, parse_model,
                      prepartition_from_inits, reduce_backward,
-                     reduce_forward, symbolic_coarsest_with_trace)
+                     reduce_forward, serialize_model, symbolic_coarsest_with_trace)
 from odelump import system as system_module
 from conftest import cascade
 
@@ -68,6 +68,7 @@ _ENTRY_POINTS = {
     "integrate": ("bde", lambda s, p: integrate(s, 0.1, 0.05)),
     "integrate expression": ("expression", lambda s, p: integrate(s, 0.1, 0.05)),
     "ode_to_rn": ("bde", lambda s, p: ode_to_rn(s)),
+    "serialize_model rn": ("bde", lambda s, p: serialize_model(s, "rn")),
     "reduce_backward": ("bde", reduce_backward),
     "reduce_forward": ("fde", reduce_forward),
     "reduce_backward expression": ("expression", reduce_backward),
