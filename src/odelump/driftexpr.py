@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DivisionByZero, _ProductTooLarge
-from .poly import Polynomial, _add_term, _canon, _from_accumulator
+from .poly import Polynomial, _add_term, _from_accumulator, _mul_terms
 
 # The most pairs of terms one product may multiply when drift text is
 # lowered.  A product of k two-term sums has 2^k terms, so a 200-byte text
@@ -190,12 +190,7 @@ def to_polynomial(expr: DriftExpr) -> Polynomial | None:
             pairs = len(acc) * len(terms)
             if pairs > _PRODUCT_LIMIT:
                 raise _ProductTooLarge(pairs, _PRODUCT_LIMIT)
-            product: dict = {}
-            for ea, na in acc.items():
-                for eb, nb in terms.items():
-                    exps = _canon(ea + eb)
-                    product[exps] = product.get(exps, 0) + na * nb
-            return product, den * q
+            return _mul_terms(acc.items(), terms.items()), den * q
         if e.op == "div":
             c = terms.get((), 0)
             if not c or any(n for exps, n in terms.items() if exps):

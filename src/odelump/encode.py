@@ -14,10 +14,10 @@ form straight from them, with no network built.
 The container either returns is derived from a checked one: names, init
 and observables are shared, sides and drifts are canonical by
 construction, species stay below n and rates are nonzero Fractions.  So
-both build their result through a private constructor (``_network``,
-``system._ode_system``) that skips the checks.  The model reader checks
-each rule once, in its own read, and builds its container through the same
-constructors; the public constructors check everything.
+both build their result, and ``ode_to_rn`` each reaction, through
+``system._trusted``, which skips the checks.  The model reader checks each
+rule once, in its own read, and builds its records through it too; the
+public constructors check everything.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import repeat
 from math import lcm
 from typing import Optional, Sequence
 
-from .poly import _canon, _new, _reduced, _setattr, _term_key, as_fraction
-from .system import OdeSystem, _ode_system, _require, check_container
+from .poly import _canon, _reduced, _term_key, as_fraction
+from .system import OdeSystem, _require, _trusted, check_container
 
 Multiset = tuple  # tuple[tuple[int, int], ...]: sorted (species, multiplicity >= 1)
 
@@ -52,17 +52,6 @@ class Reaction:
             raise TypeError("reaction rates must be Fractions")
         if self.rate == 0:
             raise ValueError("reaction rate must be nonzero")
-
-
-def _reaction(reagents: Multiset, products: Multiset, rate: Fraction) -> Reaction:
-    """A reaction from canonical sides and a nonzero Fraction rate, which the
-    caller guarantees; the checks of ``Reaction(...)`` are skipped.  The
-    result equals, hashes like and is as frozen as the checked one."""
-    r = _new(Reaction)
-    _setattr(r, "reagents", reagents)
-    _setattr(r, "products", products)
-    _setattr(r, "rate", rate)
-    return r
 
 
 @dataclass(frozen=True)
@@ -101,24 +90,6 @@ class ReactionNetwork:
         return len(self.names)
 
 
-def _network(names: tuple, reactions: tuple, init: tuple,
-             observables: Optional[frozenset]) -> ReactionNetwork:
-    """A network whose fields the caller guarantees: names, init and
-    observables as a checked container holds them, and reactions with
-    canonical sides over species below n and nonzero Fraction rates.  The
-    checks of ``ReactionNetwork(...)`` are skipped; the result equals,
-    hashes like and is as frozen as the checked one.  Two callers build
-    networks this way: ``ode_to_rn``, from a checked system's fields, and
-    the model reader ``parsing._Parser``, which enforces each of these
-    rules in its own read."""
-    rn = _new(ReactionNetwork)
-    _setattr(rn, "names", names)
-    _setattr(rn, "reactions", reactions)
-    _setattr(rn, "init", init)
-    _setattr(rn, "observables", observables)
-    return rn
-
-
 def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
     """Mass-action semantics: each reaction (rho -> pi, a) adds
     a * (pi(s) - rho(s)) * prod_t x_t^rho(t) to the drift of every species s.
@@ -151,7 +122,8 @@ def rn_to_ode(rn: ReactionNetwork) -> OdeSystem:
                 exps[s].append(reagents)
                 nums[s].append(c)
     drifts = tuple(map(_reduced, exps, nums, repeat(den)))
-    return _ode_system(rn.names, drifts, rn.init, rn.observables)
+    return _trusted(OdeSystem, names=rn.names, drifts=drifts, init=rn.init,
+                    observables=rn.observables)
 
 
 def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
@@ -159,8 +131,10 @@ def ode_to_rn(ode: OdeSystem) -> ReactionNetwork:
     rho -> rho + {s} at rate c.  The reactions are those of ``_reactions``,
     in its order and with its shared rates."""
     _require(ode, polynomial="reaction form requires polynomial drifts")
-    return _network(ode.names, tuple(starmap(_reaction, _reactions(ode))),
-                    ode.init, ode.observables)
+    reactions = tuple([_trusted(Reaction, reagents=reagents, products=products, rate=rate)
+                       for reagents, products, rate in _reactions(ode)])
+    return _trusted(ReactionNetwork, names=ode.names, reactions=reactions, init=ode.init,
+                    observables=ode.observables)
 
 
 def _reactions(ode: OdeSystem):

@@ -54,7 +54,8 @@ from math import lcm
 from typing import Optional
 
 from .driftexpr import Bin, Const, Var, substitute_exprs, sum_exprs
-from .errors import InitMismatchWarning, NoUniqueCoarsest, NotABde, NotAnFde, TooLarge
+from .errors import (InitMismatchWarning, NoUniqueCoarsest, NotABde, NotAnFde, TooLarge,
+                     _NumberTooLong)
 from .partition import Partition, _Refinable
 from .poly import Polynomial, _fold_renamed, _sum_renamed
 from .system import OdeSystem, _by_mode, _require
@@ -70,6 +71,8 @@ class CheckResult:
     On failure carries the offending block, the variable pair whose
     comparison failed, the nonzero difference polynomial, and a rational
     assignment, one value per variable, making that difference nonzero.
+    ``describe`` writes the difference, or, when it holds a number past the
+    interpreter's limit on int text, says so in its place.
     """
 
     ok: bool
@@ -84,8 +87,11 @@ class CheckResult:
         i, j = self.pair
         ni = names[i] if names else f"x{i}"
         nj = names[j] if names else f"x{j}"
-        msg = (f"counterexample: pair ({ni}, {nj}) in block {self.block_index}, "
-               f"difference {self.witness_polynomial.format(names)}")
+        try:
+            difference = f"difference {self.witness_polynomial.format(names)}"
+        except _NumberTooLong as exc:
+            difference = f"the difference has a number of more than {exc.limit} digits"
+        msg = f"counterexample: pair ({ni}, {nj}) in block {self.block_index}, {difference}"
         if self.witness_assignment is not None:
             msg += f", witness point {tuple(map(str, self.witness_assignment))}"
         return msg

@@ -38,11 +38,11 @@ How the text is read:
   whole statement that fails a check (a reserved, duplicate or undeclared
   name, a zero rate or a zero denominator in an init or rate, a
   multiplicity that is not a positive integer, a second drift for one
-  variable), a numeral with more digits than the interpreter reads as an
-  int (``sys.get_int_max_str_digits()``), or any other error, makes this
-  read decline.  So only a text that raises is read again, with plain
-  tokens only; that read alone reports positions, worked out by sweeping
-  the text again.
+  variable), a numeral with more digits, its point not counted, than the
+  interpreter reads as an int (``sys.get_int_max_str_digits()``), or any
+  other error, makes this read decline.  So only a text that raises is read
+  again, with plain tokens only; that read alone reports positions, worked
+  out by sweeping the text again.
 * Once the model is read, the terms of every drift read whole go straight
   into a term accumulator, and every other drift, read as a
   drift-expression tree, is lowered to a polynomial.  A term read whole is
@@ -50,20 +50,20 @@ How the text is read:
   factor; the exponent vector of a constant, one- or two-factor term is
   built on the spot, and a term over the accumulator's denominator is added
   to it directly.  Only a product of three or more factors goes through
-  ``_product``, and only a term over another denominator through
-  ``_add_term``.  If some drift does not lower (a sum whose term has a
-  zero denominator does not), the model is an expression model and every
-  drift keeps a tree, so subtraction and division keep their nodes: the
-  terms of each drift read whole are read again as a tree, with plain
-  tokens.
+  ``_canon``, the one normalizer of exponent vectors, and only a term over
+  another denominator through ``_add_term``.  If some drift does not lower
+  (a sum whose term has a zero denominator does not), the model is an
+  expression model and every drift keeps a tree, so subtraction and
+  division keep their nodes: the terms of each drift read whole are read
+  again as a tree, with plain tokens.
 * Each input rule of a container is enforced once, by the read itself:
   names are identifiers (``_ID`` is ``system._IDENT``), not reserved and
   unique; initial values are Fractions from ``_Numerals``; every index
   comes from a declared name; sides are canonical through ``multiset()``,
   with positive integer multiplicities; rates are nonzero.  So the system
-  or network is built with the trusted constructors the conversions use
-  (``system._ode_system``, ``encode._network``), which skip the checks of
-  the public ones.  The document still checks the partition's size.
+  or network, and each reaction, is built with ``system._trusted``, as
+  the conversions build theirs, which skips the checks of the public
+  constructors.  The document still checks the partition's size.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ from itertools import islice
 from typing import Optional, Union
 
 from .driftexpr import Abs, Bin, Const, DriftExpr, Var, format_expr, to_polynomial
-from .encode import (Reaction, ReactionNetwork, _network, _reaction, _reactions, multiset,
-                     rn_to_ode)
+from .encode import Reaction, ReactionNetwork, _reactions, multiset, rn_to_ode
 from .errors import (DuplicateVariable, ModelSyntaxError, PartitionCoverageError,
                      UndeclaredVariable, _NumberTooLong)
 from .partition import Partition
-from .poly import Polynomial, _add_term, _format, _from_accumulator, _product
-from .system import _IDENT, _RESERVED, OdeSystem, _ode_system, _require
+from .poly import Polynomial, _add_term, _canon, _digits_past_limit, _format, _from_accumulator
+from .system import _IDENT, _RESERVED, OdeSystem, _require, _trusted
 
 # Every quantifier is possessive: a match never gives back what it read, so
 # the `//c` of a trailing `x //c` cannot be re-read as `/`, `/`, `c`, a whole
@@ -163,18 +162,17 @@ class _Declined(Exception):
 class _Numerals(dict):
     """One exact value per distinct text ``[-]p[/q]`` of numerals p and q,
     blanks allowed around ``-`` and ``/``; None when q is zero.  A numeral
-    with more digits than the interpreter reads as an int
-    (``sys.get_int_max_str_digits()``) declines the statement read."""
+    past the interpreter's limit on int text (``poly._digits_past_limit``)
+    declines the statement read."""
 
     def __missing__(self, text):
         num, _, den = "".join(text.split()).partition("/")
-        try:
-            value = Fraction(num)
-            if den:
-                den = Fraction(den)
-                value = value / den if den else None
-        except ValueError:  # the interpreter's limit on int text
-            raise _Declined from None
+        if _digits_past_limit(num) or _digits_past_limit(den):
+            raise _Declined
+        value = Fraction(num)
+        if den:
+            den = Fraction(den)
+            value = value / den if den else None
         self[text] = value
         return value
 
@@ -289,10 +287,9 @@ class _Parser:
             return self.number(self.texts[at] if text is None else text)
         except _Declined:
             line, col = self.where(at)
-            digits = max(map(len, self.texts[at].split(".")))
             raise ModelSyntaxError(line, col, f"a numeral of at most "
                                    f"{sys.get_int_max_str_digits()} digits, "
-                                   f"found one of {digits}") from None
+                                   f"found one of {_digits_past_limit(self.texts[at])}") from None
 
     def parse_rational(self) -> Fraction:
         neg = self.accept("-")
@@ -342,7 +339,8 @@ class _Parser:
 
         names, inits = tuple(self.names), tuple(self.inits)
         if system_kind == "reactions":
-            system = _network(names, tuple(reactions), inits, observables)
+            system = _trusted(ReactionNetwork, names=names, reactions=tuple(reactions),
+                              init=inits, observables=observables)
         else:
             spelled = [drifts.get(i) for i in range(len(names))]  # None: no d() statement
             zero = Polynomial.zero()
@@ -354,7 +352,8 @@ class _Parser:
                 zero = Const(Fraction(0))
                 lowered = [zero if d is None else self.tree(d) if isinstance(d, str) else d
                            for d in spelled]
-            system = _ode_system(names, tuple(lowered), inits, observables)
+            system = _trusted(OdeSystem, names=names, drifts=tuple(lowered), init=inits,
+                              observables=observables)
         # The document checks the partition's size; both its error and the
         # partition's own are placed at the partition section.
         try:
@@ -431,8 +430,11 @@ class _Parser:
                     rate = number(t[6])
                     if not rate:  # a zero rate, or a zero denominator
                         raise _Declined
-                    reactions.append(_reaction(_side(t[4], index, number, sides),
-                                               _side(t[5], index, number, sides), rate))
+                    # a side's text recurs, so its multiset is looked up first
+                    reagents = sides.get(t[4]) or _side(t[4], index, number, sides)
+                    products = sides.get(t[5]) or _side(t[5], index, number, sides)
+                    reactions.append(_trusted(Reaction, reagents=reagents, products=products,
+                                              rate=rate))
                 continue
             reagents = self.parse_mset()
             self.expect("arrow", "'->'")
@@ -602,7 +604,7 @@ def _terms(body: str, index: dict, number) -> Optional[Polynomial]:
                 else:
                     exps = ((a, 2),)
             else:
-                exps = _product([index[head]] + [index[f] for f in rest.split("*")])
+                exps = _canon([(index[f], 1) for f in (head, *rest.split("*"))])
         except KeyError:  # a name that was not declared
             raise _Declined from None
         if q == den:
@@ -614,20 +616,18 @@ def _terms(body: str, index: dict, number) -> Optional[Polynomial]:
 
 
 def _side(text: str, index: dict, number, sides: dict):
-    """The multiset of a reaction side read whole, cached in ``sides`` by its
-    text."""
-    ms = sides.get(text)
-    if ms is None:
-        items = []
-        if text != "0":
-            for item in text.split("+"):
-                mult, _, name = item.rpartition("*")
-                v = index.get(name.strip())
-                k = number(mult.strip()) if mult else 1
-                if v is None or k <= 0 or k.denominator != 1:
-                    raise _Declined  # undeclared, or not a positive integer
-                items.append((v, int(k)))
-        ms = sides[text] = multiset(items)
+    """The multiset of a reaction side read whole, stored in ``sides`` by
+    its text, where the caller looks it up first."""
+    items = []
+    if text != "0":
+        for item in text.split("+"):
+            mult, _, name = item.rpartition("*")
+            v = index.get(name.strip())
+            k = number(mult.strip()) if mult else 1
+            if v is None or k <= 0 or k.denominator != 1:
+                raise _Declined  # undeclared, or not a positive integer
+            items.append((v, int(k)))
+    ms = sides[text] = multiset(items)
     return ms
 
 

@@ -17,23 +17,27 @@ Python ints with one ``gcd`` per result, and none when the denominator is 1.
 ``terms`` is a read-only view of the same polynomial as ``Monomial(Fraction,
 exps)`` tuples, for callers that want rationals; no hot path reads it.
 
-One path reaches the stored form.  ``_canon`` normalizes raw ``(index,
-count)`` pairs; the result is also a reaction multiset of
-:mod:`odelump.encode`.  Terms are merged in an ``{exps: numerator}``
-accumulator over a known denominator, which ``_from_accumulator`` sorts and
-brings to lowest terms: the keys are sorted once into the stored tuple,
-zeros are filtered only when there are any, and the gcd is taken only over
-a denominator other than 1.  :meth:`Polynomial.sum` is that accumulator over
-whole polynomials, and addition goes through it; the public constructor
-is that accumulator over monomials; ``_sum_renamed`` is that accumulator
-over relabelled polynomials, its entries scaled by the block sizes when it
-is given them.  ``to_polynomial``, for the sums in a tree, adds its terms
-one at a time with ``_add_term``.  The parser, for drifts it reads whole,
-adds a term over the accumulator's denominator directly, and calls
-``_add_term`` only for a term over another one.  ``rn_to_ode`` needs no
-accumulator: it sorts the distinct reagent multisets once and hands each
-drift its terms already in canonical order, so it reaches the stored form
-through ``_reduced`` alone.
+One path reaches the stored form: ``_from_accumulator`` or ``_reduced``,
+then ``_poly``.  ``_canon`` is the one normalizer of raw ``(index, count)``
+pairs; the result is also a reaction multiset of :mod:`odelump.encode`.
+Terms are merged in an ``{exps: numerator}`` accumulator over a known
+denominator, which ``_from_accumulator`` sorts and brings to lowest terms:
+the keys are sorted once into the stored tuple, zeros are filtered only
+when there are any, and the gcd is taken only over a denominator other
+than 1.  That gcd step is ``_reduced``'s, kept inline because one more call
+per result is measurably slower.  :meth:`Polynomial.sum` is that
+accumulator over whole polynomials, and addition goes through it; the
+public constructor is that accumulator over monomials; ``_sum_renamed`` is
+that accumulator over relabelled polynomials, its entries scaled by the
+block sizes when it is given them.  One loop, ``_mul_terms``, multiplies
+two term sums into an accumulator, for :meth:`Polynomial.__mul__` and for
+the products in a drift tree.  ``to_polynomial``, for the sums in a tree,
+adds its terms one at a time with ``_add_term``.  The parser, for drifts it
+reads whole, adds a term over the accumulator's denominator directly, and
+calls ``_add_term`` only for a term over another one.  ``rn_to_ode`` needs
+no accumulator: it sorts the distinct reagent multisets once and hands
+each drift its terms already in canonical order, so it reaches the stored
+form through ``_reduced`` alone.
 
 One fold relabels exponent vectors: ``_fold_renamed`` adds a polynomial's
 terms to an accumulator with every variable renamed by a label table.  It
@@ -46,6 +50,7 @@ call it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -64,6 +69,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float coefficient; pass a Fraction, int or string")
     return Fraction(value)
+
+
+def _digits_past_limit(numeral: str) -> int:
+    """The digits of ``numeral``, a ``[-]d+[.d+]`` text, the point not
+    counted, when there are more than the interpreter reads as one int,
+    ``sys.get_int_max_str_digits()`` (0: no limit); else 0.  The value of a
+    numeral within the limit is p/10**k with p of at most that many digits
+    and k below it, so its ``p/q`` text can be written back."""
+    digits = len(numeral) - ("." in numeral) - numeral.startswith("-")
+    limit = sys.get_int_max_str_digits()
+    return digits if limit and digits > limit else 0
 
 
 class Monomial(NamedTuple):
@@ -223,12 +239,9 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.nums or not other.nums:
             return _POLY_ZERO
-        acc: dict = {}
-        for ea, na in zip(self.exps, self.nums):
-            for eb, nb in zip(other.exps, other.nums):
-                e = _canon(ea + eb)
-                acc[e] = acc.get(e, 0) + na * nb
-        return _from_accumulator(acc, self.den * other.den)
+        return _from_accumulator(_mul_terms(zip(self.exps, self.nums),
+                                            tuple(zip(other.exps, other.nums))),
+                                 self.den * other.den)
 
     def scale(self, c: RationalLike) -> "Polynomial":
         c = as_fraction(c)
@@ -326,6 +339,7 @@ def _from_accumulator(acc: dict, den: int) -> Polynomial:
         acc = {e: n for e, n in acc.items() if n}
     exps = tuple(sorted(acc, key=_term_key)) if len(acc) > 1 else tuple(acc)
     nums = tuple(map(acc.__getitem__, exps))
+    # _reduced's gcd step, kept inline: one more call per result is slower
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
@@ -373,15 +387,17 @@ def _format(p: Polynomial, names, products: dict) -> str:
     return " ".join(parts)
 
 
-def _product(variables: list) -> Exps:
-    """The exponent vector of the product of ``variables``, given as variable
-    indices that may repeat."""
-    if len(variables) == 1:
-        return ((variables[0], 1),)
-    counts: dict = {}
-    for v in sorted(variables):
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(counts.items())
+def _mul_terms(a, b) -> dict:
+    """The ``{exps: numerator}`` accumulator of the product of two term
+    sums, each given as ``(exps, numerator)`` pairs; ``b`` is read once per
+    pair of ``a``.  The one product loop: :meth:`Polynomial.__mul__` and the
+    lowering of a drift tree's products both call it."""
+    acc: dict = {}
+    for ea, na in a:
+        for eb, nb in b:
+            e = _canon(ea + eb)
+            acc[e] = acc.get(e, 0) + na * nb
+    return acc
 
 
 def _add_term(acc: dict, den: int, exps: Exps, num: int, q: int) -> int:

@@ -36,6 +36,7 @@ from .driftexpr import (_SYMBOLS, Bin, Const, DriftExpr, Var, _fold,
 from .errors import (DivisionByZero, ProtocolError, SolverNotFound,
                      SolverTimeout, SolverUnknown, _NumberTooLong)
 from .partition import Partition
+from .poly import _digits_past_limit
 from .system import OdeSystem, _by_mode, _require
 
 DEFAULT_SOLVER_CMD = "z3 -in"
@@ -255,7 +256,9 @@ def _unwrap(sexp):
 
 def _parse_value(sexp):
     """Rational from a rational literal, else None: a numeral or a quotient of
-    two, each perhaps under ``-`` or ``to_real``, and the whole under one more."""
+    two, each perhaps under ``-`` or ``to_real``, and the whole under one more.
+    A numeral past the interpreter's limit on int text raises
+    ``_NumberTooLong``."""
     sign, sexp = _unwrap(sexp)
     parts = sexp[1:] if isinstance(sexp, list) and len(sexp) == 3 and sexp[0] == "/" else [sexp]
     numbers = []
@@ -263,6 +266,8 @@ def _parse_value(sexp):
         part_sign, atom = _unwrap(part)
         if not isinstance(atom, str) or not _NUMERAL_RE.match(atom):
             return None
+        if _digits_past_limit(atom):
+            raise _NumberTooLong
         numbers.append(part_sign * Fraction(atom))
     if numbers[1:] == [0]:
         return None
@@ -279,7 +284,9 @@ def solver_invoke(script: str, cmd: Optional[str] = None,
     an ``(error ...)`` must be a list of ``define-fun`` entries, perhaps
     headed ``model``; their values are read as exact rationals, and declared
     variables they omit (solver don't-cares) are 0.  A value that is not a
-    rational literal yields unknown("irrational-model").
+    rational literal yields unknown("irrational-model"), and one with a
+    numeral past the interpreter's limit on int text an unknown that names
+    the limit.
     """
     cmd = resolve_solver_cmd(cmd)
     args = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
@@ -313,7 +320,11 @@ def solver_invoke(script: str, cmd: Optional[str] = None,
             if not isinstance(entry, list) or len(entry) != 5 or entry[0] != "define-fun":
                 raise ProtocolError(out + proc.stderr)
             if entry[2] == [] and entry[3] == "Real":
-                value = _parse_value(entry[4])
+                try:
+                    value = _parse_value(entry[4])
+                except _NumberTooLong as exc:
+                    return SolverVerdict("unknown", reason=f"a model value has more than "
+                                         f"{exc.limit} digits")
                 if value is None:
                     return SolverVerdict("unknown", reason="irrational-model")
                 model[_strip_pipes(entry[1])] = value

@@ -7,7 +7,12 @@ public function that takes a system checks its input rules with one call of
 :func:`_require`, and the private functions it calls check nothing again.
 A partition that :func:`odelump.lump.coarsest_with_trace` returned proves
 the rules for the system it was refined for, which was guarded then and is
-frozen, so the checks of that system and mode pass it without a guard."""
+frozen, so the checks of that system and mode pass it without a guard.
+
+Beside that one guard sits the one way to skip the checks of a frozen
+record: :func:`_trusted` builds an ``OdeSystem``, ``ReactionNetwork`` or
+``Reaction`` from fields its caller vouches for.  Only the conversions of
+:mod:`odelump.encode` and the model reader call it."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from typing import Optional, Sequence
 from . import driftexpr
 from .driftexpr import drift_eval
 from .errors import NonPolynomialDrift, PartitionMismatch
-from .poly import Polynomial, _new, _setattr, as_fraction
+from .poly import Polynomial, as_fraction
 
 
 # A variable name, as the model grammar spells it; the reserved words are not
@@ -115,25 +120,6 @@ class OdeSystem:
         return sum(d.monomial_count() for d in self.drifts)
 
 
-def _ode_system(names: tuple, drifts: tuple, init: tuple,
-                observables: Optional[frozenset]) -> OdeSystem:
-    """A system whose fields the caller guarantees: at least one name, each
-    an identifier that is not reserved and none repeated, one Fraction
-    initial value per name, observables below n, and one drift per name
-    over variables below n, all polynomials or all expression trees.  The
-    checks of ``OdeSystem(...)`` are skipped; the result equals, hashes like
-    and is as frozen as the checked one.  Two callers build systems this
-    way: ``encode.rn_to_ode``, from a checked network's fields, and the
-    model reader ``parsing._Parser``, which enforces each of these rules in
-    its own read, for polynomial and expression models alike."""
-    system = _new(OdeSystem)
-    _setattr(system, "names", names)
-    _setattr(system, "drifts", drifts)
-    _setattr(system, "init", init)
-    _setattr(system, "observables", observables)
-    return system
-
-
 def _require(system, part=None, polynomial=None) -> None:
     """The input rules, in this order: ``system`` is an :class:`OdeSystem`
     (TypeError; a reaction network has to be converted with ``rn_to_ode``
@@ -148,6 +134,24 @@ def _require(system, part=None, polynomial=None) -> None:
     if part is not None and part.size != system.n:
         raise PartitionMismatch(
             f"partition covers {part.size} variables, system has {system.n}")
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` record whose ``fields`` the caller guarantees, with the
+    checks of ``cls(...)`` skipped; the result equals, hashes like and is as
+    frozen as the checked one.  Its callers are the conversions, which
+    derive their fields from a checked container (``encode.rn_to_ode``,
+    ``encode.ode_to_rn``), and the model reader ``parsing._Parser``, which
+    enforces each input rule in its own read: for an :class:`OdeSystem`,
+    at least one name, each an identifier that is not reserved and none
+    repeated, one Fraction initial value per name, observables below n and
+    one drift per name over variables below n, all polynomials or all
+    trees; for a network, the same names, init and observables, and
+    reactions over species below n; for a reaction, canonical sides and a
+    nonzero Fraction rate."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 _MODES = ("fde", "bde")

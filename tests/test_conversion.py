@@ -104,10 +104,11 @@ def test_conversions_of_a_binding_network_equal_checked_containers():
 
 
 def test_only_the_conversions_build_unchecked_containers():
-    """The unchecked constructors trust that their fields come from a checked
+    """The unchecked constructor trusts that its fields come from a checked
     container, or from the model reader, which enforces every input rule in
-    its own read; no other function may call them."""
-    callers = {}
+    its own read; no other function may call it, and each caller builds
+    only the records named here."""
+    built = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
@@ -118,10 +119,11 @@ def test_only_the_conversions_build_unchecked_containers():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else \
                     func.attr if isinstance(func, ast.Attribute) else None
-                if name in ("_network", "_ode_system"):
-                    callers.setdefault(name, set()).add(f"{path.stem}.{owner}")
-    assert callers == {"_network": {"encode.ode_to_rn", "parsing._Parser"},
-                       "_ode_system": {"encode.rn_to_ode", "parsing._Parser"}}
+                if name == "_trusted":
+                    built.setdefault(f"{path.stem}.{owner}", set()).add(node.args[0].id)
+    assert built == {"encode.rn_to_ode": {"OdeSystem"},
+                     "encode.ode_to_rn": {"ReactionNetwork", "Reaction"},
+                     "parsing._Parser": {"OdeSystem", "ReactionNetwork", "Reaction"}}
 
 
 def test_rn_to_ode_takes_one_sort_key_per_distinct_reagent_multiset(monkeypatch):

@@ -1,10 +1,11 @@
 """``to_polynomial`` lowers every tree its reference lowers, to the same
 polynomial, and declines the rest; it runs on an explicit stack.
 
-The reference is a verbatim copy of the lowering the single fold replaced:
-a loop over the sum's add/sub chain, ``_product_term`` for summands that
-are products of constants and variables, and ``Polynomial`` arithmetic,
-called recursively, for every other summand.
+The reference is a copy of the lowering the single fold replaced, with
+each product's exponent vector normalized by ``_canon``: a loop over the
+sum's add/sub chain, ``_product_term`` for summands that are products of
+constants and variables, and ``Polynomial`` arithmetic, called
+recursively, for every other summand.
 """
 
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from odelump import Polynomial, monomial, parse_expression
 from odelump.driftexpr import Abs, Bin, Const, DriftExpr, Var, drift_eval, to_polynomial
-from odelump.poly import _add_term, _from_accumulator, _product
+from odelump.poly import _add_term, _canon, _from_accumulator
 
 
 def reference_to_polynomial(expr: DriftExpr) -> Polynomial | None:
@@ -45,7 +46,7 @@ def reference_to_polynomial(expr: DriftExpr) -> Polynomial | None:
         term = _product_term(e)
         if term is not None:
             num, q, variables = term
-            den = _add_term(acc, den, _product(variables), sign * num, q)
+            den = _add_term(acc, den, _canon([(v, 1) for v in variables]), sign * num, q)
             continue
         if isinstance(e, Abs) or e.op in ("min", "max"):
             return None

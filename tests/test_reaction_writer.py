@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import odelump.encode as encode
 import odelump.parsing as parsing
-from odelump import (OdeSystem, Partition, Polynomial, ReactionNetwork, monomial,
+from odelump import (OdeSystem, Partition, Polynomial, Reaction, ReactionNetwork, monomial,
                      ode_to_rn, parse_model, rn_to_ode, serialize_model)
 from odelump.cli import main
 from odelump.parsing import ModelDocument
@@ -83,14 +83,15 @@ def test_random_systems_are_written_as_their_networks(doc):
 
 def test_writing_reaction_form_builds_no_reaction(monkeypatch, tmp_path):
     calls = []
-    real = encode._reaction
+    real = encode._trusted
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(cls, **fields):
+        if cls is Reaction:
+            calls.append(fields)
+        return real(cls, **fields)
 
     for module in (encode, parsing):
-        monkeypatch.setattr(module, "_reaction", counting)
+        monkeypatch.setattr(module, "_trusted", counting)
     model = tmp_path / "motif.ode"
     model.write_text(MOTIF)
     out = tmp_path / "motif.rn.ode"

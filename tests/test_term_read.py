@@ -5,8 +5,8 @@ two-factor term itself and adds a term over the accumulator's denominator
 straight into it; ``poly._from_accumulator`` brings any accumulator to the
 stored form.  These tests count the helper calls the read makes, and hold
 both functions to test-local copies of the bodies they had before, which
-called ``_product`` and ``_add_term`` for every term and built the stored
-form through lists."""
+normalized every product with ``_canon``, called ``_add_term`` for every
+term and built the stored form through lists."""
 
 from math import gcd
 
@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import odelump.parsing as parsing
-from odelump.poly import _add_term, _from_accumulator, _product, _term_key
+from odelump.poly import _add_term, _canon, _from_accumulator, _term_key
 from test_statement_read import MOTIF
 
 
@@ -33,7 +33,7 @@ def _counting(monkeypatch, name):
 
 def test_motif_read_calls_no_term_helper(monkeypatch):
     expected = parsing.parse_model(MOTIF)
-    products = _counting(monkeypatch, "_product")
+    products = _counting(monkeypatch, "_canon")
     additions = _counting(monkeypatch, "_add_term")
     # integer coefficients, one- and two-factor terms only
     assert parsing.parse_model(MOTIF) == expected
@@ -41,11 +41,11 @@ def test_motif_read_calls_no_term_helper(monkeypatch):
 
 
 def test_longer_products_and_other_denominators_take_the_helpers(monkeypatch):
-    products = _counting(monkeypatch, "_product")
+    products = _counting(monkeypatch, "_canon")
     additions = _counting(monkeypatch, "_add_term")
     p = parsing._terms("x*y*x + 1/2*y - 3*x*x + 1/2", {"x": 0, "y": 1},
                        parsing._Numerals().__getitem__)
-    assert products == [([0, 1, 0],)]
+    assert products == [([(0, 1), (1, 1), (0, 1)],)]
     # 1/2*y grows the denominator to 2, so -3*x*x is over another one; the
     # last 1/2 is over the accumulator's and goes straight in
     assert len(additions) == 2
@@ -92,7 +92,7 @@ def _reference_terms(body, index, number):
             if len(factors) == 1:
                 exps = ((index[factors[0]], 1),)
             else:
-                exps = _product([index[f] for f in factors])
+                exps = _canon([(index[f], 1) for f in factors])
         except KeyError:
             raise parsing._Declined from None
         den = _add_term(acc, den, exps, num, q)
